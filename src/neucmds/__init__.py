@@ -6,7 +6,7 @@ stress decomposition, optimal greedy selectors, landmark acceleration,
 synthetic benchmarks, and a random-matrix verification laboratory.
 """
 
-from .embedding import Embedding, SweepEntry, embed, reconstruct, sweep
+from .embedding import Embedding, SweepEntry, embed, reconstruct, report, sweep
 from .landmark import LandmarkModel, embed_landmark, fit_landmarks, triangulate
 from .linalg import (
     SpectralDecomposition,
@@ -18,7 +18,6 @@ from .linalg import (
 from .metrics import (
     StressReport,
     avg_geometric_distortion,
-    build_report,
     decompose,
     negativity_stats,
     scaled_additive_error,
@@ -30,6 +29,7 @@ from .selection import (
     NEUC,
     PLUS,
     SelectionResult,
+    select,
     select_bruteforce,
     select_cmds,
     select_neuc,
@@ -50,7 +50,6 @@ __all__ = [
     "StressReport",
     "SweepEntry",
     "avg_geometric_distortion",
-    "build_report",
     "check_dissimilarity",
     "decompose",
     "double_center",
@@ -61,7 +60,9 @@ __all__ = [
     "gram_to_dissim",
     "negativity_stats",
     "reconstruct",
+    "report",
     "scaled_additive_error",
+    "select",
     "select_bruteforce",
     "select_cmds",
     "select_neuc",

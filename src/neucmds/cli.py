@@ -1,11 +1,8 @@
-"""Command-line front end and file formats.
+"""Command-line front end: argument parsing and dispatch.
 
-Commands: embed, select, generate, perturb, sweep, rmt, landmark.
-Matrix files are either text (first line "n", then n whitespace-separated
-rows) or binary (magic "NMDS", version byte, little-endian u64 n, then n*n
-little-endian float64 row-major).  Point clouds are text only: first line
-"n d", then n rows of d floats.  All writes go to a temp file first and are
-renamed into place, so failures leave no partial output.
+Commands: embed, select, generate, perturb, sweep, rmt, landmark.  The file
+formats live in :mod:`neucmds.io`; commands that read a matrix detect the
+binary format from its magic unless ``--format`` is given.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 numerical error.
 """
@@ -13,11 +10,8 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import struct
 import sys
-import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,166 +23,26 @@ from .datasets import (
     perturb_missing,
     perturb_noise,
 )
-from .embedding import embed_from_decomposition, reconstruct, sweep
+from .embedding import embed_from_decomposition, report, sweep
+from .io import (
+    BINARY,
+    TEXT,
+    read_matrix,
+    read_points,
+    write_csv,
+    write_embedding,
+    write_json,
+    write_matrix,
+)
 from .landmark import embed_landmark
 from .linalg import check_dissimilarity, double_center, eig_sym
-from .metrics import (
-    avg_geometric_distortion,
-    build_report,
-    negativity_stats,
-    scaled_additive_error,
-    stress,
-)
-from .selection import METHODS, NEUC, PLUS, normalize_method
+from .metrics import StressReport
+from .selection import METHODS, NEUC, PLUS, normalize_method, select
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-MAGIC = b"NMDS"
-BINARY_VERSION = 1
-
-TEXT = "text"
-BINARY = "bin"
-
-
-# ---------------------------------------------------------------- file I/O
-
-def _atomic_write(path, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def format_matrix_text(m: np.ndarray) -> str:
-    lines = [str(m.shape[0])]
-    for row in m:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix_text(text: str, name: str = "matrix") -> np.ndarray:
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError(f"{name}: line 1: empty file")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ValueError(f"{name}: line 1: expected the matrix order, got {lines[0]!r}") from None
-    if n < 1:
-        raise ValueError(f"{name}: line 1: order must be positive, got {n}")
-    if len(lines) < n + 1:
-        raise ValueError(f"{name}: expected {n} rows, file has {len(lines) - 1}")
-    out = np.empty((n, n))
-    for i in range(n):
-        parts = lines[i + 1].split()
-        if len(parts) != n:
-            raise ValueError(f"{name}: line {i + 2}: expected {n} values, got {len(parts)}")
-        for j, tok in enumerate(parts):
-            try:
-                out[i, j] = float(tok)
-            except ValueError:
-                raise ValueError(
-                    f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
-                ) from None
-    return out
-
-
-def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    if fmt == TEXT:
-        _atomic_write(path, format_matrix_text(m).encode())
-    elif fmt == BINARY:
-        header = MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", m.shape[0])
-        _atomic_write(path, header + m.astype("<f8").tobytes())
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
-
-
-def read_matrix(path, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix file; sniffs the binary magic when fmt is None."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    is_binary = blob[:4] == MAGIC
-    if fmt == BINARY or (fmt is None and is_binary):
-        if not is_binary:
-            raise ValueError(f"{path}: missing binary magic")
-        if len(blob) < 13:
-            raise ValueError(f"{path}: truncated binary header")
-        version = blob[4]
-        if version != BINARY_VERSION:
-            raise ValueError(f"{path}: unsupported binary version {version}")
-        (n,) = struct.unpack("<Q", blob[5:13])
-        expected = 13 + 8 * n * n
-        if len(blob) != expected:
-            raise ValueError(f"{path}: expected {expected} bytes for n={n}, got {len(blob)}")
-        return np.frombuffer(blob[13:], dtype="<f8").reshape(n, n).copy()
-    return parse_matrix_text(blob.decode(), name=str(path))
-
-
-def read_points(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: line 1: expected 'n d', got {lines[0]!r}")
-    n, d = (int(v) for v in head)
-    if len(lines) < n + 1:
-        raise ValueError(f"{path}: expected {n} rows, file has {len(lines) - 1}")
-    out = np.empty((n, d))
-    for i in range(n):
-        parts = lines[i + 1].split()
-        if len(parts) != d:
-            raise ValueError(f"{path}: line {i + 2}: expected {d} values, got {len(parts)}")
-        out[i] = [float(tok) for tok in parts]
-    return out
-
-
-def write_points(path, p: np.ndarray) -> None:
-    lines = [f"{p.shape[0]} {p.shape[1]}"]
-    for row in p:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
-def format_embedding(emb) -> str:
-    lines = [f"{emb.n} {emb.k}"]
-    lines.append(" ".join(str(int(s)) for s in emb.signature))
-    lines.append(" ".join(f"{v:.17g}" for v in emb.axis_values))
-    for row in emb.coords:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_embedding(path, emb) -> None:
-    _atomic_write(path, format_embedding(emb).encode())
-
-
-def _write_json(path, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2) + "\n").encode())
-
-
-def _write_csv(path, header, rows) -> None:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return f"{v:.17g}"
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------- commands
@@ -211,22 +65,16 @@ def cmd_embed(args) -> int:
     d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
     dec = eig_sym(double_center(d))
     emb = embed_from_decomposition(dec, args.k, args.method)
-    d_hat = reconstruct(emb)
-    report = build_report(
-        d, d_hat, dec.eigenvalues, dec.eigenvectors,
-        emb.selection.w, emb.full_axis_values(), emb.signature,
-    )
+    rep = report(d, emb, dec)
     write_embedding(args.output, emb)
-    _write_json(args.output + ".report.json", report.to_dict())
+    write_json(args.output + ".report.json", rep.to_dict())
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
     d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
-    dec = eig_sym(double_center(d))
-    emb = embed_from_decomposition(dec, args.k, args.method)
-    sel = emb.selection
-    _write_json(args.output, {
+    sel = select(eig_sym(double_center(d)).eigenvalues, args.k, args.method)
+    write_json(args.output, {
         "method": sel.mode,
         "k": sel.k,
         "chosen": [int(i) for i in sel.chosen],
@@ -265,14 +113,9 @@ def cmd_sweep(args) -> int:
     d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
     methods = [normalize_method(m) for m in args.methods.split(",")] if args.methods else list(METHODS)
     entries = sweep(d, _parse_k_list(args.k_list), methods)
-    header = ["k", "method", "stress_sq", "stress", "c1", "c2", "c3",
-              "scaled_additive", "avg_distortion", "neg_dissim_count", "neg_axes_count"]
-    rows = []
-    for e in entries:
-        r = e.report
-        rows.append([e.k, e.method, r.stress_sq, r.stress, r.c1, r.c2, r.c3,
-                     r.scaled_additive, r.avg_distortion, r.neg_dissim_count, r.neg_axes_count])
-    _write_csv(args.output, header, rows)
+    header = ["k", "method", *(f.name for f in fields(StressReport))]
+    rows = [[e.k, e.method, *e.report.to_dict().values()] for e in entries]
+    write_csv(args.output, header, rows)
     return EXIT_OK
 
 
@@ -296,28 +139,15 @@ def cmd_rmt(args) -> int:
             rmtlab.empirical_error_from_eigenvalues(lam, k, mode) for lam in spectra
         ]))
         rows.append([c, r, theory, empirical, (empirical - theory) / theory])
-    _write_csv(args.output, ["c", "r", "theory", "empirical", "rel_err"], rows)
+    write_csv(args.output, ["c", "r", "theory", "empirical", "rel_err"], rows)
     return EXIT_OK
 
 
 def cmd_landmark(args) -> int:
     d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
     emb = embed_landmark(d, args.landmarks, args.k, method=args.method, seed=args.seed)
-    d_hat = reconstruct(emb)
-    ssq = stress(d, d_hat)
-    neg_pairs, neg_axes = negativity_stats(d_hat, emb.signature)
     # no spectral split against the full matrix exists for a landmark embedding
-    _write_json(args.output + ".report.json", {
-        "stress_sq": ssq,
-        "stress": float(np.sqrt(ssq)),
-        "c1": None,
-        "c2": None,
-        "c3": None,
-        "scaled_additive": scaled_additive_error(d, d_hat),
-        "avg_distortion": avg_geometric_distortion(d, d_hat),
-        "neg_dissim_count": neg_pairs,
-        "neg_axes_count": neg_axes,
-    })
+    write_json(args.output + ".report.json", report(d, emb).to_dict())
     write_embedding(args.output, emb)
     return EXIT_OK
 
@@ -332,23 +162,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def matrix_input(p):
+        p.add_argument("--input", required=True)
+        p.add_argument("--format", choices=[TEXT, BINARY], default=None,
+                       help="input matrix format (default: bin if the file starts "
+                            "with the binary magic, else text)")
+
+    def matrix_output(p):
+        p.add_argument("--format", choices=[TEXT, BINARY], default=TEXT,
+                       help="output matrix format (default text)")
+
     def common(p, method=True, seed=True):
         p.add_argument("--output", required=True, help="output path")
-        p.add_argument("--format", choices=[TEXT, BINARY], default=TEXT,
-                       help="matrix file format (default text)")
         if method:
             p.add_argument("--method", choices=list(METHODS), default=NEUC)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("embed", help="embed a dissimilarity matrix")
-    p.add_argument("--input", required=True)
+    matrix_input(p)
     p.add_argument("--k", type=int, required=True)
     common(p, seed=False)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("select", help="report the eigenvalue selection only")
-    p.add_argument("--input", required=True)
+    matrix_input(p)
     p.add_argument("--k", type=int, required=True)
     common(p, seed=False)
     p.set_defaults(func=cmd_select)
@@ -356,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic dissimilarity matrix")
     p.add_argument("--kind", choices=["simplex", "balls"], required=True)
     p.add_argument("--n", type=int, required=True)
+    matrix_output(p)
     common(p, method=False)
     p.set_defaults(func=cmd_generate)
 
@@ -366,11 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None,
                    help="noise scale (default: max distance / 500)")
     p.add_argument("--keep-prob", type=float, default=0.5, dest="keep_prob")
+    matrix_output(p)
     common(p, method=False)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("sweep", help="stress reports over a k grid")
-    p.add_argument("--input", required=True)
+    matrix_input(p)
     p.add_argument("--k-list", required=True, dest="k_list", help="a:b:step (inclusive)")
     p.add_argument("--methods", default=None, help="comma-separated methods (default all)")
     common(p, method=False, seed=False)
@@ -387,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rmt)
 
     p = sub.add_parser("landmark", help="landmark-accelerated embedding")
-    p.add_argument("--input", required=True)
+    matrix_input(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--landmarks", type=int, required=True, help="landmark count m")
     common(p)

@@ -8,22 +8,21 @@ are reported rather than clamped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import SpectralDecomposition, check_dissimilarity, double_center, eig_sym
-from .metrics import StressReport, build_report
-from .selection import (
-    CMDS,
-    NEUC,
-    PLUS,
-    SelectionResult,
-    normalize_method,
-    select_cmds,
-    select_neuc,
-    select_plus,
+from .metrics import (
+    StressReport,
+    avg_geometric_distortion,
+    decompose,
+    negativity_stats,
+    scaled_additive_error,
+    stress,
 )
+from .selection import CMDS, NEUC, PLUS, SelectionResult, normalize_method, select
 
 __all__ = [
     "Embedding",
@@ -31,10 +30,8 @@ __all__ = [
     "embed",
     "embed_from_decomposition",
     "reconstruct",
+    "report",
     "sweep",
-    "CMDS",
-    "NEUC",
-    "PLUS",
 ]
 
 
@@ -71,18 +68,10 @@ class Embedding:
         return full
 
 
-def _select(lam: np.ndarray, k: int, method: str) -> SelectionResult:
-    if method == CMDS:
-        return select_cmds(lam, k)
-    if method == NEUC:
-        return select_neuc(lam, k)
-    return select_plus(lam, k)
-
-
 def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) -> Embedding:
     """Build an embedding from an existing decomposition (shared by sweeps)."""
     method = normalize_method(method)
-    sel = _select(dec.eigenvalues, k, method)
+    sel = select(dec.eigenvalues, k, method)
     lam_sel = dec.eigenvalues[sel.chosen]
     if method == PLUS:
         shift = float(np.sum(dec.eigenvalues[~sel.w])) / (1.0 + k)
@@ -146,6 +135,35 @@ def reconstruct(emb: Embedding) -> np.ndarray:
     return upper + upper.T
 
 
+def report(d, emb: Embedding, dec: SpectralDecomposition | None = None) -> StressReport:
+    """Error report of an embedding against the matrix it approximates.
+
+    ``dec`` is the decomposition the embedding was built from; only with it
+    is the exact split c1 + c2 + c3 defined.  Without it (a landmark
+    embedding, whose spectrum is the landmark submatrix's) the three fields
+    are None.
+    """
+    d_hat = reconstruct(emb)
+    ssq = stress(d, d_hat)
+    c1 = c2 = c3 = None
+    if dec is not None:
+        c1, c2, c3 = decompose(
+            dec.eigenvalues, dec.eigenvectors, emb.selection.w, emb.full_axis_values()
+        )
+    neg_pairs, neg_axes = negativity_stats(d_hat, emb.signature)
+    return StressReport(
+        stress_sq=ssq,
+        stress=math.sqrt(ssq),
+        c1=c1,
+        c2=c2,
+        c3=c3,
+        scaled_additive=scaled_additive_error(d, d_hat),
+        avg_distortion=avg_geometric_distortion(d, d_hat),
+        neg_dissim_count=neg_pairs,
+        neg_axes_count=neg_axes,
+    )
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     k: int
@@ -158,19 +176,8 @@ def sweep(d, k_list, methods=(CMDS, NEUC, PLUS)) -> list[SweepEntry]:
     d = check_dissimilarity(d)
     methods = [normalize_method(m) for m in methods]
     dec = eig_sym(double_center(d))
-    out: list[SweepEntry] = []
-    for k in k_list:
-        for method in methods:
-            emb = embed_from_decomposition(dec, int(k), method)
-            d_hat = reconstruct(emb)
-            report = build_report(
-                d,
-                d_hat,
-                dec.eigenvalues,
-                dec.eigenvectors,
-                emb.selection.w,
-                emb.full_axis_values(),
-                emb.signature,
-            )
-            out.append(SweepEntry(k=int(k), method=method, report=report))
-    return out
+    return [
+        SweepEntry(int(k), m, report(d, embed_from_decomposition(dec, int(k), m), dec))
+        for k in k_list
+        for m in methods
+    ]

@@ -66,7 +66,6 @@ def _pick_landmarks(d: np.ndarray, m: int, seed: int, strategy: str) -> np.ndarr
             idx[t] = int(np.argmax(best))
             best = np.minimum(best, d[idx[t]])
             best[idx[t]] = -np.inf
-        idx = idx[:m]
     else:
         raise ValueError(f"unknown landmark strategy {strategy!r}")
     return np.sort(np.asarray(idx, dtype=np.intp))

@@ -32,19 +32,22 @@ def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
         bad = np.argwhere(m != m.T)
         i, j = (int(v) for v in bad[0])
         raise ValueError(
-            f"{name} is not symmetric: entry ({i},{j})={m[i, j]!r} "
-            f"but ({j},{i})={m[j, i]!r}"
+            f"{name} is not symmetric: entry ({i},{j})={float(m[i, j])} "
+            f"but ({j},{i})={float(m[j, i])}"
         )
 
 
 def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
-    """Validate a hollow symmetric matrix and return it as float64."""
+    """Validate a finite hollow symmetric matrix and return it as float64."""
     d = as_square_matrix(d, name)
+    if not np.isfinite(d).all():
+        i, j = (int(v) for v in np.argwhere(~np.isfinite(d))[0])
+        raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
     check_symmetric(d, name)
     diag = np.diagonal(d)
     if np.any(diag != 0.0):
         i = int(np.flatnonzero(diag != 0.0)[0])
-        raise ValueError(f"{name} is not hollow: diagonal entry {i} is {diag[i]!r}")
+        raise ValueError(f"{name} is not hollow: diagonal entry {i} is {float(diag[i])}")
     return d
 
 

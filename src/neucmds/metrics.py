@@ -20,14 +20,15 @@ class StressReport:
     """Flat error report for one embedding of one dissimilarity matrix.
 
     ``avg_distortion`` is None when no pair has positive dissimilarity on
-    both sides (serialized as JSON null).
+    both sides, and ``c1``/``c2``/``c3`` are None when the embedding has no
+    decomposition of the full matrix (both serialized as JSON null).
     """
 
     stress_sq: float
     stress: float
-    c1: float
-    c2: float
-    c3: float
+    c1: float | None
+    c2: float | None
+    c3: float | None
     scaled_additive: float
     avg_distortion: float | None
     neg_dissim_count: int
@@ -140,20 +141,3 @@ def negativity_stats(d_hat, signature) -> tuple[int, int]:
     neg_axes = int(np.sum(np.asarray(signature) < 0))
     return neg_pairs, neg_axes
 
-
-def build_report(d, d_hat, lam, u, w, lam_tilde, signature) -> StressReport:
-    """Assemble the full report for one reconstruction."""
-    ssq = stress(d, d_hat)
-    c1, c2, c3 = decompose(lam, u, w, lam_tilde)
-    neg_pairs, neg_axes = negativity_stats(d_hat, signature)
-    return StressReport(
-        stress_sq=ssq,
-        stress=math.sqrt(ssq),
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        scaled_additive=scaled_additive_error(d, d_hat),
-        avg_distortion=avg_geometric_distortion(d, d_hat),
-        neg_dissim_count=neg_pairs,
-        neg_axes_count=neg_axes,
-    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eig_sym, mirror_upper
-from .selection import CMDS, NEUC, normalize_method, select_cmds, select_neuc
+from .selection import CMDS, NEUC, PLUS, normalize_method, select
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -155,13 +155,9 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
 def empirical_error_from_eigenvalues(lam, k: int, mode: str) -> float:
     """Dropped-eigenvalue error of a selection on an existing spectrum."""
     mode = normalize_method(mode)
-    if mode == CMDS:
-        sel = select_cmds(lam, int(k))
-    elif mode == NEUC:
-        sel = select_neuc(lam, int(k))
-    else:
+    if mode == PLUS:
         raise ValueError("mode must be 'cmds' or 'neuc'")
-    return sel.objective / 4.0
+    return select(lam, int(k), mode).objective / 4.0
 
 
 def empirical_error(b, k: int, mode: str) -> float:

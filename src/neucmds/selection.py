@@ -240,6 +240,14 @@ def select_cmds(lam, k: int) -> SelectionResult:
     return _result(lam, list(range(k)), CMDS)
 
 
+def select(lam, k: int, method: str) -> SelectionResult:
+    """Selection of k eigenvalues of ``lam`` by the selector of ``method``."""
+    # a literal, not a module-level table: the selectors are looked up when
+    # called, so a wrapper installed on a selector name also sees dispatch
+    selector = {CMDS: select_cmds, NEUC: select_neuc, PLUS: select_plus}[normalize_method(method)]
+    return selector(lam, k)
+
+
 @lru_cache(maxsize=256)
 def _chosen_combos(n: int, k: int) -> np.ndarray:
     combos = np.fromiter(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neucmds.datasets import gen_euclidean_ball, gen_random_simplex
-from neucmds.embedding import CMDS, NEUC, PLUS, embed_from_decomposition, reconstruct
+from neucmds.embedding import embed_from_decomposition, reconstruct
 from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
 from neucmds.linalg import double_center, eig_sym
 from neucmds.metrics import decompose, stress
@@ -21,7 +21,7 @@ from neucmds.rmt import (
     theory_error,
     theory_error_coeffs,
 )
-from neucmds.selection import select_bruteforce, select_neuc, select_plus
+from neucmds.selection import CMDS, NEUC, PLUS, select_bruteforce, select_neuc, select_plus
 
 from conftest import random_edm, random_hollow
 

@@ -1,15 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neucmds.cli import (
+import neucmds
+from neucmds.cli import main
+from neucmds.io import (
     BINARY,
     TEXT,
-    main,
-    parse_matrix_text,
+    parse_table,
     read_matrix,
     read_points,
     write_matrix,
@@ -20,11 +23,17 @@ from neucmds.datasets import gen_random_simplex
 from conftest import random_hollow
 
 
+# the child process imports the same package as the tests, installed or not
+SRC = str(Path(neucmds.__file__).resolve().parents[1])
+
+
 def run_cli(*args):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "neucmds.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     return proc
 
@@ -45,13 +54,32 @@ class TestMatrixIO:
 
     def test_parse_errors_carry_location(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_matrix_text("")
+            parse_table("")
         with pytest.raises(ValueError, match="line 1"):
-            parse_matrix_text("abc\n")
+            parse_table("abc\n")
         with pytest.raises(ValueError, match="line 3, column 2"):
-            parse_matrix_text("2\n0 1\n1 x\n")
+            parse_table("2\n0 1\n1 x\n")
         with pytest.raises(ValueError, match="expected 2 values"):
-            parse_matrix_text("2\n0 1\n1\n")
+            parse_table("2\n0 1\n1\n")
+
+    @pytest.mark.parametrize("square, text, line", [
+        (True, "2\n0 1\n1 0\ngarbage\n", 4),
+        (False, "2 1\n0.5\n1.5\n\n7\n", 5),
+    ])
+    def test_trailing_content_is_rejected(self, square, text, line):
+        with pytest.raises(ValueError, match=rf"line {line}: unexpected content after the 2 rows"):
+            parse_table(text, square=square)
+
+    def test_trailing_blank_lines_are_allowed(self):
+        np.testing.assert_array_equal(parse_table("2\n0 1\n1 0\n\n  \n"), [[0, 1], [1, 0]])
+
+    def test_points_errors_carry_location(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        for text, where in [("a b\n", "line 1, column 1"), ("2 x\n", "line 1, column 2"),
+                            ("2 2\n1 2\n3 x\n", "line 3, column 2")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=where):
+                read_points(path)
 
     def test_truncated_binary(self, tmp_path, rng):
         path = tmp_path / "m.bin"
@@ -69,6 +97,26 @@ class TestMatrixIO:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--k", "3"],
+        ["select", "--k", "3"],
+        ["sweep", "--k-list", "2:6:2"],
+        ["landmark", "--k", "2", "--landmarks", "8"],
+    ])
+    def test_binary_input_is_detected(self, argv, tmp_path):
+        inp = tmp_path / "d.bin"
+        write_matrix(inp, gen_random_simplex(12, seed=5), BINARY)
+        sniffed, explicit = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--input", str(inp), "--output", str(sniffed)]) == 0
+        assert main([*argv, "--input", str(inp), "--format", "bin", "--output", str(explicit)]) == 0
+        assert sniffed.read_bytes() == explicit.read_bytes()
+
+    def test_rmt_has_no_format_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["rmt", "--n", "20", "--c-list", "0.5", "--format", "text",
+                  "--output", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+
     def test_generate_is_reproducible(self, tmp_path):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (out1, out2):
@@ -186,6 +234,21 @@ class TestExitCodes:
                        "--output", tmp_path / "o.txt")
         assert proc.returncode == 3
         assert "symmetric" in proc.stderr
+
+    def test_non_finite_entry_is_three(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n0 nan\nnan 0\n")
+        proc = run_cli("embed", "--input", bad, "--k", "1", "--output", tmp_path / "o.txt")
+        assert proc.returncode == 3
+        assert "non-finite entry: (0,1) is nan" in proc.stderr
+
+    def test_text_file_read_as_binary_is_three(self, tmp_path):
+        inp = tmp_path / "d.txt"
+        write_matrix(inp, gen_random_simplex(5, seed=1), TEXT)
+        proc = run_cli("embed", "--input", inp, "--format", "bin", "--k", "1",
+                       "--output", tmp_path / "o.txt")
+        assert proc.returncode == 3
+        assert "missing binary magic" in proc.stderr
 
     def test_failure_leaves_no_partial_output(self, tmp_path):
         bad = tmp_path / "bad.txt"

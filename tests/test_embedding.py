@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from neucmds.embedding import (
-    CMDS,
-    NEUC,
-    PLUS,
     Embedding,
     embed,
     embed_from_decomposition,
@@ -18,6 +15,7 @@ from neucmds.linalg import (
     eig_sym,
 )
 from neucmds.metrics import stress
+from neucmds.selection import CMDS, NEUC, PLUS
 
 from conftest import random_edm, random_hollow
 

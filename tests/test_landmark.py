@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from neucmds.embedding import NEUC, PLUS, embed, reconstruct
+from neucmds.embedding import embed, reconstruct
 from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
 from neucmds.linalg import double_center, eig_sym
+from neucmds.selection import NEUC, PLUS
 
 from conftest import random_edm, random_hollow
 

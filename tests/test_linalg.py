@@ -52,6 +52,24 @@ class TestDoubleCenter:
         with pytest.raises(ValueError, match="symmetric"):
             double_center(m)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_first(self, value):
+        m = EQUILATERAL.copy()
+        m[0, 2] = m[2, 0] = value
+        m[0, 1] = 3.0  # would fail the symmetry check at an earlier entry
+        with pytest.raises(ValueError, match=rf"non-finite entry: \(0,2\) is {value}$"):
+            check_dissimilarity(m)
+
+    def test_messages_print_plain_floats(self):
+        m = EQUILATERAL.copy()
+        m[0, 1] = 3.0
+        with pytest.raises(ValueError, match=r"entry \(0,1\)=3.0 but \(1,0\)=2.0$"):
+            check_dissimilarity(m)
+        m = EQUILATERAL.copy()
+        m[1, 1] = 0.5
+        with pytest.raises(ValueError, match=r"diagonal entry 1 is 0.5$"):
+            check_dissimilarity(m)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             double_center(np.zeros((2, 3)))

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from neucmds.embedding import embed_from_decomposition, reconstruct
+from neucmds.embedding import embed_from_decomposition, reconstruct, report
+from neucmds.landmark import embed_landmark
 from neucmds.linalg import double_center, eig_sym
 from neucmds.metrics import (
     StressReport,
     avg_geometric_distortion,
-    build_report,
     decompose,
     negativity_stats,
     scaled_additive_error,
@@ -176,18 +176,21 @@ class TestNegativity:
         assert negativity_stats(np.zeros((4, 4)), np.array([-1, -1])) == (0, 2)
 
 
-def test_build_report_round_trips_to_json(rng):
+def test_report_round_trips_to_json(rng):
     d = random_hollow(rng, 10)
     dec = eig_sym(double_center(d))
     emb = embed_from_decomposition(dec, 3, "neuc")
-    rep = build_report(
-        d, reconstruct(emb), dec.eigenvalues, dec.eigenvectors,
-        emb.selection.w, emb.full_axis_values(), emb.signature,
-    )
-    assert isinstance(rep, StressReport)
-    loaded = __import__("json").loads(rep.to_json())
-    assert list(loaded) == [
-        "stress_sq", "stress", "c1", "c2", "c3",
-        "scaled_additive", "avg_distortion", "neg_dissim_count", "neg_axes_count",
-    ]
-    assert loaded["stress_sq"] == pytest.approx(rep.stress_sq)
+    rep = report(d, emb, dec)
+    landmark_rep = report(d, embed_landmark(d, 6, 2, seed=1))
+    for r in (rep, landmark_rep):
+        assert isinstance(r, StressReport)
+        loaded = __import__("json").loads(r.to_json())
+        assert list(loaded) == [
+            "stress_sq", "stress", "c1", "c2", "c3",
+            "scaled_additive", "avg_distortion", "neg_dissim_count", "neg_axes_count",
+        ]
+        assert loaded["stress_sq"] == pytest.approx(r.stress_sq)
+    assert rep.stress_sq == pytest.approx(rep.c1 + rep.c2 + rep.c3)
+    assert rep.stress_sq == stress(d, reconstruct(emb))
+    loaded = __import__("json").loads(landmark_rep.to_json())
+    assert loaded["c1"] is None and loaded["c2"] is None and loaded["c3"] is None

@@ -7,6 +7,7 @@ from neucmds.selection import (
     CMDS,
     NEUC,
     PLUS,
+    select,
     select_bruteforce,
     select_cmds,
     select_neuc,
@@ -137,6 +138,18 @@ class TestBruteforce:
             select_bruteforce(np.zeros(21), 2, NEUC)
         with pytest.raises(ValueError, match="brute force"):
             select_bruteforce(MIXED, 2, CMDS)
+
+
+@pytest.mark.parametrize(
+    "method, selector", [(CMDS, select_cmds), (NEUC, select_neuc), (PLUS, select_plus)]
+)
+def test_select_dispatches_to_the_method_selector(method, selector, rng):
+    lam = random_spectrum(rng, 12)
+    for k in range(1, 13):
+        got, want = select(lam, k, method), selector(lam, k)
+        np.testing.assert_array_equal(got.chosen, want.chosen)
+        assert (got.mode, got.objective, got.bound_c1, got.bound_c2) == (
+            want.mode, want.objective, want.bound_c1, want.bound_c2)
 
 
 class TestOracleEquivalence:
