@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, check_dissimilarity, double_center, eig_sym
+from .linalg import SpectralDecomposition, as_square_matrix, double_center, eig_sym
 from .metrics import (
     StressReport,
     avg_geometric_distortion,
@@ -33,6 +33,8 @@ __all__ = [
     "report",
     "sweep",
 ]
+
+ROW_BLOCK = 128  # rows per block of reconstruct's in-place assembly
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,8 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     order = np.lexsort((chosen, -np.abs(axis_values)))
     axis_values = axis_values[order]
     axis_indices = chosen[order]
-    vecs = dec.eigenvectors[:, axis_indices].copy()
+    # one C-order gather: the layout of coords sets the reconstruct GEMM's rounding
+    vecs = np.take(dec.eigenvectors, axis_indices, axis=1)
     # reproducible output: largest-magnitude entry of every eigenvector positive
     cols = np.arange(vecs.shape[1])
     flip = vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0
@@ -112,7 +115,6 @@ def embed(d, k: int, method: str = NEUC) -> Embedding:
     selected values are clamped to zero-filled axes.  Deterministic in
     (d, k, method).
     """
-    d = check_dissimilarity(d)
     dec = eig_sym(double_center(d))
     return embed_from_decomposition(dec, k, method)
 
@@ -121,18 +123,25 @@ def reconstruct(emb: Embedding) -> np.ndarray:
     """Pairwise dissimilarities of an embedding under its signature form.
 
     Entry (i, j) is sum_l signature[l] * (coords[l,i] - coords[l,j])^2.  The
-    output is exactly hollow and symmetric; entries may be negative.
+    output is exactly hollow and symmetric; entries may be negative.  It is
+    built in place in the Gram product g = x^T S x, one row block at a time:
+    (-2 g_ij) + (g_ii + g_jj) on the upper triangle, mirrored to the lower.
     """
     x = emb.coords
     n = emb.n
     if x.shape[0] == 0:
         return np.zeros((n, n))
     sx = emb.signature.astype(np.float64)[:, None] * x
-    g = x.T @ sx
-    y = np.diagonal(g)
-    d_hat = y[:, None] + y[None, :] - 2.0 * g
-    upper = np.triu(d_hat, 1)
-    return upper + upper.T
+    d_hat = x.T @ sx
+    y = np.diagonal(d_hat).copy()
+    d_hat *= -2.0
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = r0 + ROW_BLOCK
+        d_hat[r0:r1, r0:] += y[r0:r1, None] + y[None, r0:]
+        tile = np.triu(d_hat[r0:r1, r0:r1], 1)
+        d_hat[r0:r1, r0:r1] = tile + tile.T
+        d_hat[r1:, r0:r1] = d_hat[r0:r1, r1:].T
+    return d_hat
 
 
 def report(d, emb: Embedding, dec: SpectralDecomposition | None = None) -> StressReport:
@@ -173,9 +182,10 @@ class SweepEntry:
 
 def sweep(d, k_list, methods=(CMDS, NEUC, PLUS)) -> list[SweepEntry]:
     """Stress reports over a (k, method) grid sharing one eigendecomposition."""
-    d = check_dissimilarity(d)
+    d = as_square_matrix(d, "dissimilarity matrix")
+    b = double_center(d)  # validates d before the methods, eig_sym after them
     methods = [normalize_method(m) for m in methods]
-    dec = eig_sym(double_center(d))
+    dec = eig_sym(b)
     return [
         SweepEntry(int(k), m, report(d, embed_from_decomposition(dec, int(k), m), dec))
         for k in k_list

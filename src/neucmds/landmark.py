@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import Embedding, embed_from_decomposition
-from .linalg import check_dissimilarity, double_center, eig_sym
+from .linalg import as_square_matrix, check_dissimilarity, double_center, eig_sym
 from .selection import NEUC, normalize_method
 
 # axes whose |axis value| falls below this fraction of the largest are
@@ -137,7 +137,7 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     Returns an embedding over all n points carrying the landmark signature;
     its selection and axis indices refer to the landmark submatrix spectrum.
     """
-    d = check_dissimilarity(d)
+    d = as_square_matrix(d, "dissimilarity matrix")  # fit_landmarks validates it
     model = fit_landmarks(d, m, k, method=method, seed=seed, strategy=strategy)
     n = d.shape[0]
     coords = np.empty((model.k, n), dtype=np.float64)

@@ -86,11 +86,17 @@ def double_center(d) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the input is not square, not symmetric, or not hollow.
+        If the input is not square, not finite, not symmetric, or not hollow.
+    FloatingPointError
+        If the centering overflows (entries too close to the float64 limit).
     """
     d = check_dissimilarity(d)
-    row = d.mean(axis=1, keepdims=True)
-    b = -0.5 * (d - row - row.T + d.mean())
+    try:
+        with np.errstate(over="raise"):
+            row = d.mean(axis=1, keepdims=True)
+            b = -0.5 * (d - row - row.T + d.mean())
+    except FloatingPointError:
+        raise FloatingPointError("double centering overflowed; rescale the input") from None
     # the two mean subtractions round differently across the diagonal
     return mirror_upper(b)
 

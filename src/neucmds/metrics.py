@@ -53,7 +53,7 @@ def stress(d, d_hat) -> float:
     """Squared Frobenius norm of (d_hat - d), summed over all entries."""
     d, d_hat = _pair(d, d_hat)
     diff = d_hat - d
-    return float(np.sum(diff * diff))
+    return float(np.sum(np.square(diff, out=diff)))
 
 
 def decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
@@ -109,7 +109,8 @@ def scaled_additive_error(d, d_hat) -> float:
     if yy == 0.0:
         return float(np.linalg.norm(x))
     t = float(np.dot(x, y)) / yy
-    return float(np.linalg.norm(x - t * y))
+    residual = t * y
+    return float(np.linalg.norm(np.subtract(x, residual, out=residual)))
 
 
 def avg_geometric_distortion(d, d_hat) -> float | None:
@@ -121,23 +122,21 @@ def avg_geometric_distortion(d, d_hat) -> float | None:
     None when no pair qualifies.
     """
     d, d_hat = _pair(d, d_hat)
-    iu = np.triu_indices(d.shape[0], 1)
-    a = d[iu]
-    b = d_hat[iu]
-    ok = (a > 0.0) & (b > 0.0)
+    ok = np.triu((d > 0.0) & (d_hat > 0.0), 1)  # gathers row-major: fixes the mean's order
     if not np.any(ok):
         return None
-    logs = 0.5 * (np.log(a[ok]) - np.log(b[ok]))
+    logs, other = d[ok], d_hat[ok]
+    np.subtract(np.log(logs, out=logs), np.log(other, out=other), out=logs)
+    logs *= 0.5
     logs -= np.median(logs)
-    return float(math.exp(np.mean(np.abs(logs))))
+    return float(math.exp(np.mean(np.abs(logs, out=logs))))
 
 
 def negativity_stats(d_hat, signature) -> tuple[int, int]:
     """Counts of negative off-diagonal dissimilarities (each pair once) and
     of axes carrying negative signature."""
     d_hat = np.asarray(d_hat, dtype=np.float64)
-    iu = np.triu_indices(d_hat.shape[0], 1)
-    neg_pairs = int(np.sum(d_hat[iu] < 0.0))
+    neg_pairs = int(np.count_nonzero(np.triu(d_hat < 0.0, 1)))
     neg_axes = int(np.sum(np.asarray(signature) < 0))
     return neg_pairs, neg_axes
 

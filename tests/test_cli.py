@@ -242,6 +242,16 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "non-finite entry: (0,1) is nan" in proc.stderr
 
+    def test_overflow_is_four(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("3\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n")
+        out = tmp_path / "o.txt"
+        proc = run_cli("embed", "--input", big, "--k", "1", "--output", out)
+        assert proc.returncode == 4
+        assert "numerical error: double centering overflowed" in proc.stderr
+        assert "symmetric" not in proc.stderr
+        assert not out.exists()
+
     def test_text_file_read_as_binary_is_three(self, tmp_path):
         inp = tmp_path / "d.txt"
         write_matrix(inp, gen_random_simplex(5, seed=1), TEXT)

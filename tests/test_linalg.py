@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neucmds.embedding import embed
 from neucmds.linalg import (
     ORTHONORMALITY_TOL,
     RECONSTRUCTION_TOL,
@@ -73,6 +74,17 @@ class TestDoubleCenter:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             double_center(np.zeros((2, 3)))
+
+    def test_overflow_is_a_numerical_error(self):
+        # a finite input whose row means overflow must not surface as a symmetry error
+        d = np.full((3, 3), 1e308)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(FloatingPointError, match="double centering overflowed"):
+            double_center(d)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            embed(d, 1, "neuc")
+        # large entries that do not overflow still center
+        assert np.isfinite(double_center(d / 4.0)).all()
 
 
 class TestEigSym:
