@@ -35,7 +35,7 @@ from .io import (
     write_matrix,
 )
 from .landmark import embed_landmark
-from .linalg import check_dissimilarity, double_center, eig_sym
+from .linalg import double_center, eig_sym
 from .metrics import StressReport
 from .selection import METHODS, NEUC, PLUS, normalize_method, select
 
@@ -62,8 +62,8 @@ def _parse_k_list(expr: str) -> list[int]:
 
 
 def cmd_embed(args) -> int:
-    d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
-    dec = eig_sym(double_center(d))
+    d = read_matrix(args.input, args.format)
+    dec = eig_sym(double_center(d, name=args.input))
     emb = embed_from_decomposition(dec, args.k, args.method)
     rep = report(d, emb, dec)
     write_embedding(args.output, emb)
@@ -72,8 +72,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_select(args) -> int:
-    d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
-    sel = select(eig_sym(double_center(d)).eigenvalues, args.k, args.method)
+    d = read_matrix(args.input, args.format)
+    sel = select(eig_sym(double_center(d, name=args.input)).eigenvalues, args.k, args.method)
     write_json(args.output, {
         "method": sel.mode,
         "k": sel.k,
@@ -110,9 +110,9 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
-    methods = [normalize_method(m) for m in args.methods.split(",")] if args.methods else list(METHODS)
-    entries = sweep(d, _parse_k_list(args.k_list), methods)
+    d = read_matrix(args.input, args.format)
+    methods = args.methods.split(",") if args.methods else METHODS  # sweep checks them
+    entries = sweep(d, _parse_k_list(args.k_list), methods, name=args.input)
     header = ["k", "method", *(f.name for f in fields(StressReport))]
     rows = [[e.k, e.method, *e.report.to_dict().values()] for e in entries]
     write_csv(args.output, header, rows)
@@ -144,8 +144,9 @@ def cmd_rmt(args) -> int:
 
 
 def cmd_landmark(args) -> int:
-    d = check_dissimilarity(read_matrix(args.input, args.format), name=args.input)
-    emb = embed_landmark(d, args.landmarks, args.k, method=args.method, seed=args.seed)
+    d = read_matrix(args.input, args.format)
+    emb = embed_landmark(d, args.landmarks, args.k, method=args.method, seed=args.seed,
+                         name=args.input)
     # no spectral split against the full matrix exists for a landmark embedding
     write_json(args.output + ".report.json", report(d, emb).to_dict())
     write_embedding(args.output, emb)

@@ -180,10 +180,14 @@ class SweepEntry:
     report: StressReport
 
 
-def sweep(d, k_list, methods=(CMDS, NEUC, PLUS)) -> list[SweepEntry]:
-    """Stress reports over a (k, method) grid sharing one eigendecomposition."""
-    d = as_square_matrix(d, "dissimilarity matrix")
-    b = double_center(d)  # validates d before the methods, eig_sym after them
+def sweep(d, k_list, methods=(CMDS, NEUC, PLUS),
+          name: str = "dissimilarity matrix") -> list[SweepEntry]:
+    """Stress reports over a (k, method) grid sharing one eigendecomposition.
+
+    ``name`` is what validation errors call the input.
+    """
+    d = as_square_matrix(d, name)
+    b = double_center(d, name)  # validates d before the methods, eig_sym after them
     methods = [normalize_method(m) for m in methods]
     dec = eig_sym(b)
     return [

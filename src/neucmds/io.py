@@ -7,6 +7,14 @@ little-endian float64 row-major).  Point clouds are text only: first line
 the declared rows.  Embeddings, JSON reports and CSV tables are written
 only.  All writes go to a temp file first and are renamed into place, so
 failures leave no partial output.
+
+Text values are written with ``%.17g``, so a parsed value round-trips
+bitwise, and are parsed with the rules of Python's ``float``.  Both work
+one row at a time: a row is converted by one numpy call and formatted by one
+``%`` string; only a row that fails to convert is scanned token by token,
+to name the failing column.  Binary files are read into the result array
+directly and written from the array's own buffer, with no second n*n copy;
+they are the format for large n.
 """
 
 from __future__ import annotations
@@ -20,17 +28,20 @@ import numpy as np
 
 MAGIC = b"NMDS"
 BINARY_VERSION = 1
+_HEADER_BYTES = 13  # magic, version byte, u64 n
 
 TEXT = "text"
 BINARY = "bin"
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def _atomic_write(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to a temp file renamed to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -42,7 +53,7 @@ def format_rows(head, rows) -> str:
     """Header lines, then one line per row of 17-significant-digit values,
     so a parsed value round-trips bitwise."""
     lines = list(head)
-    lines.extend(" ".join(f"{v:.17g}" for v in row) for row in rows)
+    lines.extend(" ".join(["%.17g"] * len(row)) % tuple(row.tolist()) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -79,13 +90,17 @@ def parse_table(text: str, name: str = "matrix", square: bool = True) -> np.ndar
         parts = lines[i + 1].split()
         if len(parts) != d:
             raise ValueError(f"{name}: line {i + 2}: expected {d} values, got {len(parts)}")
-        for j, tok in enumerate(parts):
-            try:
-                out[i, j] = float(tok)
-            except ValueError:
-                raise ValueError(
-                    f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
-                ) from None
+        try:
+            out[i] = np.array(parts, dtype=np.float64)  # float() on each token
+        except ValueError:
+            for j, tok in enumerate(parts):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ValueError(
+                        f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
+                    ) from None
+            raise  # no token fails alone: keep numpy's error
     for i in range(n + 1, len(lines)):
         if lines[i].strip():
             raise ValueError(f"{name}: line {i + 1}: unexpected content after the {n} rows")
@@ -98,7 +113,7 @@ def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
         _atomic_write(path, format_rows([str(m.shape[0])], m).encode())
     elif fmt == BINARY:
         header = MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", m.shape[0])
-        _atomic_write(path, header + m.astype("<f8").tobytes())
+        _atomic_write(path, header, m.astype("<f8", copy=False))  # the array's own buffer
     else:
         raise ValueError(f"unknown matrix format {fmt!r}")
 
@@ -106,22 +121,23 @@ def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
 def read_matrix(path, fmt: str | None = None) -> np.ndarray:
     """Read a matrix file; sniffs the binary magic when fmt is None."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    is_binary = blob[:4] == MAGIC
-    if fmt == BINARY or (fmt is None and is_binary):
+        head = fh.read(_HEADER_BYTES)
+        is_binary = head[:4] == MAGIC
+        if not (fmt == BINARY or (fmt is None and is_binary)):
+            return parse_table((head + fh.read()).decode(), name=str(path))
         if not is_binary:
             raise ValueError(f"{path}: missing binary magic")
-        if len(blob) < 13:
+        if len(head) < _HEADER_BYTES:
             raise ValueError(f"{path}: truncated binary header")
-        version = blob[4]
+        version = head[4]
         if version != BINARY_VERSION:
             raise ValueError(f"{path}: unsupported binary version {version}")
-        (n,) = struct.unpack("<Q", blob[5:13])
-        expected = 13 + 8 * n * n
-        if len(blob) != expected:
-            raise ValueError(f"{path}: expected {expected} bytes for n={n}, got {len(blob)}")
-        return np.frombuffer(blob[13:], dtype="<f8").reshape(n, n).copy()
-    return parse_table(blob.decode(), name=str(path))
+        (n,) = struct.unpack("<Q", head[5:])
+        expected = _HEADER_BYTES + 8 * n * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes for n={n}, got {size}")
+        return np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
 
 
 def read_points(path) -> np.ndarray:

@@ -72,13 +72,14 @@ def _pick_landmarks(d: np.ndarray, m: int, seed: int, strategy: str) -> np.ndarr
 
 
 def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
-                  strategy: str = RANDOM) -> LandmarkModel:
+                  strategy: str = RANDOM, name: str = "dissimilarity matrix") -> LandmarkModel:
     """Embed m seeded landmarks with the requested method.
 
     Requires k < m <= n.  Axes whose value vanishes (relatively) are excluded
-    from the model so triangulation never divides by zero.
+    from the model so triangulation never divides by zero.  ``name`` is what
+    validation errors call the input.
     """
-    d = check_dissimilarity(d)
+    d = check_dissimilarity(d, name)
     n = d.shape[0]
     m = int(m)
     k = int(k)
@@ -131,14 +132,14 @@ def triangulate(model: LandmarkModel, delta) -> np.ndarray:
 
 
 def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
-                   strategy: str = RANDOM) -> Embedding:
+                   strategy: str = RANDOM, name: str = "dissimilarity matrix") -> Embedding:
     """Fit landmarks, then triangulate every non-landmark point.
 
     Returns an embedding over all n points carrying the landmark signature;
     its selection and axis indices refer to the landmark submatrix spectrum.
     """
-    d = as_square_matrix(d, "dissimilarity matrix")  # fit_landmarks validates it
-    model = fit_landmarks(d, m, k, method=method, seed=seed, strategy=strategy)
+    d = as_square_matrix(d, name)  # fit_landmarks validates it
+    model = fit_landmarks(d, m, k, method=method, seed=seed, strategy=strategy, name=name)
     n = d.shape[0]
     coords = np.empty((model.k, n), dtype=np.float64)
     coords[:, model.landmark_indices] = model.base.coords

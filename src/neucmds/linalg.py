@@ -72,7 +72,7 @@ class SpectralDecomposition:
         return int(self.eigenvalues.shape[0])
 
 
-def double_center(d) -> np.ndarray:
+def double_center(d, name: str = "dissimilarity matrix") -> np.ndarray:
     """Centered Gram matrix of a dissimilarity matrix.
 
     Computes B = -C d C / 2 with C = I - (1/n) 11^T.  The result is exactly
@@ -82,6 +82,8 @@ def double_center(d) -> np.ndarray:
     ----------
     d : (n, n) array
         Hollow symmetric dissimilarity matrix (negative entries allowed).
+    name : str
+        What validation errors call the input.
 
     Raises
     ------
@@ -90,7 +92,7 @@ def double_center(d) -> np.ndarray:
     FloatingPointError
         If the centering overflows (entries too close to the float64 limit).
     """
-    d = check_dissimilarity(d)
+    d = check_dissimilarity(d, name)
     try:
         with np.errstate(over="raise"):
             row = d.mean(axis=1, keepdims=True)

@@ -270,3 +270,45 @@ class TestExitCodes:
         assert not (tmp_path / "out.txt.report.json").exists()
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert leftovers == []
+
+
+MATRIX_COMMANDS = [
+    ["embed", "--k", "2"],
+    ["select", "--k", "2"],
+    ["sweep", "--k-list", "1:3"],
+    ["landmark", "--k", "2", "--landmarks", "5"],
+]
+MATRIX_COMMAND_IDS = ["embed", "select", "sweep", "landmark"]
+
+
+@pytest.mark.parametrize("fmt", [TEXT, BINARY])
+@pytest.mark.parametrize("argv", MATRIX_COMMANDS, ids=MATRIX_COMMAND_IDS)
+def test_each_call_validates_its_input_once(argv, fmt, tmp_path, monkeypatch):
+    from neucmds import cli, embedding, landmark, linalg
+
+    n = 9
+    inp = tmp_path / "d"
+    write_matrix(inp, gen_random_simplex(n, seed=2), fmt)
+    calls = []
+    for module in (cli, embedding, landmark, linalg):
+        if not hasattr(module, "check_dissimilarity"):
+            continue
+
+        def counted(d, *args, _fn=module.check_dissimilarity, **kwargs):
+            if np.shape(d) == (n, n):
+                calls.append(kwargs.get("name", args[0] if args else None))
+            return _fn(d, *args, **kwargs)
+        monkeypatch.setattr(module, "check_dissimilarity", counted)
+    assert main([*argv, "--input", str(inp), "--output", str(tmp_path / "out")]) == 0
+    assert calls == [str(inp)]  # once, under the name of the input file
+
+
+@pytest.mark.parametrize("argv", MATRIX_COMMANDS, ids=MATRIX_COMMAND_IDS)
+def test_invalid_input_is_named_by_its_path(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3\n0 1 2\n1 0 3\n2 4 0\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(bad), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad} is not symmetric: entry (1,2)=3.0 but (2,1)=4.0\n")
+    assert list(tmp_path.iterdir()) == [bad]

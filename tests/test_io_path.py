@@ -1,0 +1,312 @@
+"""The row-at-a-time text formats and the single-buffer binary format
+against the reference bodies they replaced.
+
+``format_rows`` formats each row with one ``%`` string and ``parse_table``
+converts each row with one numpy call; the reference functions below are
+the per-element versions they replaced.  Formatting must match byte for
+byte, parsing bitwise, and every malformed table must fail with the
+reference's exact message.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from neucmds import io
+from neucmds.io import BINARY, MAGIC, format_rows, parse_table, read_matrix, write_matrix
+
+from conftest import random_hollow
+
+
+# ---------------------------------------------------------------- references
+
+def ref_format_rows(head, rows):
+    lines = list(head)
+    lines.extend(" ".join(f"{v:.17g}" for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def ref_parse_table(text, name="matrix", square=True):
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError(f"{name}: line 1: empty file")
+    expected = "the matrix order" if square else "'n d'"
+    head = lines[0].split()
+    if len(head) != (1 if square else 2):
+        raise ValueError(f"{name}: line 1: expected {expected}, got {lines[0]!r}")
+    counts = []
+    for j, tok in enumerate(head):
+        try:
+            counts.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"{name}: line 1, column {j + 1}: expected {expected}, got {tok!r}"
+            ) from None
+        if counts[-1] < 1:
+            raise ValueError(f"{name}: line 1, column {j + 1}: count must be positive, got {tok}")
+    n, d = (counts[0], counts[0]) if square else counts
+    if len(lines) < n + 1:
+        raise ValueError(f"{name}: expected {n} rows, file has {len(lines) - 1}")
+    out = np.empty((n, d))
+    for i in range(n):
+        parts = lines[i + 1].split()
+        if len(parts) != d:
+            raise ValueError(f"{name}: line {i + 2}: expected {d} values, got {len(parts)}")
+        for j, tok in enumerate(parts):
+            try:
+                out[i, j] = float(tok)
+            except ValueError:
+                raise ValueError(
+                    f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
+                ) from None
+    for i in range(n + 1, len(lines)):
+        if lines[i].strip():
+            raise ValueError(f"{name}: line {i + 1}: unexpected content after the {n} rows")
+    return out
+
+
+def ref_binary(m):
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    return MAGIC + bytes([1]) + struct.pack("<Q", m.shape[0]) + m.astype("<f8").tobytes()
+
+
+# ---------------------------------------------------------------- formatting
+
+SPECIAL = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e308, -1e308,
+    1.7976931348623157e308, -1.7976931348623157e308, np.nan, np.inf, -np.inf,
+    0.1, 1.0 / 3.0, 123456789012345678.0, -2.5, 1e16, 1e-5,
+])
+
+
+def special_rows(rng, n, d):
+    """Random rows of widely spread magnitudes with special values mixed in."""
+    m = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    mask = rng.random((n, d)) < 0.3
+    m[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
+    return m
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 19), (7, 1), (40, 40), (3, 257)])
+def test_format_rows_matches_reference(n, d):
+    rows = special_rows(np.random.default_rng(n * 1000 + d), n, d)
+    head = [f"{n} {d}"]
+    assert format_rows(head, rows) == ref_format_rows(head, rows)
+
+
+def test_format_rows_every_special_value():
+    rows = [SPECIAL, SPECIAL[::-1], SPECIAL[:1]]
+    assert format_rows(["x"], rows) == ref_format_rows(["x"], rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [np.empty(0)],                    # the axis-value row of a k=0 embedding
+    [np.empty(0), *np.empty((0, 5))],  # ... and its zero coordinate rows
+    [np.empty(0), np.array([1.5]), np.empty(0)],
+    [],
+], ids=["axis-row", "k0-embedding", "mixed", "no-rows"])
+def test_format_rows_empty_rows(rows):
+    head = ["5 0", ""]
+    assert format_rows(head, rows) == ref_format_rows(head, rows)
+
+
+def test_format_rows_embedding_rows():
+    # write_embedding passes the axis-value row and the coordinate rows
+    rng = np.random.default_rng(3)
+    axis_values = rng.normal(size=4)
+    coords = special_rows(rng, 4, 30)
+    rows = [axis_values, *coords]
+    assert format_rows(["30 4", "1 -1 1 -1"], rows) == ref_format_rows(["30 4", "1 -1 1 -1"], rows)
+
+
+def test_format_rows_one_column_points():
+    p = special_rows(np.random.default_rng(4), 25, 1)
+    assert format_rows(["25 1"], p) == ref_format_rows(["25 1"], p)
+
+
+def test_format_rows_round_trips_bitwise():
+    m = special_rows(np.random.default_rng(5), 30, 30)
+    m[np.isnan(m)] = 0.0  # a parsed nan is the canonical one
+    parsed = parse_table(format_rows(["30"], m))
+    assert parsed.tobytes() == m.tobytes()
+
+
+# ---------------------------------------------------------------- parsing: valid
+
+VALID_TOKENS = ["1_0", "١٢", "Infinity", "-Infinity", "inf", "-inf", "nan", "NaN", "-0",
+                "+1.5", "1e400", "-1e400", "1E-400", ".5", "5.", "0000.1", "4.9e-324",
+                "1.7976931348623157e308", "١٠.٥"]
+SEPARATORS = [" ", "\t", "  ", " \t ", " ", "\xa0"]
+
+
+def assert_same_table(text, square=True):
+    got = parse_table(text, square=square)
+    want = ref_parse_table(text, square=square)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_valid_square(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    tokens = rng.choice(VALID_TOKENS + [repr(v) for v in rng.normal(size=20).tolist()], size=(n, n))
+    lines = [f"{n}"]
+    for row in tokens:
+        seps = rng.choice(SEPARATORS, size=n - 1)
+        line = row[0] + "".join(s + t for s, t in zip(seps, row[1:]))
+        lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t"]))
+    assert_same_table("\n".join(lines) + rng.choice(["", "\n", "\n\n \t\n", "\r\n"]))
+
+
+@pytest.mark.parametrize("text", [
+    "2\n0 1\n1 0\x0c\n",           # a form feed ends a line: a trailing blank line
+    "2\r\n0\t1_0\r\n1_0\t0\r\n",
+    "1\n١\n",
+    "2\n Infinity  -0\n\t-Infinity\t1e-400\n\n   \n",
+    "3\n" + "\n".join(" ".join(["%.17g" % v for v in r]) for r in special_rows(
+        np.random.default_rng(8), 3, 3)) + "\n",
+])
+def test_parse_valid_square_special(text):
+    assert_same_table(text)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (9, 1), (5, 3), (2, 40)])
+def test_parse_valid_points(n, d):
+    rng = np.random.default_rng(n + d)
+    p = special_rows(rng, n, d)
+    text = ref_format_rows([f"{n} {d}"], p).replace(" ", "\t")
+    assert_same_table(text, square=False)
+
+
+def test_parse_large_square():
+    m = random_hollow(np.random.default_rng(6), 300, scale=1e6)
+    assert_same_table(ref_format_rows(["300"], m))
+
+
+# ---------------------------------------------------------------- parsing: malformed
+
+BAD_TOKENS = ["x", "0x10", "1e", "True", "1__0", "_1", "1_", "infinit", "nanx",
+              "١٢x", "1,5", "−1", "--1", "1.2.3", "++1"]
+
+
+def assert_same_error(text, square=True):
+    with pytest.raises(ValueError) as want:
+        ref_parse_table(text, name="m.txt", square=square)
+    with pytest.raises(ValueError) as got:
+        parse_table(text, name="m.txt", square=square)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("column", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", BAD_TOKENS)
+def test_bad_token_is_named(bad, column):
+    rows = [["0", "1", "2", "3", "4"] for _ in range(5)]
+    rows[3][column] = bad
+    assert_same_error("5\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\n",
+    "abc\n",
+    "2 2\n0 1\n1 0\n",
+    "0\n",
+    "-1\n",
+    "3\n0 1 2\n1 0 3\n",                # fewer rows than declared
+    "3\n0 1 2\n\n1 0 3\n2 3 0\n",       # a blank line inside the body
+    "3\n0 1 2\n1 0\n2 3 0\n",           # a short row
+    "3\n0 1 2\n1 0 3 4\n2 3 0\n",       # a long row
+    "2\n0 1\n1 0\ngarbage\n",           # trailing content
+    "2\n0 1\n1 0\n\n\t\n7\n",           # trailing content after blank lines
+    "2\n0 x y\n1 0\n",                  # wrong count and bad tokens: the count first
+    "2\n0 x\ny 0\n",                    # the first bad row is reported
+    "2\n0 1 x\x0c1 0\n",                # a form feed splits the row
+    "2\n0 nan(1)\n1 0\n",
+])
+def test_malformed_square(text):
+    assert_same_error(text)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "3\n",
+    "a 2\n",
+    "2 b\n",
+    "2 0\n",
+    "2 2\n1 2\n3 x\n",
+    "2 2\n1 2\n",
+    "2 1\n0.5\n1.5\n\n7\n",
+    "2 2\n1 2 3\n4 5\n",
+])
+def test_malformed_points(text):
+    assert_same_error(text, square=False)
+
+
+# ---------------------------------------------------------------- binary
+
+@pytest.mark.parametrize("n", [1, 2, 33])
+def test_binary_write_is_the_reference_bytes(n, tmp_path):
+    m = special_rows(np.random.default_rng(n), n, n)
+    path = tmp_path / "m.bin"
+    write_matrix(path, m, BINARY)
+    assert path.read_bytes() == ref_binary(m)
+    back = read_matrix(path)
+    assert back.tobytes() == m.tobytes()
+    assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+
+
+def test_binary_write_of_a_strided_view(tmp_path):
+    m = special_rows(np.random.default_rng(2), 8, 8)
+    view = m.T  # Fortran order: written row-major all the same
+    path = tmp_path / "m.bin"
+    write_matrix(path, view, BINARY)
+    assert path.read_bytes() == ref_binary(view)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda b: b[:-1], "m.bin: expected 813 bytes for n=10, got 812"),
+    (lambda b: b + b"\0", "m.bin: expected 813 bytes for n=10, got 814"),
+    (lambda b: b[:13], "m.bin: expected 813 bytes for n=10, got 13"),
+    (lambda b: b[:12], "m.bin: truncated binary header"),
+    (lambda b: b[:4], "m.bin: truncated binary header"),
+    (lambda b: b[:4] + b"\x02" + b[5:], "m.bin: unsupported binary version 2"),
+    (lambda b: b[:5] + struct.pack("<Q", 2 ** 40) + b[13:],
+     f"m.bin: expected {13 + 8 * 2 ** 80} bytes for n={2 ** 40}, got 813"),
+], ids=["one-byte-short", "one-byte-long", "header-only", "short-header", "magic-only",
+        "version", "huge-n"])
+def test_malformed_binary(mutate, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.bin", random_hollow(np.random.default_rng(1), 10), BINARY)
+    with open("m.bin", "r+b") as fh:
+        blob = mutate(fh.read())
+        fh.seek(0)
+        fh.truncate()
+        fh.write(blob)
+    with pytest.raises(ValueError) as info:
+        read_matrix("m.bin")
+    assert str(info.value) == message
+
+
+def test_missing_magic_with_forced_binary(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.txt", random_hollow(np.random.default_rng(1), 3))
+    with pytest.raises(ValueError) as info:
+        read_matrix("m.txt", BINARY)
+    assert str(info.value) == "m.txt: missing binary magic"
+
+
+def test_text_file_shorter_than_a_header(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("1\n0\n")
+    np.testing.assert_array_equal(read_matrix(path), [[0.0]])
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        io._atomic_write(path, b"head", object())  # fails after the first chunk
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+    assert path.read_bytes() == b"old"
