@@ -73,7 +73,8 @@ def cmd_embed(args) -> int:
 
 def cmd_select(args) -> int:
     d = read_matrix(args.input, args.format)
-    sel = select(eig_sym(double_center(d, name=args.input)).eigenvalues, args.k, args.method)
+    lam = eig_sym(double_center(d, name=args.input), vectors=False).eigenvalues
+    sel = select(lam, args.k, args.method)
     write_json(args.output, {
         "method": sel.mode,
         "k": sel.k,
@@ -129,7 +130,7 @@ def cmd_rmt(args) -> int:
     spectra = []
     for trial in range(args.trials):
         b = rmtlab.sample_wigner(args.n, sigma=args.sigma, dist=args.dist, seed=args.seed + trial)
-        spectra.append(eig_sym(b).eigenvalues)
+        spectra.append(eig_sym(b, vectors=False).eigenvalues)
     rows = []
     for c in c_values:
         r = rmtlab.solve_r(c, mode)

@@ -72,6 +72,8 @@ class Embedding:
 
 def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) -> Embedding:
     """Build an embedding from an existing decomposition (shared by sweeps)."""
+    if dec.eigenvectors is None:
+        raise ValueError("the decomposition was computed without eigenvectors")
     method = normalize_method(method)
     sel = select(dec.eigenvalues, k, method)
     lam_sel = dec.eigenvalues[sel.chosen]

@@ -6,7 +6,9 @@ little-endian float64 row-major).  Point clouds are text only: first line
 "n d", then n rows of d floats.  Text tables allow only blank lines after
 the declared rows.  Embeddings, JSON reports and CSV tables are written
 only.  All writes go to a temp file first and are renamed into place, so
-failures leave no partial output.
+failures leave no partial output.  Text files are formatted and written
+``TEXT_BLOCK_ROWS`` rows at a time, so a write holds one block of text, not
+the whole file.
 
 Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  Both work
@@ -19,6 +21,7 @@ they are the format for large n.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -33,20 +36,38 @@ _HEADER_BYTES = 13  # magic, version byte, u64 n
 TEXT = "text"
 BINARY = "bin"
 
+TEXT_BLOCK_ROWS = 128
 
-def _atomic_write(path, *chunks) -> None:
-    """Write the bytes-like chunks, in order, to a temp file renamed to path."""
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Binary handle on a temp file that is renamed to path when the block
+    ends; on any failure the temp file is removed and path is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to a temp file renamed to path."""
+    with _replacing(path) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _write_rows(path, head, rows) -> None:
+    """Write ``format_rows(head, rows)`` atomically, one block of rows at a time."""
+    with _replacing(path) as fh:
+        fh.write(format_rows(head, []).encode())
+        for start in range(0, len(rows), TEXT_BLOCK_ROWS):
+            fh.write(format_rows([], rows[start:start + TEXT_BLOCK_ROWS]).encode())
 
 
 def format_rows(head, rows) -> str:
@@ -110,7 +131,7 @@ def parse_table(text: str, name: str = "matrix", square: bool = True) -> np.ndar
 def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
     m = np.ascontiguousarray(m, dtype=np.float64)
     if fmt == TEXT:
-        _atomic_write(path, format_rows([str(m.shape[0])], m).encode())
+        _write_rows(path, [str(m.shape[0])], m)
     elif fmt == BINARY:
         header = MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", m.shape[0])
         _atomic_write(path, header, m.astype("<f8", copy=False))  # the array's own buffer
@@ -146,14 +167,14 @@ def read_points(path) -> np.ndarray:
 
 
 def write_points(path, p: np.ndarray) -> None:
-    _atomic_write(path, format_rows([f"{p.shape[0]} {p.shape[1]}"], p).encode())
+    _write_rows(path, [f"{p.shape[0]} {p.shape[1]}"], p)
 
 
 def write_embedding(path, emb) -> None:
     """First line "n k", then the signature row, the axis-value row and the
     k x n coordinates."""
     head = [f"{emb.n} {emb.k}", " ".join(str(int(s)) for s in emb.signature)]
-    _atomic_write(path, format_rows(head, [emb.axis_values, *emb.coords]).encode())
+    _write_rows(path, head, [emb.axis_values, *emb.coords])
 
 
 def write_json(path, obj) -> None:

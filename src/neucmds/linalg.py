@@ -62,10 +62,11 @@ class SpectralDecomposition:
     """Eigenvalues sorted descending with paired orthonormal eigenvectors.
 
     Column ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``.
+    ``eigenvectors`` is None for a values-only solve.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -103,8 +104,15 @@ def double_center(d, name: str = "dissimilarity matrix") -> np.ndarray:
     return mirror_upper(b)
 
 
-def eig_sym(b) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues descending.
+def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
+    """Symmetric eigendecomposition, eigenvalues descending.
+
+    With ``vectors=False`` only the eigenvalues are computed
+    (``np.linalg.eigvalsh``, about half the time of the full solve) and
+    ``eigenvectors`` is None.  The commands that use the spectrum alone
+    solve that way: ``select``, ``rmt`` and :func:`neucmds.rmt.empirical_error`;
+    ``embed``, ``sweep`` and ``landmark`` need the eigenvectors.  Both paths
+    check symmetry the same way and sort the same way.
 
     Deterministic for a given input; ties keep the solver's original order.
 
@@ -117,11 +125,14 @@ def eig_sym(b) -> SpectralDecomposition:
     """
     b = as_square_matrix(b)
     check_symmetric(b)
-    lam, u = np.linalg.eigh(b)
+    if vectors:
+        lam, u = np.linalg.eigh(b)
+    else:
+        lam, u = np.linalg.eigvalsh(b), None
     order = np.argsort(-lam, kind="stable")
     return SpectralDecomposition(
         eigenvalues=np.ascontiguousarray(lam[order]),
-        eigenvectors=np.ascontiguousarray(u[:, order]),
+        eigenvectors=None if u is None else np.ascontiguousarray(u[:, order]),
     )
 
 

@@ -64,7 +64,8 @@ def decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
     lam : (n,) array
         Eigenvalues of the centered Gram matrix, sorted descending.
     u : (n, n) array
-        Paired eigenvectors, one per column.
+        Paired eigenvectors, one per column; None (a values-only solve)
+        raises ``ValueError``.
     w : (n,) bool array
         Indicator of the selected axes.
     lam_tilde : (n,) array
@@ -75,6 +76,8 @@ def decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
     (c1, c2, c3) : floats summing to the stress of the reconstruction built
     from ``lam_tilde`` against the one built from ``lam`` itself.
     """
+    if u is None:
+        raise ValueError("the decomposition was computed without eigenvectors")
     lam = np.asarray(lam, dtype=np.float64)
     lam_tilde = np.asarray(lam_tilde, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)

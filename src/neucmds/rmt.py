@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_sym, mirror_upper
+from .linalg import eig_sym
 from .selection import CMDS, NEUC, PLUS, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -139,8 +139,8 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    iu = np.triu_indices(n)
-    count = iu[0].shape[0]
+    upper = np.tri(n, dtype=bool).T  # diagonal included
+    count = n * (n + 1) // 2
     if dist == GAUSSIAN:
         vals = rng.normal(0.0, sigma, size=count)
     elif dist == RADEMACHER:
@@ -148,8 +148,11 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
     else:
         raise ValueError(f"dist must be 'gaussian' or 'rademacher', got {dist!r}")
     m = np.zeros((n, n))
-    m[iu] = vals
-    return mirror_upper(m)
+    m[upper] = vals  # boolean assignment fills row-major, like the draw order
+    # off the diagonal each entry adds an exact zero from the other triangle
+    out = m + m.T
+    np.fill_diagonal(out, np.diagonal(m))
+    return out
 
 
 def empirical_error_from_eigenvalues(lam, k: int, mode: str) -> float:
@@ -163,8 +166,8 @@ def empirical_error_from_eigenvalues(lam, k: int, mode: str) -> float:
 def empirical_error(b, k: int, mode: str) -> float:
     """Dropped-eigenvalue error of selecting k eigenvalues of b directly.
 
-    The matrix is eigendecomposed without centering; the returned value is
-    sum(dropped^2) + (sum dropped)^2, matching the theory convention (the
-    selection module's objective divided by 4).
+    Only the eigenvalues of the matrix are computed, without centering.  The
+    returned value is sum(dropped^2) + (sum dropped)^2, matching the theory
+    convention (the selection module's objective divided by 4).
     """
-    return empirical_error_from_eigenvalues(eig_sym(b).eigenvalues, k, mode)
+    return empirical_error_from_eigenvalues(eig_sym(b, vectors=False).eigenvalues, k, mode)

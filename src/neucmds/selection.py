@@ -13,6 +13,7 @@ enumerator is kept as an independent oracle for small n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,12 +67,13 @@ class SelectionResult:
 
 
 class _Kahan:
-    """Compensated accumulator; keeps the greedy sign tests stable near zero."""
+    """Compensated running sum, started from an exact total; keeps the greedy
+    sign tests stable near zero."""
 
     __slots__ = ("value", "_c")
 
-    def __init__(self) -> None:
-        self.value = 0.0
+    def __init__(self, value: float) -> None:
+        self.value = value
         self._c = 0.0
 
     def add(self, x: float) -> None:
@@ -147,9 +149,7 @@ def select_neuc(lam, k: int) -> SelectionResult:
     nneg = int(np.sum(lam < 0.0))
     tol = SIGN_TEST_REL_TOL * float(np.sum(np.abs(lam)))
 
-    h = _Kahan()
-    for x in lam:
-        h.add(float(x))
+    h = _Kahan(math.fsum(lam.tolist()))
 
     lo, hi = 0, n - 1
     next_zero = npos
@@ -190,11 +190,8 @@ def select_plus(lam, k: int) -> SelectionResult:
     npos = int(np.sum(lam > 0.0))
     nneg = int(np.sum(lam < 0.0))
 
-    s1 = _Kahan()
-    s2 = _Kahan()
-    for x in lam:
-        s1.add(float(x))
-        s2.add(float(x) * float(x))
+    s1 = _Kahan(math.fsum(lam.tolist()))
+    s2 = _Kahan(math.fsum((lam * lam).tolist()))
 
     lo, hi = 0, n - 1
     next_zero = npos

@@ -5,7 +5,8 @@ against the reference bodies they replaced.
 converts each row with one numpy call; the reference functions below are
 the per-element versions they replaced.  Formatting must match byte for
 byte, parsing bitwise, and every malformed table must fail with the
-reference's exact message.
+reference's exact message.  The text writers send the file in blocks of
+rows; the file must be the reference text of the whole table.
 """
 
 import struct
@@ -14,7 +15,17 @@ import numpy as np
 import pytest
 
 from neucmds import io
-from neucmds.io import BINARY, MAGIC, format_rows, parse_table, read_matrix, write_matrix
+from neucmds.embedding import Embedding
+from neucmds.io import (
+    BINARY,
+    MAGIC,
+    format_rows,
+    parse_table,
+    read_matrix,
+    write_embedding,
+    write_matrix,
+    write_points,
+)
 
 from conftest import random_hollow
 
@@ -242,6 +253,59 @@ def test_malformed_square(text):
 ])
 def test_malformed_points(text):
     assert_same_error(text, square=False)
+
+
+# ---------------------------------------------------------------- text writers
+
+BLOCK = io.TEXT_BLOCK_ROWS
+BLOCK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_text_matrix_write_is_the_reference_bytes(n, tmp_path):
+    m = special_rows(np.random.default_rng(n), n, n)
+    path = tmp_path / "m.txt"
+    write_matrix(path, m)
+    assert path.read_bytes() == ref_format_rows([str(n)], m).encode()
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_points_write_is_the_reference_bytes(n, tmp_path):
+    p = special_rows(np.random.default_rng(n + 1), n, 3)
+    path = tmp_path / "p.txt"
+    write_points(path, p)
+    assert path.read_bytes() == ref_format_rows([f"{n} 3"], p).encode()
+
+
+@pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 5])
+def test_embedding_write_is_the_reference_bytes(k, tmp_path):
+    rng = np.random.default_rng(k)
+    n = 20
+    axis_values = special_rows(rng, 1, k)[0]
+    emb = Embedding(
+        coords=special_rows(rng, k, n),
+        signature=np.where(axis_values < 0.0, -1, 1),
+        axis_values=axis_values,
+        axis_indices=np.arange(k),
+        selection=None,
+        method="neuc",
+    )
+    path = tmp_path / "e.txt"
+    write_embedding(path, emb)
+    head = [f"{n} {k}", " ".join(str(int(s)) for s in emb.signature)]
+    want = ref_format_rows(head, [axis_values, *emb.coords])
+    assert path.read_bytes() == want.encode()
+
+
+def test_failed_text_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"old")
+    p = np.zeros((2 * BLOCK + 1, 2), dtype=object)
+    p[-1, 0] = "x"  # fails in the last block, after two blocks were written
+    with pytest.raises(TypeError):
+        write_points(path, p)
+    assert [q.name for q in tmp_path.iterdir()] == ["p.txt"]
+    assert path.read_bytes() == b"old"
 
 
 # ---------------------------------------------------------------- binary

@@ -121,6 +121,6 @@ class TestEmpirical:
 
     def test_eigenvalue_shortcut_agrees(self):
         b = sample_wigner(80, 1.0, GAUSSIAN, seed=4)
-        lam = eig_sym(b).eigenvalues
+        lam = eig_sym(b, vectors=False).eigenvalues
         assert empirical_error_from_eigenvalues(lam, 10, "neuc") == \
             empirical_error(b, 10, "neuc")
