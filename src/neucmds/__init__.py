@@ -13,7 +13,6 @@ from .linalg import (
     check_dissimilarity,
     double_center,
     eig_sym,
-    gram_to_dissim,
 )
 from .metrics import (
     StressReport,
@@ -30,7 +29,6 @@ from .selection import (
     PLUS,
     SelectionResult,
     select,
-    select_bruteforce,
     select_cmds,
     select_neuc,
     select_plus,
@@ -57,13 +55,11 @@ __all__ = [
     "embed",
     "embed_landmark",
     "fit_landmarks",
-    "gram_to_dissim",
     "negativity_stats",
     "reconstruct",
     "report",
     "scaled_additive_error",
     "select",
-    "select_bruteforce",
     "select_cmds",
     "select_neuc",
     "select_plus",

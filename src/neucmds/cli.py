@@ -37,7 +37,7 @@ from .io import (
 from .landmark import embed_landmark
 from .linalg import double_center, eig_sym
 from .metrics import StressReport
-from .selection import METHODS, NEUC, PLUS, normalize_method, select
+from .selection import METHODS, NEUC, select
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -121,25 +121,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rmt(args) -> int:
-    mode = normalize_method(args.method)
-    if mode == PLUS:
-        raise ValueError("rmt supports methods 'cmds' and 'neuc'")
+    mode = args.method
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
     c_values = [float(tok) for tok in args.c_list.split(",") if tok]
     if not c_values:
         raise ValueError("empty c-list")
+    # solve_r rejects a bad c or mode before any eigensolve
+    theory = [(c, rmtlab.solve_r(c, mode), rmtlab.theory_error(args.n, args.sigma, c, mode))
+              for c in c_values]
     spectra = []
     for trial in range(args.trials):
         b = rmtlab.sample_wigner(args.n, sigma=args.sigma, dist=args.dist, seed=args.seed + trial)
         spectra.append(eig_sym(b, vectors=False).eigenvalues)
     rows = []
-    for c in c_values:
-        r = rmtlab.solve_r(c, mode)
-        theory = rmtlab.theory_error(args.n, args.sigma, c, mode)
+    for c, r, expected in theory:
         k = max(1, int(round(c * args.n)))
         empirical = float(np.mean([
             rmtlab.empirical_error_from_eigenvalues(lam, k, mode) for lam in spectra
         ]))
-        rows.append([c, r, theory, empirical, (empirical - theory) / theory])
+        rows.append([c, r, expected, empirical, (empirical - expected) / expected])
     write_csv(args.output, ["c", "r", "theory", "empirical", "rel_err"], rows)
     return EXIT_OK
 

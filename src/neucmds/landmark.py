@@ -9,7 +9,7 @@ whose dissimilarity rows lie in the landmark span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,14 +94,8 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
 
     scale = float(np.max(np.abs(emb.axis_values))) if emb.k else 0.0
     keep = np.abs(emb.axis_values) > AXIS_DROP_REL_TOL * scale if scale else np.zeros(emb.k, bool)
-    base = Embedding(
-        coords=emb.coords[keep],
-        signature=emb.signature[keep],
-        axis_values=emb.axis_values[keep],
-        axis_indices=emb.axis_indices[keep],
-        selection=emb.selection,
-        method=emb.method,
-    )
+    base = replace(emb, coords=emb.coords[keep], signature=emb.signature[keep],
+                   axis_values=emb.axis_values[keep], axis_indices=emb.axis_indices[keep])
     vectors = base.coords / np.sqrt(np.abs(base.axis_values))[:, None]
     return LandmarkModel(
         landmark_indices=idx,
@@ -147,11 +141,4 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     if rest.size:
         deltas = d[np.ix_(rest, model.landmark_indices)]
         coords[:, rest] = _triangulate_block(model, deltas)
-    return Embedding(
-        coords=coords,
-        signature=model.base.signature,
-        axis_values=model.base.axis_values,
-        axis_indices=model.base.axis_indices,
-        selection=model.base.selection,
-        method=model.base.method,
-    )
+    return replace(model.base, coords=coords)

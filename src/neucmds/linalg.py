@@ -1,9 +1,9 @@
 """Dense symmetric-matrix primitives.
 
-Double centering, symmetric eigendecomposition and Gram/dissimilarity
-conversions used by every embedding routine in this package.  All matrices
-are plain float64 numpy arrays; dissimilarity matrices are symmetric with an
-exactly zero diagonal ("hollow") and may contain negative entries.
+Input validation, double centering and symmetric eigendecomposition, used
+by every embedding routine in this package.  All matrices are plain float64
+numpy arrays; dissimilarity matrices are symmetric with an exactly zero
+diagonal ("hollow") and may contain negative entries.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Tolerances the decomposition invariants are tested against.
-ORTHONORMALITY_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-9
-CENTERING_TOL = 1e-10  # scaled by n * max|D| in the row-sum check
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -110,9 +105,9 @@ def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
     With ``vectors=False`` only the eigenvalues are computed
     (``np.linalg.eigvalsh``, about half the time of the full solve) and
     ``eigenvectors`` is None.  The commands that use the spectrum alone
-    solve that way: ``select``, ``rmt`` and :func:`neucmds.rmt.empirical_error`;
-    ``embed``, ``sweep`` and ``landmark`` need the eigenvectors.  Both paths
-    check symmetry the same way and sort the same way.
+    solve that way: ``select`` and ``rmt``; ``embed``, ``sweep`` and
+    ``landmark`` need the eigenvectors.  Both paths check symmetry the same
+    way and sort the same way.
 
     Deterministic for a given input; ties keep the solver's original order.
 
@@ -134,17 +129,3 @@ def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
         eigenvalues=np.ascontiguousarray(lam[order]),
         eigenvectors=None if u is None else np.ascontiguousarray(u[:, order]),
     )
-
-
-def gram_to_dissim(g) -> np.ndarray:
-    """Squared-distance analog of a Gram matrix: m_ij = g_ii + g_jj - 2 g_ij.
-
-    The output is exactly hollow and symmetric.  For a centered Gram matrix
-    (zero row sums) this inverts :func:`double_center`.
-    """
-    g = as_square_matrix(g, "Gram matrix")
-    check_symmetric(g, "Gram matrix")
-    diag = np.diagonal(g)
-    m = diag[:, None] + diag[None, :] - 2.0 * g
-    np.fill_diagonal(m, 0.0)
-    return mirror_upper(m)

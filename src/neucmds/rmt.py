@@ -11,11 +11,9 @@ bound reported by the selection module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_sym
 from .selection import CMDS, NEUC, PLUS, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -24,19 +22,6 @@ RADEMACHER = "rademacher"
 _BISECT_LO = 1e-15
 _BISECT_HI = 2.0
 _BISECT_ITERS = 200
-
-
-@dataclass(frozen=True)
-class RmtTheory:
-    """Theory grid row: threshold roots and limiting errors at c = k/n."""
-
-    n: int
-    sigma: float
-    c: float
-    r_c: float | None
-    r_n: float
-    e_c: float | None
-    e_n: float
 
 
 def semicircle_mass(a: float, b: float, sigma: float = 1.0) -> float:
@@ -110,22 +95,6 @@ def theory_error(n: int, sigma: float, c: float, mode: str) -> float:
     return (a + b * n) * n * n * sigma * sigma
 
 
-def theory_grid(n: int, sigma: float, c_values) -> list[RmtTheory]:
-    """Theory rows for a grid of c values; cmds columns are None for c > 1/2."""
-    rows = []
-    for c in c_values:
-        c = float(c)
-        r_n = solve_r(c, NEUC)
-        e_n = theory_error(n, sigma, c, NEUC)
-        if c <= 0.5:
-            r_c = solve_r(c, CMDS)
-            e_c = theory_error(n, sigma, c, CMDS)
-        else:
-            r_c, e_c = None, None
-        rows.append(RmtTheory(n=n, sigma=sigma, c=c, r_c=r_c, r_n=r_n, e_c=e_c, e_n=e_n))
-    return rows
-
-
 def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 0) -> np.ndarray:
     """Symmetric matrix with i.i.d. upper-triangle entries of variance sigma^2.
 
@@ -161,13 +130,3 @@ def empirical_error_from_eigenvalues(lam, k: int, mode: str) -> float:
     if mode == PLUS:
         raise ValueError("mode must be 'cmds' or 'neuc'")
     return select(lam, int(k), mode).objective / 4.0
-
-
-def empirical_error(b, k: int, mode: str) -> float:
-    """Dropped-eigenvalue error of selecting k eigenvalues of b directly.
-
-    Only the eigenvalues of the matrix are computed, without centering.  The
-    returned value is sum(dropped^2) + (sum dropped)^2, matching the theory
-    convention (the selection module's objective divided by 4).
-    """
-    return empirical_error_from_eigenvalues(eig_sym(b, vectors=False).eigenvalues, k, mode)

@@ -6,16 +6,14 @@ eigenvalues whose omission minimizes the dropped-eigenvalue error bound
     sum of squared dropped values  +  (sum of dropped values)^2,
 
 optionally with the squared-sum term scaled by 1/(1+k) (the "plus" variant).
-Both greedy selectors are exact minimizers of their objectives; a brute-force
-enumerator is kept as an independent oracle for small n.
+Both greedy selectors are exact minimizers of their objectives; the tests
+check them against an enumerating oracle for small n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +21,6 @@ CMDS = "cmds"
 NEUC = "neuc"
 PLUS = "neuc-plus"
 METHODS = (CMDS, NEUC, PLUS)
-
-BRUTEFORCE_MAX_N = 20
 
 # |H| below this fraction of sum|lambda| counts as zero in the greedy sign test,
 # so floating-point drift cannot flip the branch.
@@ -102,8 +98,8 @@ def _check_k(k: int, n: int) -> int:
 def _bounds(lam: np.ndarray, w: np.ndarray, k: int, mode: str) -> tuple[float, float]:
     """Canonical bound terms from the dropped set, in ascending index order.
 
-    Both greedy selectors and the brute-force oracle report values computed
-    here, so equal dropped multisets give bitwise-equal objectives.
+    Every selector, and the brute-force oracle of the tests, reports values
+    computed here, so equal dropped multisets give bitwise-equal objectives.
     """
     dropped = lam[~w]
     s2 = float(np.sum(dropped * dropped))
@@ -243,41 +239,3 @@ def select(lam, k: int, method: str) -> SelectionResult:
     # called, so a wrapper installed on a selector name also sees dispatch
     selector = {CMDS: select_cmds, NEUC: select_neuc, PLUS: select_plus}[normalize_method(method)]
     return selector(lam, k)
-
-
-@lru_cache(maxsize=256)
-def _chosen_combos(n: int, k: int) -> np.ndarray:
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.intp,
-    )
-    return combos.reshape(-1, k)
-
-
-def select_bruteforce(lam, k: int, mode: str = NEUC) -> SelectionResult:
-    """Exact minimizer by enumerating all C(n, k) subsets (test oracle).
-
-    Guarded to n <= 20.  Objective ties are broken toward the
-    lexicographically smallest chosen index set.
-    """
-    mode = normalize_method(mode)
-    if mode == CMDS:
-        raise ValueError("brute force applies to modes 'neuc' and 'neuc-plus'")
-    lam = _check_lambda(lam)
-    n = lam.size
-    k = _check_k(k, n)
-    if n > BRUTEFORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {BRUTEFORCE_MAX_N}, got {n}")
-
-    combos = _chosen_combos(n, k)
-    keep = np.zeros((combos.shape[0], n), dtype=bool)
-    np.put_along_axis(keep, combos, True, axis=1)
-    dropped = np.where(keep, 0.0, lam[None, :])
-    s1 = dropped.sum(axis=1)
-    s2 = (dropped * dropped).sum(axis=1)
-    if mode == PLUS:
-        obj = s2 + s1 * s1 / (1.0 + k)
-    else:
-        obj = s2 + s1 * s1
-    best = int(np.flatnonzero(obj == obj.min())[0])
-    return _result(lam, list(combos[best]), mode)

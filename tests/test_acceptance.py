@@ -21,9 +21,10 @@ from neucmds.rmt import (
     theory_error,
     theory_error_coeffs,
 )
-from neucmds.selection import CMDS, NEUC, PLUS, select_bruteforce, select_neuc, select_plus
+from neucmds.selection import CMDS, NEUC, PLUS, select_neuc, select_plus
 
 from conftest import random_edm, random_hollow
+from oracle import select_bruteforce
 
 SIMPLEX_SEED = 42
 

@@ -271,6 +271,31 @@ class TestExitCodes:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_rmt_without_trials_is_three(self, trials, tmp_path, capsys):
+        out = tmp_path / "rmt.csv"
+        assert main(["rmt", "--n", "20", "--c-list", "0.3", "--trials", trials,
+                     "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: trials must be at least 1, got {trials}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method, c, message", [
+        ("cmds", "0.7", "cmds selected fraction must be in (0, 0.5], got 0.7"),
+        ("neuc-plus", "0.3", "mode must be 'cmds' or 'neuc'"),
+    ])
+    def test_rmt_rejects_c_and_mode_before_sampling(self, method, c, message, tmp_path,
+                                                    monkeypatch, capsys):
+        from neucmds import rmt
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before checking --c-list and --method")
+        monkeypatch.setattr(rmt, "sample_wigner", fail)
+        out = tmp_path / "rmt.csv"
+        assert main(["rmt", "--n", "20", "--c-list", c, "--method", method,
+                     "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 MATRIX_COMMANDS = [
     ["embed", "--k", "2"],

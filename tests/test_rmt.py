@@ -4,16 +4,15 @@ import pytest
 from neucmds.rmt import (
     GAUSSIAN,
     RADEMACHER,
-    empirical_error,
     empirical_error_from_eigenvalues,
     sample_wigner,
     semicircle_mass,
     solve_r,
     theory_error,
     theory_error_coeffs,
-    theory_grid,
 )
 from neucmds.linalg import eig_sym
+from neucmds.selection import select
 from neucmds.rmt import _selected_fraction
 
 
@@ -63,12 +62,6 @@ class TestTheory:
         assert round(a, 4) == 0.5
         assert round(b, 4) == 0.1801
 
-    def test_grid_rows(self):
-        rows = theory_grid(100, 2.0, [0.25, 0.75])
-        assert rows[0].e_c == pytest.approx(theory_error(100, 2.0, 0.25, "cmds"))
-        assert rows[1].e_c is None and rows[1].r_c is None
-        assert rows[1].e_n == pytest.approx(theory_error(100, 2.0, 0.75, "neuc"))
-
 
 class TestSemicircle:
     def test_total_mass_is_one(self):
@@ -105,6 +98,10 @@ class TestSampleWigner:
             sample_wigner(10, 1.0, "uniform", seed=0)
 
 
+def empirical_error(b, k, mode):
+    return empirical_error_from_eigenvalues(eig_sym(b, vectors=False).eigenvalues, k, mode)
+
+
 class TestEmpirical:
     def test_full_selection_is_zero(self):
         b = sample_wigner(50, 1.0, GAUSSIAN, seed=2)
@@ -120,7 +117,10 @@ class TestEmpirical:
         assert abs(e - approx) <= 0.05 * approx
 
     def test_eigenvalue_shortcut_agrees(self):
+        # the plain convention: sum(dropped^2) + (sum dropped)^2 of the selection
         b = sample_wigner(80, 1.0, GAUSSIAN, seed=4)
         lam = eig_sym(b, vectors=False).eigenvalues
-        assert empirical_error_from_eigenvalues(lam, 10, "neuc") == \
-            empirical_error(b, 10, "neuc")
+        for mode in ("cmds", "neuc"):
+            dropped = np.delete(lam, select(lam, 10, mode).chosen)
+            assert empirical_error_from_eigenvalues(lam, 10, mode) == \
+                np.sum(dropped * dropped) + np.sum(dropped) ** 2

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 from neucmds.selection import (
     CMDS,
+    METHODS,
     NEUC,
     PLUS,
     select,
-    select_bruteforce,
     select_cmds,
     select_neuc,
     select_plus,
 )
+
+from oracle import select_bruteforce
 
 MIXED = np.array([5.0, 3.0, -1.0, -4.0])
 
@@ -218,3 +220,23 @@ def test_greedy_is_optimal_hypothesis(values, k_pick, mode):
     b = select_bruteforce(lam, k, mode)
     scale = max(1.0, float(np.sum(lam * lam)), abs(float(np.sum(lam))) ** 2)
     assert g.objective <= b.objective + 1e-9 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=30,
+    ),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_selection_is_prefix_nested(values, scale):
+    # no greedy loop looks at k, so a smaller k chooses a prefix of a larger
+    # one; small integers give ties and zeros
+    lam = np.sort(np.asarray(values, dtype=np.float64) * scale)[::-1]
+    n = lam.size
+    for method in METHODS:
+        full = select(lam, n, method).chosen
+        for k in range(1, n + 1):
+            np.testing.assert_array_equal(select(lam, k, method).chosen, full[:k])
