@@ -37,7 +37,7 @@ from .io import (
 from .landmark import embed_landmark
 from .linalg import double_center, eig_sym
 from .metrics import StressReport
-from .selection import METHODS, NEUC, select
+from .selection import METHODS, NEUC, normalize_method, select
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,6 +59,19 @@ def _parse_k_list(expr: str) -> list[int]:
             raise ValueError(f"bad k-list {expr!r}")
         return list(range(a, b + 1, step))
     return [int(expr)]
+
+
+def _parse_list(expr: str, option: str, parse) -> list:
+    """Parse each comma-separated token of an option value; none may be empty or repeat."""
+    values = []
+    for i, tok in enumerate(expr.split(","), 1):
+        if not tok.strip():
+            raise ValueError(f"{option} {expr!r}: token {i} is empty")
+        value = parse(tok)
+        if value in values:
+            raise ValueError(f"{option} {expr!r}: token {i} repeats {value!r}")
+        values.append(value)
+    return values
 
 
 def cmd_embed(args) -> int:
@@ -111,8 +124,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    methods = _parse_list(args.methods, "--methods", normalize_method)
     d = read_matrix(args.input, args.format)
-    methods = args.methods.split(",") if args.methods else METHODS  # sweep checks them
     entries = sweep(d, _parse_k_list(args.k_list), methods, name=args.input)
     header = ["k", "method", *(f.name for f in fields(StressReport))]
     rows = [[e.k, e.method, *e.report.to_dict().values()] for e in entries]
@@ -124,9 +137,7 @@ def cmd_rmt(args) -> int:
     mode = args.method
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
-    c_values = [float(tok) for tok in args.c_list.split(",") if tok]
-    if not c_values:
-        raise ValueError("empty c-list")
+    c_values = _parse_list(args.c_list, "--c-list", float)
     # solve_r rejects a bad c or mode before any eigensolve
     theory = [(c, rmtlab.solve_r(c, mode), rmtlab.theory_error(args.n, args.sigma, c, mode))
               for c in c_values]
@@ -215,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="stress reports over a k grid")
     matrix_input(p)
     p.add_argument("--k-list", required=True, dest="k_list", help="a:b:step (inclusive)")
-    p.add_argument("--methods", default=None, help="comma-separated methods (default all)")
+    p.add_argument("--methods", default=",".join(METHODS),
+                   help="comma-separated methods (default all)")
     common(p, method=False, seed=False)
     p.set_defaults(func=cmd_sweep)
 

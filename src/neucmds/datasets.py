@@ -8,10 +8,8 @@ matrix bitwise.  Every output is exactly hollow and symmetric.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .linalg import mirror_upper
+from .linalg import BLOCK, mirror_upper_inplace
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -30,9 +28,23 @@ def _as_points(points) -> np.ndarray:
 def pairwise_sq(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances of the rows of x, exactly hollow/symmetric."""
     sq = np.einsum("ij,ij->i", x, x)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d, 0.0)
-    return mirror_upper(d)
+    return _sum_minus_twice(x @ x.T, lambda i0, i1: np.add.outer(sq[i0:i1], sq[i0:]))
+
+
+def _sum_minus_twice(g: np.ndarray, pair_sum) -> np.ndarray:
+    """Hollow symmetric pair_sum - 2 g, written over g: ``pair_sum(i0, i1)`` gives rows
+    i0:i1 of the sum from column i0 on, the upper part that the mirror reads."""
+    for i0 in range(0, g.shape[0], BLOCK):
+        rows = g[i0:i0 + BLOCK, i0:]
+        rows *= 2.0
+        np.subtract(pair_sum(i0, i0 + BLOCK), rows, out=rows)
+    np.fill_diagonal(g, 0.0)
+    return mirror_upper_inplace(g)
+
+
+def _distances(x: np.ndarray) -> np.ndarray:
+    d = pairwise_sq(x)
+    return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
 
 
 def signed_sq_dissimilarity(points, n_plus: int) -> np.ndarray:
@@ -41,7 +53,8 @@ def signed_sq_dissimilarity(points, n_plus: int) -> np.ndarray:
     p = _as_points(points)
     if not 0 <= n_plus <= p.shape[1]:
         raise ValueError(f"n_plus must be in [0, {p.shape[1]}], got {n_plus}")
-    return pairwise_sq(p[:, :n_plus]) - pairwise_sq(p[:, n_plus:])
+    d = pairwise_sq(p[:, :n_plus])
+    return np.subtract(d, pairwise_sq(p[:, n_plus:]), out=d)
 
 
 def gen_random_simplex(n: int, seed: int = 0) -> np.ndarray:
@@ -79,11 +92,18 @@ def ball_dissimilarity(centers, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=np.float64)
     if radii.shape != (centers.shape[0],):
         raise ValueError("need one radius per center")
-    cdist = np.sqrt(np.maximum(pairwise_sq(centers), 0.0))
-    gap = cdist - radii[:, None] - radii[None, :]
-    d = gap * np.abs(gap)
-    np.fill_diagonal(d, 0.0)
-    return mirror_upper(d)
+    return _signed_sq_gap(_distances(centers), radii)
+
+
+def _signed_sq_gap(cdist: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """ball_dissimilarity built over the center distances cdist, in place."""
+    for i0 in range(0, cdist.shape[0], BLOCK):
+        gap = cdist[i0:i0 + BLOCK, i0:]
+        gap -= radii[i0:i0 + BLOCK, None]
+        gap -= radii[None, i0:]
+        gap *= np.abs(gap)
+    np.fill_diagonal(cdist, 0.0)
+    return mirror_upper_inplace(cdist)
 
 
 def gen_euclidean_ball(n: int, seed: int = 0) -> np.ndarray:
@@ -103,10 +123,10 @@ def gen_euclidean_ball(n: int, seed: int = 0) -> np.ndarray:
     centers = rng.uniform(0.0, 100.0, size=(n, 10))
     branch = rng.uniform(size=n)
     candidate = rng.uniform(0.0, 5.0, size=n)
-    cdist = np.sqrt(np.maximum(pairwise_sq(centers), 0.0))
+    cdist = _distances(centers)
     np.fill_diagonal(cdist, np.inf)
     radii = np.where(branch < 0.9, candidate, 0.8 * cdist.min(axis=1))
-    return ball_dissimilarity(centers, radii)
+    return _signed_sq_gap(cdist, radii)
 
 
 def perturb_knn(points, k_nn: int) -> np.ndarray:
@@ -116,12 +136,15 @@ def perturb_knn(points, k_nn: int) -> np.ndarray:
     Euclidean nearest; weights are the Euclidean distances.  Raises if the
     graph is disconnected, reporting the component sizes.
     """
+    from scipy.sparse import csr_matrix  # the only scipy user: imported on demand
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
     p = _as_points(points)
     n = p.shape[0]
     k_nn = int(k_nn)
     if not 1 <= k_nn <= n - 1:
         raise ValueError(f"k_nn must be in [1, {n - 1}], got {k_nn}")
-    dist = np.sqrt(np.maximum(pairwise_sq(p), 0.0))
+    dist = _distances(p)
     np.fill_diagonal(dist, np.inf)
     nbrs = np.argsort(dist, axis=1, kind="stable")[:, :k_nn]
     rows = np.repeat(np.arange(n), k_nn)
@@ -136,9 +159,9 @@ def perturb_knn(points, k_nn: int) -> np.ndarray:
             f"k-nn graph is disconnected: {n_comp} components with sizes {sizes.tolist()}"
         )
     paths = dijkstra(graph, directed=False)
-    d = paths * paths
-    np.fill_diagonal(d, 0.0)
-    return mirror_upper(d)
+    paths *= paths
+    np.fill_diagonal(paths, 0.0)
+    return mirror_upper_inplace(paths)
 
 
 def perturb_noise(points, sigma="auto", seed: int = 0) -> np.ndarray:
@@ -149,7 +172,7 @@ def perturb_noise(points, sigma="auto", seed: int = 0) -> np.ndarray:
     """
     p = _as_points(points)
     n = p.shape[0]
-    dist = np.sqrt(np.maximum(pairwise_sq(p), 0.0))
+    dist = _distances(p)
     if isinstance(sigma, str):
         if sigma != "auto":
             raise ValueError(f"sigma must be a positive number or 'auto', got {sigma!r}")
@@ -157,13 +180,12 @@ def perturb_noise(points, sigma="auto", seed: int = 0) -> np.ndarray:
     sigma = float(sigma)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    iu = np.triu_indices(n, 1)
-    noise = np.zeros((n, n))
-    noise[iu] = _rng(seed).normal(0.0, sigma, size=iu[0].shape[0])
-    noisy = dist + noise + noise.T
-    d = noisy * noisy
-    np.fill_diagonal(d, 0.0)
-    return mirror_upper(d)
+    rng = _rng(seed)
+    for i in range(n - 1):  # row by row draws the same stream as one draw
+        dist[i, i + 1:] += rng.normal(0.0, sigma, size=n - 1 - i)
+    dist *= dist
+    np.fill_diagonal(dist, 0.0)
+    return mirror_upper_inplace(dist)
 
 
 def perturb_missing(points, keep_prob: float, seed: int = 0) -> np.ndarray:
@@ -186,8 +208,5 @@ def perturb_missing(points, keep_prob: float, seed: int = 0) -> np.ndarray:
         raise ValueError(f"points {i} and {j} share no surviving coordinate")
     m = mask.astype(np.float64)
     pm = p * m
-    p2m = p * p * m
-    a = p2m @ m.T
-    d = a + a.T - 2.0 * (pm @ pm.T)
-    np.fill_diagonal(d, 0.0)
-    return mirror_upper(d)
+    a = (p * p * m) @ m.T
+    return _sum_minus_twice(pm @ pm.T, lambda i0, i1: a[i0:i1, i0:] + a[i0:, i0:i1].T)

@@ -46,10 +46,24 @@ def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
     return d
 
 
+BLOCK = 128  # tile edge and row block of the in-place n x n constructions; two tiles fit in cache
+
+
 def mirror_upper(m: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy of m: upper triangle (diagonal kept) mirrored down."""
-    upper = np.triu(m)
-    return upper + np.triu(m, 1).T
+    """Exactly symmetric copy of m, in its dtype: the upper triangle (diagonal kept)
+    mirrored down, each entry ``+ 0`` so that -0.0 reads +0.0."""
+    return mirror_upper_inplace(np.array(m, order="C"))
+
+
+def mirror_upper_inplace(a: np.ndarray) -> np.ndarray:
+    """``mirror_upper`` written over a itself, one tile pair at a time; returns a."""
+    for i0 in range(0, a.shape[0], BLOCK):
+        for j0 in range(i0, a.shape[0], BLOCK):
+            tile = a[i0:i0 + BLOCK, j0:j0 + BLOCK]
+            tile += 0
+            low = a[j0:j0 + BLOCK, i0:i0 + BLOCK]  # only its strictly lower part is written
+            np.copyto(low, tile.T, where=np.tri(*low.shape, j0 - i0 - 1, dtype=bool))
+    return a
 
 
 @dataclass(frozen=True)
@@ -92,11 +106,14 @@ def double_center(d, name: str = "dissimilarity matrix") -> np.ndarray:
     try:
         with np.errstate(over="raise"):
             row = d.mean(axis=1, keepdims=True)
-            b = -0.5 * (d - row - row.T + d.mean())
+            b = np.subtract(d, row, order="C")
+            b -= row.T
+            b += d.mean()
+            b *= -0.5
     except FloatingPointError:
         raise FloatingPointError("double centering overflowed; rescale the input") from None
     # the two mean subtractions round differently across the diagonal
-    return mirror_upper(b)
+    return mirror_upper_inplace(b)
 
 
 def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:

@@ -296,6 +296,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--methods", "cmds,cmds"], "--methods 'cmds,cmds': token 2 repeats 'cmds'"),
+        (["sweep", "--methods", "neuc,plus,neuc-plus"],
+         "--methods 'neuc,plus,neuc-plus': token 3 repeats 'neuc-plus'"),
+        (["sweep", "--methods", ""], "--methods '': token 1 is empty"),
+        (["sweep", "--methods", "cmds,"], "--methods 'cmds,': token 2 is empty"),
+        (["rmt", "--c-list", "0.3,,0.4"], "--c-list '0.3,,0.4': token 2 is empty"),
+        (["rmt", "--c-list", ""], "--c-list '': token 1 is empty"),
+        (["rmt", "--c-list", "0.3,0.30"], "--c-list '0.3,0.30': token 2 repeats 0.3"),
+    ], ids=["repeat", "alias-repeat", "sweep-empty", "sweep-trailing", "rmt-inner", "rmt-empty",
+            "rmt-repeat"])
+    def test_list_arguments_reject_repeats_and_empty_tokens(self, argv, message, tmp_path,
+                                                            monkeypatch, capsys):
+        from neucmds import cli, rmt
+
+        def fail(*args, **kwargs):
+            raise AssertionError("read or solved before checking the list argument")
+        for module, name in ((cli, "read_matrix"), (cli, "eig_sym"), (rmt, "sample_wigner")):
+            monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "out.csv"
+        rest = (["--input", str(tmp_path / "d.txt"), "--k-list", "1:3"] if argv[0] == "sweep"
+                else ["--n", "20"])
+        assert main([*argv, *rest, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 MATRIX_COMMANDS = [
     ["embed", "--k", "2"],
