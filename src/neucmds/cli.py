@@ -37,7 +37,7 @@ from .io import (
 from .landmark import embed_landmark
 from .linalg import double_center, eig_sym
 from .metrics import StressReport
-from .selection import METHODS, NEUC, normalize_method, select
+from .selection import METHODS, NEUC, _check_k, normalize_method, select
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,7 +76,9 @@ def _parse_list(expr: str, option: str, parse) -> list:
 
 def cmd_embed(args) -> int:
     d = read_matrix(args.input, args.format)
-    dec = eig_sym(double_center(d, name=args.input))
+    b = double_center(d, name=args.input)
+    _check_k(args.k, b.shape[0])  # before the eigensolve
+    dec = eig_sym(b)
     emb = embed_from_decomposition(dec, args.k, args.method)
     rep = report(d, emb, dec)
     write_embedding(args.output, emb)
@@ -86,7 +88,9 @@ def cmd_embed(args) -> int:
 
 def cmd_select(args) -> int:
     d = read_matrix(args.input, args.format)
-    lam = eig_sym(double_center(d, name=args.input), vectors=False).eigenvalues
+    b = double_center(d, name=args.input)
+    _check_k(args.k, b.shape[0])  # before the eigensolve
+    lam = eig_sym(b, vectors=False).eigenvalues
     sel = select(lam, args.k, args.method)
     write_json(args.output, {
         "method": sel.mode,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BLOCK, mirror_upper_inplace
+from .linalg import BLOCK, mirror_upper_inplace, sum_minus_twice
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -28,18 +28,7 @@ def _as_points(points) -> np.ndarray:
 def pairwise_sq(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances of the rows of x, exactly hollow/symmetric."""
     sq = np.einsum("ij,ij->i", x, x)
-    return _sum_minus_twice(x @ x.T, lambda i0, i1: np.add.outer(sq[i0:i1], sq[i0:]))
-
-
-def _sum_minus_twice(g: np.ndarray, pair_sum) -> np.ndarray:
-    """Hollow symmetric pair_sum - 2 g, written over g: ``pair_sum(i0, i1)`` gives rows
-    i0:i1 of the sum from column i0 on, the upper part that the mirror reads."""
-    for i0 in range(0, g.shape[0], BLOCK):
-        rows = g[i0:i0 + BLOCK, i0:]
-        rows *= 2.0
-        np.subtract(pair_sum(i0, i0 + BLOCK), rows, out=rows)
-    np.fill_diagonal(g, 0.0)
-    return mirror_upper_inplace(g)
+    return sum_minus_twice(x @ x.T, lambda i0, i1: np.add.outer(sq[i0:i1], sq[i0:]))
 
 
 def _distances(x: np.ndarray) -> np.ndarray:
@@ -200,13 +189,13 @@ def perturb_missing(points, keep_prob: float, seed: int = 0) -> np.ndarray:
     keep_prob = float(keep_prob)
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    mask = _rng(seed).uniform(size=p.shape) < keep_prob
-    shared = mask.astype(np.int64) @ mask.T.astype(np.int64)
-    np.fill_diagonal(shared, 1)
-    if np.any(shared == 0):
-        i, j = (int(v) for v in np.argwhere(shared == 0)[0])
+    m = (_rng(seed).uniform(size=p.shape) < keep_prob).astype(np.float64)
+    shared = m @ m.T  # exact counts while d < 2**53
+    np.fill_diagonal(shared, 1.0)
+    if not shared.all():
+        i, j = (int(v) for v in np.argwhere(shared == 0.0)[0])
         raise ValueError(f"points {i} and {j} share no surviving coordinate")
-    m = mask.astype(np.float64)
+    del shared
     pm = p * m
     a = (p * p * m) @ m.T
-    return _sum_minus_twice(pm @ pm.T, lambda i0, i1: a[i0:i1, i0:] + a[i0:, i0:i1].T)
+    return sum_minus_twice(pm @ pm.T, lambda i0, i1: a[i0:i1, i0:] + a[i0:, i0:i1].T)

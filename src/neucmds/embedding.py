@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, as_square_matrix, double_center, eig_sym
+from .linalg import (
+    SpectralDecomposition,
+    as_square_matrix,
+    double_center,
+    eig_sym,
+    sum_minus_twice,
+)
 from .metrics import (
     StressReport,
     avg_geometric_distortion,
@@ -22,7 +28,7 @@ from .metrics import (
     scaled_additive_error,
     stress,
 )
-from .selection import CMDS, NEUC, PLUS, SelectionResult, normalize_method, select
+from .selection import CMDS, NEUC, PLUS, SelectionResult, _check_k, normalize_method, select
 
 __all__ = [
     "Embedding",
@@ -33,9 +39,6 @@ __all__ = [
     "report",
     "sweep",
 ]
-
-ROW_BLOCK = 128  # rows per block of reconstruct's in-place assembly
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -126,24 +129,13 @@ def reconstruct(emb: Embedding) -> np.ndarray:
 
     Entry (i, j) is sum_l signature[l] * (coords[l,i] - coords[l,j])^2.  The
     output is exactly hollow and symmetric; entries may be negative.  It is
-    built in place in the Gram product g = x^T S x, one row block at a time:
-    (-2 g_ij) + (g_ii + g_jj) on the upper triangle, mirrored to the lower.
+    built in place in the Gram product g = x^T S x: (g_ii + g_jj) - 2 g_ij,
+    by ``linalg.sum_minus_twice``.
     """
     x = emb.coords
-    n = emb.n
-    if x.shape[0] == 0:
-        return np.zeros((n, n))
-    sx = emb.signature.astype(np.float64)[:, None] * x
-    d_hat = x.T @ sx
-    y = np.diagonal(d_hat).copy()
-    d_hat *= -2.0
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = r0 + ROW_BLOCK
-        d_hat[r0:r1, r0:] += y[r0:r1, None] + y[None, r0:]
-        tile = np.triu(d_hat[r0:r1, r0:r1], 1)
-        d_hat[r0:r1, r0:r1] = tile + tile.T
-        d_hat[r1:, r0:r1] = d_hat[r0:r1, r1:].T
-    return d_hat
+    g = x.T @ (emb.signature.astype(np.float64)[:, None] * x)
+    y = np.diagonal(g).copy()
+    return sum_minus_twice(g, lambda i0, i1: np.add.outer(y[i0:i1], y[i0:]))
 
 
 def report(d, emb: Embedding, dec: SpectralDecomposition | None = None) -> StressReport:
@@ -189,11 +181,12 @@ def sweep(d, k_list, methods=(CMDS, NEUC, PLUS),
     ``name`` is what validation errors call the input.
     """
     d = as_square_matrix(d, name)
-    b = double_center(d, name)  # validates d before the methods, eig_sym after them
+    b = double_center(d, name)  # validates d before the methods and ks, eig_sym after them
     methods = [normalize_method(m) for m in methods]
+    k_list = [_check_k(k, b.shape[0]) for k in k_list]
     dec = eig_sym(b)
     return [
-        SweepEntry(int(k), m, report(d, embed_from_decomposition(dec, int(k), m), dec))
+        SweepEntry(k, m, report(d, embed_from_decomposition(dec, k, m), dec))
         for k in k_list
         for m in methods
     ]

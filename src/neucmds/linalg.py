@@ -46,7 +46,7 @@ def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
     return d
 
 
-BLOCK = 128  # tile edge and row block of the in-place n x n constructions; two tiles fit in cache
+BLOCK = 128  # row block of the in-place n x n constructions
 
 
 def mirror_upper(m: np.ndarray) -> np.ndarray:
@@ -56,14 +56,25 @@ def mirror_upper(m: np.ndarray) -> np.ndarray:
 
 
 def mirror_upper_inplace(a: np.ndarray) -> np.ndarray:
-    """``mirror_upper`` written over a itself, one tile pair at a time; returns a."""
+    """``mirror_upper`` written over a itself, one block of rows at a time; returns a."""
     for i0 in range(0, a.shape[0], BLOCK):
-        for j0 in range(i0, a.shape[0], BLOCK):
-            tile = a[i0:i0 + BLOCK, j0:j0 + BLOCK]
-            tile += 0
-            low = a[j0:j0 + BLOCK, i0:i0 + BLOCK]  # only its strictly lower part is written
-            np.copyto(low, tile.T, where=np.tri(*low.shape, j0 - i0 - 1, dtype=bool))
+        i1 = i0 + BLOCK
+        a[i0:i1, i0:] += 0
+        tile = a[i0:i1, i0:i1]
+        np.copyto(tile, tile.T, where=np.tri(*tile.shape, -1, dtype=bool))
+        a[i1:, i0:i1] = a[i0:i1, i1:].T
     return a
+
+
+def sum_minus_twice(g: np.ndarray, pair_sum) -> np.ndarray:
+    """Hollow symmetric pair_sum - 2 g, written over g: ``pair_sum(i0, i1)`` gives rows
+    i0:i1 of the sum from column i0 on, the upper part that the mirror reads."""
+    for i0 in range(0, g.shape[0], BLOCK):
+        rows = g[i0:i0 + BLOCK, i0:]
+        rows *= 2.0
+        np.subtract(pair_sum(i0, i0 + BLOCK), rows, out=rows)
+    np.fill_diagonal(g, 0.0)
+    return mirror_upper_inplace(g)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,10 @@ def _check_lambda(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigenvalue vector must be 1-d and non-empty")
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"eigenvalue vector has a non-finite entry: {i} is {lam[i]}")
     if np.any(np.diff(lam) > 0.0):
         raise ValueError("eigenvalue vector must be sorted descending")
     return lam
@@ -129,48 +133,51 @@ def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
     )
 
 
+def _walk(lam: np.ndarray, k: int, mode: str, take_pos) -> SelectionResult:
+    """The greedy walk both signed selectors share, over a checked spectrum.
+
+    Each step takes the largest remaining positive eigenvalue p or the most
+    negative remaining one q.  When both remain, ``take_pos(step, p, q, s1, s2)``
+    decides, given the compensated sums s1 of the unchosen values and s2 of
+    their squares; otherwise the side that remains is taken.  Zero
+    eigenvalues are taken last, in ascending index order.  O(n) after the
+    sort the caller already did.
+    """
+    n = lam.size
+    k = _check_k(k, n)
+    npos = int(np.sum(lam > 0.0))
+    first_neg = n - int(np.sum(lam < 0.0))
+    vals = lam.tolist()
+    s1 = _Kahan(math.fsum(vals))
+    s2 = _Kahan(math.fsum((lam * lam).tolist()))
+
+    lo, hi, next_zero = 0, n - 1, npos
+    order: list[int] = []
+    for step in range(k):
+        has_neg = hi >= first_neg
+        if lo < npos and (not has_neg or take_pos(step, vals[lo], vals[hi], s1.value, s2.value)):
+            pick, lo = lo, lo + 1
+        elif has_neg:
+            pick, hi = hi, hi - 1
+        else:
+            pick, next_zero = next_zero, next_zero + 1
+        order.append(pick)
+        x = vals[pick]
+        s1.add(-x)
+        s2.add(-x * x)
+    return _result(lam, order, mode)
+
+
 def select_neuc(lam, k: int) -> SelectionResult:
     """Greedy optimal selection for the plain dropped-eigenvalue bound.
 
     Repeatedly adds the unchosen eigenvalue of largest magnitude whose sign
     matches the running sum H of unchosen eigenvalues (largest magnitude of
-    either sign when H is zero, positive winning magnitude ties).  Zero
-    eigenvalues are taken last, in ascending index order.  O(n) after the
-    sort the caller already did.
+    either sign when H is zero, positive winning magnitude ties).
     """
     lam = _check_lambda(lam)
-    n = lam.size
-    k = _check_k(k, n)
-    npos = int(np.sum(lam > 0.0))
-    nneg = int(np.sum(lam < 0.0))
     tol = SIGN_TEST_REL_TOL * float(np.sum(np.abs(lam)))
-
-    h = _Kahan(math.fsum(lam.tolist()))
-
-    lo, hi = 0, n - 1
-    next_zero = npos
-    order: list[int] = []
-    for _ in range(k):
-        has_pos = lo < npos
-        has_neg = hi >= n - nneg
-        if h.value > tol and has_pos:
-            pick = lo
-        elif h.value < -tol and has_neg:
-            pick = hi
-        elif has_pos and (not has_neg or lam[lo] >= -lam[hi]):
-            pick = lo
-        elif has_neg:
-            pick = hi
-        else:
-            pick = next_zero
-            next_zero += 1
-        if pick == lo:
-            lo += 1
-        elif pick == hi:
-            hi -= 1
-        order.append(pick)
-        h.add(-float(lam[pick]))
-    return _result(lam, order, NEUC)
+    return _walk(lam, k, NEUC, lambda step, p, q, h, s2: h > tol or (h >= -tol and p >= -q))
 
 
 def select_plus(lam, k: int) -> SelectionResult:
@@ -180,46 +187,12 @@ def select_plus(lam, k: int) -> SelectionResult:
     eigenvalue versus after adding the most negative remaining one (both under
     the |S|+2 scaling of the intermediate objective) and keeps the smaller.
     """
-    lam = _check_lambda(lam)
-    n = lam.size
-    k = _check_k(k, n)
-    npos = int(np.sum(lam > 0.0))
-    nneg = int(np.sum(lam < 0.0))
-
-    s1 = _Kahan(math.fsum(lam.tolist()))
-    s2 = _Kahan(math.fsum((lam * lam).tolist()))
-
-    lo, hi = 0, n - 1
-    next_zero = npos
-    order: list[int] = []
-    for step in range(k):
-        has_pos = lo < npos
-        has_neg = hi >= n - nneg
+    def take_pos(step, p, q, s1, s2):
         denom = step + 2.0  # |S u {candidate}| + 1
-        a1 = np.inf
-        a2 = np.inf
-        if has_pos:
-            p = float(lam[lo])
-            rest = s1.value - p
-            a1 = (s2.value - p * p) + rest * rest / denom
-        if has_neg:
-            q = float(lam[hi])
-            rest = s1.value - q
-            a2 = (s2.value - q * q) + rest * rest / denom
-        if not has_pos and not has_neg:
-            pick = next_zero
-            next_zero += 1
-        elif a1 < a2:
-            pick = lo
-            lo += 1
-        else:
-            pick = hi
-            hi -= 1
-        order.append(pick)
-        x = float(lam[pick])
-        s1.add(-x)
-        s2.add(-x * x)
-    return _result(lam, order, PLUS)
+        return ((s2 - p * p) + (s1 - p) * (s1 - p) / denom
+                < (s2 - q * q) + (s1 - q) * (s1 - q) / denom)
+
+    return _walk(_check_lambda(lam), k, PLUS, take_pos)
 
 
 def select_cmds(lam, k: int) -> SelectionResult:

@@ -1,6 +1,6 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 24 commands that succeed and 11 that fail with ``python -m neucmds.cli``
+Runs 24 commands that succeed and 14 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
@@ -73,6 +73,9 @@ ERROR_COMMANDS = [
     "embed --input x-short.bin --k 1 --output err.txt",
     "embed --input d.txt --format bin --k 1 --output err.txt",
     "embed --input missing.txt --k 1 --output err.txt",
+    "embed --input d.txt --k 0 --output err.txt",
+    "select --input d.txt --k 41 --output err.txt",
+    "sweep --input d.txt --k-list 0:4:2 --output err.txt",
 ]
 
 

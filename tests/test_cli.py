@@ -363,3 +363,24 @@ def test_invalid_input_is_named_by_its_path(argv, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {bad} is not symmetric: entry (1,2)=3.0 but (2,1)=4.0\n")
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("argv, k", [
+    (["embed", "--k", "0"], 0),
+    (["embed", "--k", "10"], 10),
+    (["select", "--k", "10"], 10),
+    (["sweep", "--k-list", "0:300:20"], 0),
+    (["sweep", "--k-list", "1:30:4"], 13),
+], ids=["embed-zero", "embed-above-n", "select-above-n", "sweep-zero", "sweep-above-n"])
+def test_k_is_checked_before_the_eigensolve(argv, k, tmp_path, monkeypatch, capsys):
+    from neucmds import cli, embedding
+
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before checking k")
+    for module in (cli, embedding):
+        monkeypatch.setattr(module, "eig_sym", fail)
+    inp = tmp_path / "d.txt"
+    write_matrix(inp, gen_random_simplex(9, seed=2), TEXT)
+    assert main([*argv, "--input", str(inp), "--output", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: k must satisfy 1 <= k <= 9, got {k}\n"
+    assert list(tmp_path.iterdir()) == [inp]

@@ -148,6 +148,14 @@ class TestMissing:
         with pytest.raises(ValueError, match="share no surviving coordinate"):
             perturb_missing(pts, 0.4, seed=2)
 
+    def test_error_names_the_first_pair(self):
+        # the seed-29 mask leaves (2,3), (2,5), (3,4) and (4,5) with no shared
+        # coordinate; the first in row-major order is named
+        pts = np.arange(18.0).reshape(6, 3)
+        with pytest.raises(ValueError) as err:
+            perturb_missing(pts, 0.5, seed=29)
+        assert str(err.value) == "points 2 and 3 share no surviving coordinate"
+
     def test_triangle_violations_at_half(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(100, 50))

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from neucmds import embedding, landmark, linalg
-from neucmds.embedding import ROW_BLOCK, Embedding, embed_from_decomposition, reconstruct, report
-from neucmds.linalg import double_center, eig_sym
+from neucmds.embedding import Embedding, embed_from_decomposition, reconstruct, report
+from neucmds.linalg import BLOCK, double_center, eig_sym
 from neucmds.metrics import (
     avg_geometric_distortion,
     negativity_stats,
@@ -25,7 +25,7 @@ from neucmds.selection import METHODS
 
 from conftest import random_hollow
 
-SIZES = [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 600]
+SIZES = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 600]
 
 
 # ---------------------------------------------------------------- references

@@ -103,6 +103,15 @@ def empirical_error(b, k, mode):
 
 
 class TestEmpirical:
+    @pytest.mark.parametrize("mode", ["cmds", "neuc"])
+    @pytest.mark.parametrize("lam, where", [([np.nan, 1.0, -1.0], "0 is nan"),
+                                            ([1.0, -1.0, -np.inf], "2 is -inf")],
+                             ids=["nan-first", "neg-inf-last"])
+    def test_rejects_non_finite_spectra(self, lam, where, mode):
+        with pytest.raises(ValueError) as err:
+            empirical_error_from_eigenvalues(np.array(lam), 2, mode)
+        assert str(err.value) == f"eigenvalue vector has a non-finite entry: {where}"
+
     def test_full_selection_is_zero(self):
         b = sample_wigner(50, 1.0, GAUSSIAN, seed=2)
         assert empirical_error(b, 50, "neuc") == 0.0

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neucmds.selection import (
@@ -8,6 +10,11 @@ from neucmds.selection import (
     METHODS,
     NEUC,
     PLUS,
+    SIGN_TEST_REL_TOL,
+    _check_k,
+    _check_lambda,
+    _Kahan,
+    _result,
     select,
     select_cmds,
     select_neuc,
@@ -240,3 +247,121 @@ def test_selection_is_prefix_nested(values, scale):
         full = select(lam, n, method).chosen
         for k in range(1, n + 1):
             np.testing.assert_array_equal(select(lam, k, method).chosen, full[:k])
+
+
+# ---------------------------------------------------------------- references
+# The two greedy selectors as written before they shared one walk.
+
+def ref_select_neuc(lam, k):
+    lam = _check_lambda(lam)
+    n = lam.size
+    k = _check_k(k, n)
+    npos = int(np.sum(lam > 0.0))
+    nneg = int(np.sum(lam < 0.0))
+    tol = SIGN_TEST_REL_TOL * float(np.sum(np.abs(lam)))
+
+    h = _Kahan(math.fsum(lam.tolist()))
+
+    lo, hi = 0, n - 1
+    next_zero = npos
+    order = []
+    for _ in range(k):
+        has_pos = lo < npos
+        has_neg = hi >= n - nneg
+        if h.value > tol and has_pos:
+            pick = lo
+        elif h.value < -tol and has_neg:
+            pick = hi
+        elif has_pos and (not has_neg or lam[lo] >= -lam[hi]):
+            pick = lo
+        elif has_neg:
+            pick = hi
+        else:
+            pick = next_zero
+            next_zero += 1
+        if pick == lo:
+            lo += 1
+        elif pick == hi:
+            hi -= 1
+        order.append(pick)
+        h.add(-float(lam[pick]))
+    return _result(lam, order, NEUC)
+
+
+def ref_select_plus(lam, k):
+    lam = _check_lambda(lam)
+    n = lam.size
+    k = _check_k(k, n)
+    npos = int(np.sum(lam > 0.0))
+    nneg = int(np.sum(lam < 0.0))
+
+    s1 = _Kahan(math.fsum(lam.tolist()))
+    s2 = _Kahan(math.fsum((lam * lam).tolist()))
+
+    lo, hi = 0, n - 1
+    next_zero = npos
+    order = []
+    for step in range(k):
+        has_pos = lo < npos
+        has_neg = hi >= n - nneg
+        denom = step + 2.0
+        a1 = np.inf
+        a2 = np.inf
+        if has_pos:
+            p = float(lam[lo])
+            rest = s1.value - p
+            a1 = (s2.value - p * p) + rest * rest / denom
+        if has_neg:
+            q = float(lam[hi])
+            rest = s1.value - q
+            a2 = (s2.value - q * q) + rest * rest / denom
+        if not has_pos and not has_neg:
+            pick = next_zero
+            next_zero += 1
+        elif a1 < a2:
+            pick = lo
+            lo += 1
+        else:
+            pick = hi
+            hi -= 1
+        order.append(pick)
+        x = float(lam[pick])
+        s1.add(-x)
+        s2.add(-x * x)
+    return _result(lam, order, PLUS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    ),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@example(values=[3.0, -3.0], scale=1.0)  # a magnitude tie at H = 0
+@example(values=[1.0, -2.000000000002e-12, -1.0], scale=1.0)  # H is exactly -tol
+def test_selectors_equal_their_references(values, scale):
+    # small integers give ties, zeros and exactly cancelling sums
+    lam = np.sort(np.asarray(values, dtype=np.float64) * scale)[::-1]
+    for selector, ref in ((select_neuc, ref_select_neuc), (select_plus, ref_select_plus)):
+        for k in range(1, lam.size + 1):
+            got, want = selector(lam, k), ref(lam, k)
+            assert got.chosen.tolist() == want.chosen.tolist()
+            assert got.w.tolist() == want.w.tolist()
+            assert (got.r, got.s, got.bound_c1, got.bound_c2, got.objective, got.mode) == (
+                want.r, want.s, want.bound_c1, want.bound_c2, want.objective, want.mode)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("lam, where", [
+    ([np.nan, 1.0, -1.0], "0 is nan"),
+    ([1.0, -1.0, -np.inf], "2 is -inf"),
+    ([np.inf, 0.0, -1.0], "0 is inf"),
+    ([2.0, np.nan, np.nan], "1 is nan"),
+], ids=["nan-first", "neg-inf-last", "inf-first", "nan-twice"])
+def test_select_rejects_non_finite_spectra(lam, where, method):
+    with pytest.raises(ValueError) as err:
+        select(np.array(lam), 2, method)
+    assert str(err.value) == f"eigenvalue vector has a non-finite entry: {where}"
