@@ -79,6 +79,7 @@ def cmd_embed(args) -> int:
     b = double_center(d, name=args.input)
     _check_k(args.k, b.shape[0])  # before the eigensolve
     dec = eig_sym(b)
+    del b  # one n x n less while the report runs
     emb = embed_from_decomposition(dec, args.k, args.method)
     rep = report(d, emb, dec)
     write_embedding(args.output, emb)
@@ -91,6 +92,7 @@ def cmd_select(args) -> int:
     b = double_center(d, name=args.input)
     _check_k(args.k, b.shape[0])  # before the eigensolve
     lam = eig_sym(b, vectors=False).eigenvalues
+    del b
     sel = select(lam, args.k, args.method)
     write_json(args.output, {
         "method": sel.mode,

@@ -185,6 +185,7 @@ def sweep(d, k_list, methods=(CMDS, NEUC, PLUS),
     methods = [normalize_method(m) for m in methods]
     k_list = [_check_k(k, b.shape[0]) for k in k_list]
     dec = eig_sym(b)
+    del b  # one n x n less while the reports run
     return [
         SweepEntry(k, m, report(d, embed_from_decomposition(dec, k, m), dec))
         for k in k_list

@@ -14,9 +14,10 @@ Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  Both work
 one row at a time: a row is converted by one numpy call and formatted by one
 ``%`` string; only a row that fails to convert is scanned token by token,
-to name the failing column.  Binary files are read into the result array
-directly and written from the array's own buffer, with no second n*n copy;
-they are the format for large n.
+to name the failing column.  A text matrix file is decoded line by line, so
+a read never holds the whole file as one object.  Binary files are read
+into the result array directly and written from the array's own buffer,
+with no second n*n copy; they are the format for large n.
 """
 
 from __future__ import annotations
@@ -78,15 +79,16 @@ def format_rows(head, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table(text: str, name: str = "matrix", square: bool = True) -> np.ndarray:
+def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
     """Parse a text table of floats below a header line of counts.
 
-    A square matrix has the header "n" and n rows of n values; a point cloud
+    ``text`` is a str or the list of its lines (``str.splitlines``).  A
+    square matrix has the header "n" and n rows of n values; a point cloud
     (``square=False``) has the header "n d" and n rows of d values.  Errors
     name their line, and their column where there is one.  Lines after the
     declared rows must be blank.
     """
-    lines = text.splitlines()
+    lines = text.splitlines() if isinstance(text, str) else text
     if not lines:
         raise ValueError(f"{name}: line 1: empty file")
     expected = "the matrix order" if square else "'n d'"
@@ -145,7 +147,14 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         head = fh.read(_HEADER_BYTES)
         is_binary = head[:4] == MAGIC
         if not (fmt == BINARY or (fmt is None and is_binary)):
-            return parse_table((head + fh.read()).decode(), name=str(path))
+            fh.seek(0)
+            try:  # line by line: the file is never one bytes or str object
+                lines = [p for raw in fh for p in raw.decode().splitlines()]
+            except UnicodeDecodeError:
+                fh.seek(0)
+                fh.read().decode()  # raises the whole-file error, which names the file offset
+                raise
+            return parse_table(lines, name=str(path))
         if not is_binary:
             raise ValueError(f"{path}: missing binary magic")
         if len(head) < _HEADER_BYTES:

@@ -7,9 +7,12 @@ the per-element versions they replaced.  Formatting must match byte for
 byte, parsing bitwise, and every malformed table must fail with the
 reference's exact message.  The text writers send the file in blocks of
 rows; the file must be the reference text of the whole table.
+``read_matrix`` decodes a text file line by line; it must split the lines
+and fail exactly as a decode of the whole file does.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +256,71 @@ def test_malformed_square(text):
 ])
 def test_malformed_points(text):
     assert_same_error(text, square=False)
+
+
+# ---------------------------------------------------------------- text reader
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def ref_read_text(path):
+    """The whole-file decode that read_matrix's line-by-line decode replaced."""
+    with open(path, "rb") as fh:
+        return ref_parse_table(fh.read().decode(), name=str(path))
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path).tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_text_read_splits_lines_like_the_whole_file(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    rows = [str(n)] + [" ".join(str(v) for v in rng.normal(size=n).tolist()) for _ in range(n)]
+    rows += [""] * int(rng.integers(0, 3)) + ["7"] * int(rng.random() < 0.2)
+    breaks = rng.choice(LINE_BREAKS, size=len(rows))
+    text = "".join(r + str(b) for r, b in zip(rows, breaks))
+    if rng.random() < 0.5:
+        text = text[:-len(breaks[-1])]  # no line break at the end of the file
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    assert outcome(read_matrix, path) == outcome(ref_read_text, path)
+
+
+@pytest.mark.parametrize("data", [
+    b"2\n0 1\n1 \xff0\n",              # an undecodable byte: the file offset is named
+    b"x\n0 1\n1 0\n\xe2\x82\n",         # after a header error: the decode error wins
+    b"2\n0 x\n1 0\n\n\xc3",             # after a bad row: the decode error wins
+    b"2\n0 1\n1 0\n\xff",               # trailing bytes only
+    b"\xef\xbb\xbf2\n0 1\n1 0\n",       # a byte-order mark is part of the header
+    "2\n0 1\n1 0\u2028\n".encode(),     # a multi-byte line break
+])
+def test_text_read_errors_are_the_whole_file_errors(data, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    assert outcome(read_matrix, path) == outcome(ref_read_text, path)
+
+
+def test_text_read_never_holds_the_file_as_one_object(tmp_path):
+    n = 200
+    m = random_hollow(np.random.default_rng(4), n)
+    path = tmp_path / "m.txt"
+    path.write_text(ref_format_rows([str(n)], m))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        got = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == m.tobytes()
+    # the lines and the result; a whole-file read holds two copies of the file at once
+    assert peak < 1.5 * size + m.nbytes
 
 
 # ---------------------------------------------------------------- text writers
