@@ -40,7 +40,6 @@ from .metrics import StressReport
 from .selection import METHODS, NEUC, _check_k, normalize_method, select
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
@@ -74,25 +73,20 @@ def _parse_list(expr: str, option: str, parse) -> list:
     return values
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> None:
     d = read_matrix(args.input, args.format)
-    b = double_center(d, name=args.input)
-    _check_k(args.k, b.shape[0])  # before the eigensolve
-    dec = eig_sym(b)
-    del b  # one n x n less while the report runs
+    _check_k(args.k, d.shape[0])  # before the eigensolve
+    dec = eig_sym(double_center(d, name=args.input))
     emb = embed_from_decomposition(dec, args.k, args.method)
     rep = report(d, emb, dec)
     write_embedding(args.output, emb)
     write_json(args.output + ".report.json", rep.to_dict())
-    return EXIT_OK
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     d = read_matrix(args.input, args.format)
-    b = double_center(d, name=args.input)
-    _check_k(args.k, b.shape[0])  # before the eigensolve
-    lam = eig_sym(b, vectors=False).eigenvalues
-    del b
+    _check_k(args.k, d.shape[0])  # before the eigensolve
+    lam = eig_sym(double_center(d, name=args.input), vectors=False).eigenvalues
     sel = select(lam, args.k, args.method)
     write_json(args.output, {
         "method": sel.mode,
@@ -104,19 +98,17 @@ def cmd_select(args) -> int:
         "bound_c2": sel.bound_c2,
         "objective": sel.objective,
     })
-    return EXIT_OK
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     if args.kind == "simplex":
         d = gen_random_simplex(args.n, seed=args.seed)
     else:
         d = gen_euclidean_ball(args.n, seed=args.seed)
     write_matrix(args.output, d, args.format)
-    return EXIT_OK
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> None:
     p = read_points(args.input)
     if args.kind == "knn":
         d = perturb_knn(p, args.k_nn)
@@ -126,20 +118,18 @@ def cmd_perturb(args) -> int:
     else:
         d = perturb_missing(p, args.keep_prob, seed=args.seed)
     write_matrix(args.output, d, args.format)
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     methods = _parse_list(args.methods, "--methods", normalize_method)
     d = read_matrix(args.input, args.format)
     entries = sweep(d, _parse_k_list(args.k_list), methods, name=args.input)
     header = ["k", "method", *(f.name for f in fields(StressReport))]
     rows = [[e.k, e.method, *e.report.to_dict().values()] for e in entries]
     write_csv(args.output, header, rows)
-    return EXIT_OK
 
 
-def cmd_rmt(args) -> int:
+def cmd_rmt(args) -> None:
     mode = args.method
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
@@ -159,17 +149,15 @@ def cmd_rmt(args) -> int:
         ]))
         rows.append([c, r, expected, empirical, (empirical - expected) / expected])
     write_csv(args.output, ["c", "r", "theory", "empirical", "rel_err"], rows)
-    return EXIT_OK
 
 
-def cmd_landmark(args) -> int:
+def cmd_landmark(args) -> None:
     d = read_matrix(args.input, args.format)
     emb = embed_landmark(d, args.landmarks, args.k, method=args.method, seed=args.seed,
                          name=args.input)
     # no spectral split against the full matrix exists for a landmark embedding
     write_json(args.output + ".report.json", report(d, emb).to_dict())
     write_embedding(args.output, emb)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
@@ -261,13 +249,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -120,8 +120,9 @@ def embed(d, k: int, method: str = NEUC) -> Embedding:
     selected values are clamped to zero-filled axes.  Deterministic in
     (d, k, method).
     """
-    dec = eig_sym(double_center(d))
-    return embed_from_decomposition(dec, k, method)
+    d = as_square_matrix(d, "dissimilarity matrix")
+    _check_k(k, d.shape[0])  # before the eigensolve
+    return embed_from_decomposition(eig_sym(double_center(d)), k, method)
 
 
 def reconstruct(emb: Embedding) -> np.ndarray:

@@ -171,8 +171,8 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
 
 
 def read_points(path) -> np.ndarray:
-    with open(path) as fh:
-        return parse_table(fh.read(), name=str(path), square=False)
+    with open(path, "rb") as fh:  # UTF-8 whatever the locale, as read_matrix
+        return parse_table(fh.read().decode(), name=str(path), square=False)
 
 
 def write_points(path, p: np.ndarray) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import Embedding, embed_from_decomposition
 from .linalg import as_square_matrix, check_dissimilarity, double_center, eig_sym
-from .selection import NEUC, normalize_method
+from .selection import NEUC, _check_k, normalize_method
 
 # axes whose |axis value| falls below this fraction of the largest are
 # dropped from the model instead of divided by
@@ -87,6 +87,7 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
         raise ValueError(f"cannot draw {m} landmarks from {n} points")
     if m <= k:
         raise ValueError(f"need more landmarks than axes: m={m}, k={k}")
+    _check_k(k, m)  # before the eigensolve
     idx = _pick_landmarks(d, m, seed, strategy)
     sub = d[np.ix_(idx, idx)]
     dec = eig_sym(double_center(sub))

@@ -49,14 +49,9 @@ def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
 BLOCK = 128  # row block of the in-place n x n constructions
 
 
-def mirror_upper(m: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy of m, in its dtype: the upper triangle (diagonal kept)
-    mirrored down, each entry ``+ 0`` so that -0.0 reads +0.0."""
-    return mirror_upper_inplace(np.array(m, order="C"))
-
-
 def mirror_upper_inplace(a: np.ndarray) -> np.ndarray:
-    """``mirror_upper`` written over a itself, one block of rows at a time; returns a."""
+    """Mirror a's upper triangle (diagonal kept) down in place, one block of rows at
+    a time, each entry ``+ 0`` so that -0.0 reads +0.0; returns a."""
     for i0 in range(0, a.shape[0], BLOCK):
         i1 = i0 + BLOCK
         a[i0:i1, i0:] += 0
@@ -137,7 +132,8 @@ def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
     ``landmark`` need the eigenvectors.  Both paths check symmetry the same
     way and sort the same way.
 
-    Deterministic for a given input; ties keep the solver's original order.
+    Deterministic for a given input; the solver's ascending output is
+    reversed, so ties come out in reverse solver order.
 
     Raises
     ------
@@ -152,8 +148,7 @@ def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
         lam, u = np.linalg.eigh(b)
     else:
         lam, u = np.linalg.eigvalsh(b), None
-    order = np.argsort(-lam, kind="stable")
     return SpectralDecomposition(
-        eigenvalues=np.ascontiguousarray(lam[order]),
-        eigenvectors=None if u is None else np.ascontiguousarray(u[:, order]),
+        eigenvalues=np.ascontiguousarray(lam[::-1]),
+        eigenvectors=None if u is None else np.ascontiguousarray(u[:, ::-1]),
     )

@@ -131,10 +131,8 @@ def avg_geometric_distortion(d, d_hat) -> float | None:
     logs, other = d[ok], d_hat[ok]
     np.subtract(np.log(logs, out=logs), np.log(other, out=other), out=logs)
     logs *= 0.5
-    np.copyto(other, logs)  # np.median's steps, in the dead d_hat gather, not a copy
-    mid = other.size // 2
-    other.partition([mid - 1, mid])
-    logs -= np.mean(other[mid - 1 + other.size % 2:mid + 1])
+    np.copyto(other, logs)  # the median partitions the dead d_hat gather, not a copy
+    logs -= np.median(other, overwrite_input=True)
     return float(math.exp(np.mean(np.abs(logs, out=logs))))
 
 

@@ -3,6 +3,8 @@
 ``select_bruteforce`` enumerates every chosen subset, so it is exact but
 exponential; the greedy selectors must match it.  ``gram_to_dissim`` is the
 inverse of :func:`neucmds.linalg.double_center` on centered Gram matrices.
+``mirror_upper`` is the copying form of
+:func:`neucmds.linalg.mirror_upper_inplace`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from neucmds.linalg import as_square_matrix, check_symmetric, mirror_upper
+from neucmds.linalg import as_square_matrix, check_symmetric, mirror_upper_inplace
 from neucmds.selection import (
     CMDS,
     NEUC,
@@ -65,6 +67,12 @@ def select_bruteforce(lam, k: int, mode: str = NEUC) -> SelectionResult:
         obj = s2 + s1 * s1
     best = int(np.flatnonzero(obj == obj.min())[0])
     return _result(lam, list(combos[best]), mode)
+
+
+def mirror_upper(m: np.ndarray) -> np.ndarray:
+    """Exactly symmetric copy of m, in its dtype: the upper triangle (diagonal kept)
+    mirrored down, each entry ``+ 0`` so that -0.0 reads +0.0."""
+    return mirror_upper_inplace(np.array(m, order="C"))
 
 
 def gram_to_dissim(g) -> np.ndarray:

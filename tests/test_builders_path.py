@@ -22,9 +22,10 @@ from neucmds.datasets import (
     perturb_noise,
     signed_sq_dissimilarity,
 )
-from neucmds.linalg import BLOCK, double_center, mirror_upper
+from neucmds.linalg import BLOCK, double_center
 
 from conftest import random_hollow
+from oracle import mirror_upper
 
 SIZES = [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 600]
 SEEDS = [0, 5, 2**31 + 3]

@@ -16,12 +16,13 @@ from neucmds import cli
 from neucmds.datasets import gen_random_simplex
 from neucmds.embedding import embed_from_decomposition, report
 from neucmds.io import write_matrix
-from neucmds.linalg import double_center, eig_sym, mirror_upper
+from neucmds.linalg import double_center, eig_sym
 from neucmds.metrics import decompose
 from neucmds.rmt import GAUSSIAN, RADEMACHER, sample_wigner
 from neucmds.selection import METHODS, select
 
 from conftest import random_hollow
+from oracle import mirror_upper
 
 SPECTRUM_RTOL = 1e-12  # scaled by max|lambda|
 

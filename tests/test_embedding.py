@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from neucmds.embedding import (
     Embedding,
@@ -15,7 +17,7 @@ from neucmds.linalg import (
     eig_sym,
 )
 from neucmds.metrics import stress
-from neucmds.selection import CMDS, NEUC, PLUS
+from neucmds.selection import CMDS, METHODS, NEUC, PLUS, select
 
 from conftest import random_edm, random_hollow
 
@@ -252,3 +254,72 @@ def test_shared_decomposition_matches_pipeline(rng):
     a = embed_from_decomposition(dec, 5, NEUC)
     b = embed(d, 5, NEUC)
     np.testing.assert_array_equal(a.coords, b.coords)
+
+
+# ---------------------------------------------------------------- invariance properties
+
+# Inside a tied eigenspace the basis and the tie order are arbitrary, and a
+# near-zero axis takes its sign and scale from rounding.  The properties are
+# stated for inputs whose chosen eigenvalues lie at least this far, relative
+# to max|lambda|, from every dropped eigenvalue and from zero.
+CUT_GAP = 1e-8
+COORDS_RTOL = 1e-12  # scaled by max|coords|
+
+
+@st.composite
+def cut_cases(draw):
+    """(d, k, method, B) for a random hollow d whose selection has a clear cut."""
+    n = draw(st.integers(2, 10))
+    d = random_hollow(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    k = draw(st.integers(1, n))
+    method = draw(st.sampled_from(METHODS))
+    b = double_center(d)
+    lam = eig_sym(b).eigenvalues
+    chosen = select(lam, k, method).chosen
+    picked, dropped = lam[chosen], np.delete(lam, chosen)
+    gap = CUT_GAP * np.abs(lam).max()
+    assume(np.abs(picked).min() >= gap)
+    assume(dropped.size == 0 or np.abs(picked[:, None] - dropped).min() >= gap)
+    return d, k, method, b
+
+
+def assert_coords_close(got, expected):
+    """got equals expected to COORDS_RTOL, with one sign per axis fixed by the
+    eigenvector's largest |entry|; an axis where that entry is not unique (every
+    axis at n = 2) has no sign to fix and may come out flipped."""
+    top = np.sort(np.abs(expected), axis=1)
+    shared = top[:, -1] - top[:, -2] <= CUT_GAP * top[:, -1]
+    expected = expected.copy()
+    expected[shared] *= np.sign(np.sum(got[shared] * expected[shared], axis=1))[:, None]
+    tol = COORDS_RTOL * max(np.abs(expected).max(), np.finfo(float).tiny)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cut_cases(), s=st.floats(1e-3, 1e3))
+def test_scaling_d_scales_coords_by_its_root(case, s):
+    d, k, method, _ = case
+    a, b = embed(d, k, method), embed(s * d, k, method)
+    np.testing.assert_array_equal(b.axis_indices, a.axis_indices)
+    np.testing.assert_array_equal(b.signature, a.signature)
+    assert_coords_close(b.coords, np.sqrt(s) * a.coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cut_cases(), seed=st.integers(0, 2**32 - 1))
+def test_permuting_d_permutes_the_coordinate_columns(case, seed):
+    d, k, method, _ = case
+    perm = np.random.default_rng(seed).permutation(d.shape[0])
+    a, b = embed(d, k, method), embed(d[np.ix_(perm, perm)], k, method)
+    np.testing.assert_array_equal(b.axis_indices, a.axis_indices)
+    np.testing.assert_array_equal(b.signature, a.signature)
+    assert_coords_close(b.coords, a.coords[:, perm])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cut_cases())
+def test_values_only_spectrum_selects_as_the_full_solve(case):
+    _, k, method, b = case
+    full = select(eig_sym(b).eigenvalues, k, method)
+    values_only = select(eig_sym(b, vectors=False).eigenvalues, k, method)
+    np.testing.assert_array_equal(values_only.chosen, full.chosen)

@@ -8,11 +8,16 @@ byte, parsing bitwise, and every malformed table must fail with the
 reference's exact message.  The text writers send the file in blocks of
 rows; the file must be the reference text of the whole table.
 ``read_matrix`` decodes a text file line by line; it must split the lines
-and fail exactly as a decode of the whole file does.
+and fail exactly as a decode of the whole file does.  Both text readers
+decode UTF-8 whatever the locale.
 """
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from neucmds.io import (
     format_rows,
     parse_table,
     read_matrix,
+    read_points,
     write_embedding,
     write_matrix,
     write_points,
@@ -321,6 +327,37 @@ def test_text_read_never_holds_the_file_as_one_object(tmp_path):
     assert got.tobytes() == m.tobytes()
     # the lines and the result; a whole-file read holds two copies of the file at once
     assert peak < 1.5 * size + m.nbytes
+
+
+# Python's UTF-8 mode and locale coercion off: the locale decodes ASCII only
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+READ_BOTH = """
+import locale, sys
+from neucmds.io import read_matrix, read_points
+assert locale.getpreferredencoding(False) != "UTF-8"
+print(read_matrix(sys.argv[1]).tolist(), read_points(sys.argv[2]).tolist())
+"""
+
+
+def test_text_readers_decode_utf8_in_an_ascii_locale(tmp_path):
+    # U+00A0 is whitespace to str.split and two bytes in UTF-8
+    (tmp_path / "m.txt").write_bytes("2\n0\u00a01\n1 0\n".encode())
+    (tmp_path / "p.txt").write_bytes("2 2\n1\u00a02\n3 4\n".encode())
+    src = str(Path(io.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", READ_BOTH, str(tmp_path / "m.txt"), str(tmp_path / "p.txt")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **ASCII_LOCALE))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[[0.0, 1.0], [1.0, 0.0]] [[1.0, 2.0], [3.0, 4.0]]\n"
+
+
+def test_points_decode_error_names_the_file_offset(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"2 1\n1\n\xff\n")
+    with pytest.raises(UnicodeDecodeError, match="in position 6:"):
+        read_points(path)
 
 
 # ---------------------------------------------------------------- text writers

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neucmds import embedding, landmark
 from neucmds.embedding import embed, reconstruct
 from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
 from neucmds.linalg import double_center, eig_sym
@@ -119,3 +120,18 @@ class TestEmbedLandmark:
         full = embed(d, 4, NEUC)
         lm = embed_landmark(d, 15, 4, NEUC, seed=0)
         np.testing.assert_allclose(lm.coords, full.coords, atol=1e-10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: embed(d, 0), "1 <= k <= 8, got 0"),
+    (lambda d: embed(d, 9), "1 <= k <= 8, got 9"),
+    (lambda d: embed_landmark(d, 5, 0), "1 <= k <= 5, got 0"),
+], ids=["embed-k-0", "embed-k-above-n", "landmark-k-0"])
+def test_bad_k_fails_before_the_eigensolve(call, message, monkeypatch, rng):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the eigensolve ran with a bad k")
+
+    monkeypatch.setattr(embedding, "eig_sym", unreachable)
+    monkeypatch.setattr(landmark, "eig_sym", unreachable)
+    with pytest.raises(ValueError, match=f"k must satisfy {message}$"):
+        call(random_hollow(rng, 8))

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -34,3 +37,43 @@ def test_cli_import_loads_no_scipy(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d.txt").exists()
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _calls(tree, func):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == func]
+
+
+def _traced_function(module, name):
+    """The function the tracer records as ``<module>.<name>``, or None."""
+    obj = getattr(importlib.import_module(f"neucmds.{module}"), name, None)
+    if inspect.isfunction(obj) and (obj.__module__, obj.__name__) == (f"neucmds.{module}", name):
+        return obj
+    return None
+
+
+def test_benchmark_layer_names_match_the_package():
+    # a renamed or inlined function would leave its per-layer metric reading 0
+    tree = ast.parse(TRACER.read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named = [arg.value for fn in ("command_metrics", "setup_metrics")
+             for call in _calls(defs[fn], "_is") for arg in call.args]
+    assert named, "no module.function names found in the tracer"
+    assert [n for n in named if _traced_function(*n.split(".", 1)) is None] == []
+    # each prefix predicate: `_layer(n) == "<module>" and _func(n).startswith("<prefix>")`
+    prefixes = []
+    for fn in defs.values():
+        layers = [node.comparators[0].value for node in ast.walk(fn)
+                  if isinstance(node, ast.Compare) and _calls(node.left, "_layer")]
+        starts = [node.args[0].value for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "startswith" and _calls(node.func.value, "_func")]
+        prefixes += [(layer, start) for layer in layers for start in starts]
+    assert {("linalg", "check_"), ("selection", "select_")} <= set(prefixes)
+    for module, start in prefixes:
+        names = vars(importlib.import_module(f"neucmds.{module}"))
+        assert any(name.startswith(start) and _traced_function(module, name)
+                   for name in names), f"no {module}.{start}* function"
