@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+BLOCK = 128  # row strip of the n x n checks, constructions and pair metrics
+
+
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square float64 array, copying only if needed."""
     m = np.asarray(a, dtype=np.float64)
@@ -22,20 +25,27 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
-    """Require exact (bitwise) symmetry; our constructors guarantee it."""
-    if not np.array_equal(m, m.T):
-        bad = np.argwhere(m != m.T)
-        i, j = (int(v) for v in bad[0])
-        raise ValueError(
-            f"{name} is not symmetric: entry ({i},{j})={float(m[i, j])} "
-            f"but ({j},{i})={float(m[j, i])}"
-        )
+    """Require exact (bitwise) symmetry; our constructors guarantee it.
+
+    Compares each strip of ``BLOCK`` rows from the diagonal on with the
+    matching column strip, so a symmetric m costs no n x n temporary; a NaN
+    anywhere fails.  Only a failing m is compared whole, to name its first
+    asymmetric entry in row-major order.
+    """
+    if all(np.array_equal(m[i0:i0 + BLOCK, i0:], m[i0:, i0:i0 + BLOCK].T)
+           for i0 in range(0, m.shape[0], BLOCK)):
+        return
+    i, j = (int(v) for v in np.argwhere(m != m.T)[0])
+    raise ValueError(
+        f"{name} is not symmetric: entry ({i},{j})={float(m[i, j])} "
+        f"but ({j},{i})={float(m[j, i])}"
+    )
 
 
 def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
     """Validate a finite hollow symmetric matrix and return it as float64."""
     d = as_square_matrix(d, name)
-    if not np.isfinite(d).all():
+    if not all(np.isfinite(d[i0:i0 + BLOCK]).all() for i0 in range(0, d.shape[0], BLOCK)):
         i, j = (int(v) for v in np.argwhere(~np.isfinite(d))[0])
         raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
     check_symmetric(d, name)
@@ -44,9 +54,6 @@ def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
         i = int(np.flatnonzero(diag != 0.0)[0])
         raise ValueError(f"{name} is not hollow: diagonal entry {i} is {float(diag[i])}")
     return d
-
-
-BLOCK = 128  # row block of the in-place n x n constructions
 
 
 def mirror_upper_inplace(a: np.ndarray) -> np.ndarray:

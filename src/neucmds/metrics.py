@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .linalg import BLOCK
+
 
 @dataclass(frozen=True)
 class StressReport:
@@ -116,6 +118,22 @@ def scaled_additive_error(d, d_hat) -> float:
     return float(np.linalg.norm(np.subtract(x, residual, out=residual)))
 
 
+def _above_diagonal(mask: np.ndarray) -> np.ndarray:
+    """Clear, in a mask of the strip ``[i0:i0 + BLOCK, i0:]``, the entries on and
+    below the diagonal; returns the mask."""
+    tile = mask[:, :mask.shape[0]]
+    np.copyto(tile, False, where=np.tri(*tile.shape, dtype=bool))
+    return mask
+
+
+def _qualifying(d, d_hat, i0) -> np.ndarray:
+    """Mask of the strict-upper pairs in strip i0 positive on both sides."""
+    rows = slice(i0, i0 + BLOCK)
+    ok = d[rows, i0:] > 0.0
+    ok &= d_hat[rows, i0:] > 0.0
+    return _above_diagonal(ok)
+
+
 def avg_geometric_distortion(d, d_hat) -> float | None:
     """Scale-free geometric mean distortion over comparable pairs.
 
@@ -123,24 +141,41 @@ def avg_geometric_distortion(d, d_hat) -> float | None:
     ratio set by the reciprocal of its median so equal counts lie above and
     below one, flips ratios below one, and returns the geometric mean.
     None when no pair qualifies.
+
+    Reads d and d_hat in strips of ``BLOCK`` rows and holds two float
+    buffers of the qualifying count: the log-ratios and the copy the median
+    partitions.
     """
     d, d_hat = _pair(d, d_hat)
-    ok = np.triu((d > 0.0) & (d_hat > 0.0), 1)  # gathers row-major: fixes the mean's order
-    if not np.any(ok):
+    starts = range(0, d.shape[0], BLOCK)
+    count = sum(int(np.count_nonzero(_qualifying(d, d_hat, i0))) for i0 in starts)
+    if count == 0:
         return None
-    logs, other = d[ok], d_hat[ok]
-    np.subtract(np.log(logs, out=logs), np.log(other, out=other), out=logs)
+    logs, end = np.empty(count), 0
+    for i0 in starts:  # row-major over the upper triangle: fixes the mean's order
+        ok = _qualifying(d, d_hat, i0)
+        rows = slice(i0, i0 + BLOCK)
+        out = logs[end:end + int(np.count_nonzero(ok))]
+        end += out.size
+        np.log(d[rows, i0:][ok], out=out)
+        other = d_hat[rows, i0:][ok]
+        np.subtract(out, np.log(other, out=other), out=out)
     logs *= 0.5
-    np.copyto(other, logs)  # the median partitions the dead d_hat gather, not a copy
-    logs -= np.median(other, overwrite_input=True)
+    # np.median's value up to the sign of a zero, which the abs drops; it needs
+    # no NaN check, as a NaN log-ratio (+inf on both sides) makes the mean NaN
+    half = count // 2
+    part = logs.copy()
+    part.partition(half)
+    logs -= part[half] if count % 2 else (part[:half].max() + part[half]) / 2.0
     return float(math.exp(np.mean(np.abs(logs, out=logs))))
 
 
 def negativity_stats(d_hat, signature) -> tuple[int, int]:
     """Counts of negative off-diagonal dissimilarities (each pair once) and
-    of axes carrying negative signature."""
+    of axes carrying negative signature.  Reads d_hat in strips of ``BLOCK``
+    rows."""
     d_hat = np.asarray(d_hat, dtype=np.float64)
-    neg_pairs = int(np.count_nonzero(np.triu(d_hat < 0.0, 1)))
+    neg_pairs = sum(int(np.count_nonzero(_above_diagonal(d_hat[i0:i0 + BLOCK, i0:] < 0.0)))
+                    for i0 in range(0, d_hat.shape[0], BLOCK))
     neg_axes = int(np.sum(np.asarray(signature) < 0))
     return neg_pairs, neg_axes
-

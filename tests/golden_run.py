@@ -1,10 +1,10 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 24 commands that succeed and 14 that fail with ``python -m neucmds.cli``
+Runs 25 commands that succeed and 14 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
-directory (39 files), and the exit code and stderr of every command.  Two
+directory (41 files), and the exit code and stderr of every command.  Two
 trees give the same output exactly when the CLI is byte-identical on this
 set, so a refactor is checked with
 
@@ -49,6 +49,7 @@ COMMANDS = [
     *(f"select --input d.txt --k 5 --method {m} --output s-{m}.json"
       for m in ("cmds", "neuc", "neuc-plus")),
     "embed --input d.bin --k 4 --output eb.txt",
+    "embed --input b.bin --k 4 --method neuc --output ebn.txt",  # a non-null avg_distortion
     "embed --input pk.txt --k 3 --output epk.txt",
     "embed --input big.txt --k 50 --method neuc-plus --output ebig.txt",
     "sweep --input d.txt --k-list 1:10:3 --output sw.csv",

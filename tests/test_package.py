@@ -24,6 +24,33 @@ assert "scipy.sparse.csgraph" in sys.modules
 """
 
 
+# the report's median partitions once and reads the middle values itself:
+# np.median's NaN check would import numpy.ma (13 ms, 1.1 MiB) on every command
+REPORT_CHECK = """
+import sys
+from neucmds import cli
+d, e, lm = sys.argv[1:]
+for argv in (["generate", "--kind", "balls", "--n", "40", "--seed", "3", "--format", "bin",
+              "--output", d],
+             ["embed", "--input", d, "--k", "3", "--method", "neuc", "--output", e],
+             ["landmark", "--input", d, "--k", "2", "--landmarks", "12", "--seed", "1",
+              "--output", lm]):
+    assert cli.main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules, "numpy.ma loaded"
+"""
+
+
+def test_embed_and_landmark_load_no_numpy_ma(tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    outputs = [tmp_path / "e.txt", tmp_path / "lm.txt"]
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_CHECK, str(tmp_path / "b.bin"), *map(str, outputs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    for out in outputs:  # both reports took a median
+        assert '"avg_distortion": null' not in Path(f"{out}.report.json").read_text()
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from neucmds import *", namespace)

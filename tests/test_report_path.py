@@ -1,20 +1,27 @@
 """The lean report path against the reference bodies it replaced.
 
-``reconstruct`` and the metrics behind ``report`` build at most one n x n
-array each.  The reference functions below are the straightforward
-versions they replaced; every result must match them bitwise, on
-symmetric, asymmetric and negative inputs alike.
+``reconstruct``, ``stress`` and ``scaled_additive_error`` build at most one
+n x n array each.  ``negativity_stats``, ``avg_geometric_distortion``,
+``check_symmetric`` and ``check_dissimilarity`` read their inputs in strips
+of ``BLOCK`` rows and build no n x n temporary; the distortion holds two
+float buffers of the qualifying pair count.  The ``ref_*`` functions below
+are the straightforward versions; every result must match them bitwise, on
+symmetric, asymmetric and negative inputs alike.  The ``whole_*`` functions
+are the whole-matrix bodies the strip versions replaced: the checks must
+give their messages, and a memory guard must hold for the strip versions
+and fail for them.
 """
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from neucmds import embedding, landmark, linalg
 from neucmds.embedding import Embedding, embed_from_decomposition, reconstruct, report
-from neucmds.linalg import BLOCK, double_center, eig_sym
+from neucmds.linalg import BLOCK, check_dissimilarity, check_symmetric, double_center, eig_sym
 from neucmds.metrics import (
     avg_geometric_distortion,
     negativity_stats,
@@ -73,6 +80,42 @@ def ref_avg_geometric_distortion(d, d_hat):
 def ref_negativity_stats(d_hat, signature):
     iu = np.triu_indices(d_hat.shape[0], 1)
     return int(np.sum(d_hat[iu] < 0.0)), int(np.sum(np.asarray(signature) < 0))
+
+
+# the whole-matrix bodies the strip versions replaced: the message and memory references
+
+def whole_check_symmetric(m, name="matrix"):
+    if not np.array_equal(m, m.T):
+        bad = np.argwhere(m != m.T)
+        i, j = (int(v) for v in bad[0])
+        raise ValueError(
+            f"{name} is not symmetric: entry ({i},{j})={float(m[i, j])} "
+            f"but ({j},{i})={float(m[j, i])}"
+        )
+
+
+def whole_check_dissimilarity(d, name="dissimilarity matrix"):
+    if not np.isfinite(d).all():
+        i, j = (int(v) for v in np.argwhere(~np.isfinite(d))[0])
+        raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
+    whole_check_symmetric(d, name)
+
+
+def whole_avg_geometric_distortion(d, d_hat):
+    ok = np.triu((d > 0.0) & (d_hat > 0.0), 1)
+    if not np.any(ok):
+        return None
+    logs, other = d[ok], d_hat[ok]
+    np.subtract(np.log(logs, out=logs), np.log(other, out=other), out=logs)
+    logs *= 0.5
+    np.copyto(other, logs)
+    logs -= np.median(other, overwrite_input=True)
+    return float(math.exp(np.mean(np.abs(logs, out=logs))))
+
+
+def whole_negativity_stats(d_hat, signature):
+    neg_pairs = int(np.count_nonzero(np.triu(d_hat < 0.0, 1)))
+    return neg_pairs, int(np.sum(np.asarray(signature) < 0))
 
 
 def empty_embedding(n):
@@ -158,6 +201,71 @@ def test_metrics_match_on_negative_inputs(n):
     assert_metrics_match(np.zeros((n, n)), -np.abs(d))
 
 
+# ---------------------------------------------------------------- strip paths
+
+STRIP_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1]
+
+
+def few_pairs(n, count, seed):
+    """(d, d_hat) with exactly ``count`` qualifying pairs: d is negative except
+    on its diagonal, on ``count`` random strict-upper entries (the last pair
+    among them) and on as many lower entries, which do not count; d_hat is
+    positive everywhere."""
+    rng = np.random.default_rng(seed)
+    d = -rng.uniform(0.1, 2.0, size=(n, n))
+    np.fill_diagonal(d, 1.0)
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    last = (n - 2) * n + n - 1
+    picked = np.append(rng.choice(upper[upper != last], count - 1, replace=False), last)
+    d.flat[picked] = rng.uniform(0.1, 10.0, size=count)
+    lower = np.flatnonzero(np.tril(np.ones((n, n), dtype=bool), -1))
+    d.flat[rng.choice(lower, count, replace=False)] = 5.0
+    return d, rng.uniform(0.1, 10.0, size=(n, n))
+
+
+@pytest.mark.parametrize("n", STRIP_SIZES)
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 101, 1000])
+def test_strip_metrics_match_on_few_qualifying_pairs(n, count):
+    d, d_hat = few_pairs(n, count, seed=n * 7 + count)
+    want = ref_avg_geometric_distortion(d, d_hat)
+    assert want is not None
+    assert avg_geometric_distortion(d, d_hat) == want
+    assert avg_geometric_distortion(d_hat, d) == ref_avg_geometric_distortion(d_hat, d)
+    assert negativity_stats(-d, [1, -1]) == ref_negativity_stats(-d, [1, -1]) == (count, 1)
+
+
+@pytest.mark.parametrize("n", STRIP_SIZES)
+def test_distortion_of_infinite_pairs(n):
+    d, d_hat = few_pairs(n, 10, seed=n)
+    i, j = divmod(int(np.flatnonzero(np.triu(d > 0.0, 1))[-1]), n)
+    d[i, j] = np.inf  # +inf on one side: an infinite log-ratio
+    assert avg_geometric_distortion(d, d_hat) == ref_avg_geometric_distortion(d, d_hat)
+    d_hat[i, j] = np.inf  # +inf on both sides: a NaN log-ratio
+    with np.errstate(invalid="ignore"):
+        got = avg_geometric_distortion(d, d_hat)
+        want = ref_avg_geometric_distortion(d, d_hat)
+    assert math.isnan(got) and math.isnan(want)
+
+
+def layouts(a):
+    """a in Fortran order, and as a view with non-unit strides on both axes."""
+    yield np.asfortranarray(a)
+    big = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+    big[::2, ::3] = a
+    yield big[::2, ::3]
+
+
+@pytest.mark.parametrize("n", [2, *STRIP_SIZES, 300])
+def test_strip_metrics_read_any_layout(n):
+    rng = np.random.default_rng(4000 + n)
+    d, d_hat = np.abs(random_hollow(rng, n)), random_hollow(rng, n, scale=3.0)
+    want = ref_avg_geometric_distortion(d, d_hat), ref_negativity_stats(d_hat, [-1])
+    for d_view, d_hat_view in zip(layouts(d), layouts(d_hat)):
+        assert not d_view.flags.c_contiguous and not d_hat_view.flags.c_contiguous
+        got = avg_geometric_distortion(d_view, d_hat_view), negativity_stats(d_hat_view, [-1])
+        assert got == want
+
+
 # ---------------------------------------------------------------- call path
 
 REPORT_LAYERS = (
@@ -238,3 +346,138 @@ def test_invalid_input_messages(d, message, call):
     with pytest.raises(ValueError) as info:
         call(d)
     assert str(info.value) == message
+
+
+def symmetry_message(check, m):
+    with pytest.raises(ValueError) as info:
+        check(m)
+    return str(info.value)
+
+
+def asymmetric_cases():
+    """(n, entries given m[i, j] += 1) for each spot the strips treat apart,
+    at every n where the spot exists."""
+    for n in (2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5):
+        spots = {
+            "lower": [(n - 1, 0)],
+            "upper": [(0, n - 1)],
+            "first tile": [(min(3, n - 1), min(3, n - 1) - 1)],
+            "last tile": [(n - 1, n - 2)],
+            "strip boundary, upper": [(BLOCK - 1, BLOCK)],
+            "strip boundary, lower": [(BLOCK, BLOCK - 1)],
+            # the row-major first mismatch, (1, n-1), mirrors the lower entry
+            "two pairs": [(n - 1, 1), (2, n - 2)],
+        }
+        for where, entries in spots.items():
+            if max(map(max, entries)) < n:
+                yield pytest.param(n, entries, id=f"{n}-{where}")
+
+
+@pytest.mark.parametrize("n, spots", asymmetric_cases())
+def test_check_symmetric_names_the_parents_entry(n, spots):
+    m = random_hollow(np.random.default_rng(n), n)
+    for i, j in spots:
+        m[i, j] += 1.0
+    want = symmetry_message(whole_check_symmetric, m)
+    assert symmetry_message(check_symmetric, m) == want
+    assert symmetry_message(check_dissimilarity, m) == symmetry_message(
+        whole_check_dissimilarity, m)
+    for vectors in (True, False):
+        assert symmetry_message(lambda b: eig_sym(b, vectors), m) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_symmetric_input_passes(n):
+    m = random_hollow(np.random.default_rng(n), n)
+    check_symmetric(m)
+    check_symmetric(np.asfortranarray(m))
+    assert check_dissimilarity(m) is m
+
+
+@pytest.mark.parametrize("n, spots", [
+    (1, [(0, 0)]),
+    (2, [(1, 1)]),
+    (BLOCK + 1, [(BLOCK, BLOCK)]),
+    (BLOCK + 1, [(BLOCK, 3), (3, BLOCK)]),
+    (2 * BLOCK + 5, [(BLOCK + 2, BLOCK + 7), (BLOCK + 7, BLOCK + 2), (2 * BLOCK, 2 * BLOCK)]),
+])
+def test_nan_matrix_is_not_symmetric(n, spots):
+    m = random_hollow(np.random.default_rng(n), n)
+    for i, j in spots:
+        m[i, j] = np.nan
+    want = symmetry_message(whole_check_symmetric, m)
+    assert "is not symmetric" in want
+    assert symmetry_message(check_symmetric, m) == want
+    for vectors in (True, False):
+        assert symmetry_message(lambda b: eig_sym(b, vectors), m) == want
+
+
+@pytest.mark.parametrize("n, spots", [
+    (BLOCK + 1, [(BLOCK, 0)]),
+    (BLOCK + 1, [(BLOCK, BLOCK - 1), (BLOCK - 1, BLOCK)]),
+    (2 * BLOCK + 5, [(2 * BLOCK + 4, 1), (BLOCK + 1, 2 * BLOCK), (2 * BLOCK, 0)]),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_check_dissimilarity_names_the_first_non_finite_entry(n, spots, value):
+    m = random_hollow(np.random.default_rng(n), n)
+    for i, j in spots:
+        m[i, j] = value
+    want = symmetry_message(whole_check_dissimilarity, m)
+    assert "non-finite entry" in want
+    assert symmetry_message(check_dissimilarity, m) == want
+
+
+# ---------------------------------------------------------------- memory
+
+GUARD_N = 600
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def guard_case(case):
+    """(strip function, whole-matrix body, args, bound in bytes) at n = GUARD_N:
+    the symmetry and finiteness checks and negativity_stats stay below one
+    n x n bool; the distortion stays within two float buffers of the
+    qualifying count plus one float strip."""
+    n = GUARD_N
+    d = random_hollow(np.random.default_rng(n), n)
+    if case == "check_symmetric":
+        return check_symmetric, whole_check_symmetric, (d,), n * n
+    if case == "check_dissimilarity":
+        return check_dissimilarity, whole_check_dissimilarity, (d,), n * n
+    if case == "negativity_stats":
+        return negativity_stats, whole_negativity_stats, (d, [1, -1]), n * n
+    if case == "distortion, 11 pairs":
+        pair, count = few_pairs(n, 11, seed=1), 11
+    else:
+        pair, count = (np.abs(d) + 1.0, np.abs(d) + 0.5), n * (n - 1) // 2
+        np.fill_diagonal(pair[0], 0.0)
+    assert np.count_nonzero(np.triu((pair[0] > 0.0) & (pair[1] > 0.0), 1)) == count
+    return (avg_geometric_distortion, whole_avg_geometric_distortion, pair,
+            2 * 8 * count + 8 * BLOCK * n)
+
+
+GUARD_CASES = ["check_symmetric", "check_dissimilarity", "negativity_stats",
+               "distortion, 11 pairs", "distortion, all pairs"]
+
+
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_strip_functions_stay_within_their_memory_bound(case):
+    strip_fn, _, args, bound = guard_case(case)
+    assert traced_peak(strip_fn, *args) < bound
+
+
+# with every pair qualifying, the two float buffers dominate and the whole
+# body's n x n masks fit the distortion's bound
+@pytest.mark.parametrize("case", GUARD_CASES[:-1])
+def test_the_memory_bound_fails_the_whole_matrix_bodies(case):
+    _, whole_fn, args, bound = guard_case(case)
+    assert traced_peak(whole_fn, *args) >= bound
