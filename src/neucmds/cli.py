@@ -130,25 +130,9 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_rmt(args) -> None:
-    mode = args.method
-    if args.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {args.trials}")
-    c_values = _parse_list(args.c_list, "--c-list", float)
-    # solve_r rejects a bad c or mode before any eigensolve
-    theory = [(c, rmtlab.solve_r(c, mode), rmtlab.theory_error(args.n, args.sigma, c, mode))
-              for c in c_values]
-    spectra = []
-    for trial in range(args.trials):
-        b = rmtlab.sample_wigner(args.n, sigma=args.sigma, dist=args.dist, seed=args.seed + trial)
-        spectra.append(eig_sym(b, vectors=False).eigenvalues)
-    rows = []
-    for c, r, expected in theory:
-        k = max(1, int(round(c * args.n)))
-        empirical = float(np.mean([
-            rmtlab.empirical_error_from_eigenvalues(lam, k, mode) for lam in spectra
-        ]))
-        rows.append([c, r, expected, empirical, (empirical - expected) / expected])
-    write_csv(args.output, ["c", "r", "theory", "empirical", "rel_err"], rows)
+    rows = rmtlab.lab_table(args.n, _parse_list(args.c_list, "--c-list", float), args.method,
+                            sigma=args.sigma, trials=args.trials, dist=args.dist, seed=args.seed)
+    write_csv(args.output, rmtlab.LAB_COLUMNS, rows)
 
 
 def cmd_landmark(args) -> None:
@@ -250,12 +234,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+    # LinAlgError subclasses ValueError, so the numerical handler comes first
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError, MemoryError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BLOCK, mirror_upper_inplace, sum_minus_twice
+from .linalg import BLOCK, _check_sigma, mirror_upper_inplace, sum_minus_twice
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -63,12 +63,14 @@ def gen_random_simplex(n: int, seed: int = 0) -> np.ndarray:
     rng = _rng(seed)
     n_plus = -(-n // 10)  # ceil
     mid = n - n_plus - 1
-    coords = rng.uniform(0.0, 1.0, size=(n, n - 1))
-    coords[:, :n_plus] *= 0.01
+    points = np.empty((n, n))
+    for row in points:  # row by row draws the same stream as one block
+        rng.random(out=row[:-1])
+    points[:, :n_plus] *= 0.01
     if mid > 0:
-        coords[:, n_plus:] *= np.sqrt(0.5 / mid)
-    last = (np.arange(1, n + 1, dtype=np.float64) * 0.3 / n)[:, None]
-    return signed_sq_dissimilarity(np.hstack([coords, last]), n_plus)
+        points[:, n_plus:-1] *= np.sqrt(0.5 / mid)
+    points[:, -1] = np.arange(1, n + 1, dtype=np.float64) * 0.3 / n
+    return signed_sq_dissimilarity(points, n_plus)
 
 
 def ball_dissimilarity(centers, radii) -> np.ndarray:
@@ -166,9 +168,7 @@ def perturb_noise(points, sigma="auto", seed: int = 0) -> np.ndarray:
         if sigma != "auto":
             raise ValueError(f"sigma must be a positive number or 'auto', got {sigma!r}")
         sigma = float(dist.max()) / 500.0
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _check_sigma(sigma)
     rng = _rng(seed)
     for i in range(n - 1):  # row by row draws the same stream as one draw
         dist[i, i + 1:] += rng.normal(0.0, sigma, size=n - 1 - i)

@@ -28,7 +28,7 @@ from .metrics import (
     scaled_additive_error,
     stress,
 )
-from .selection import CMDS, NEUC, PLUS, SelectionResult, _check_k, normalize_method, select
+from .selection import METHODS, NEUC, SelectionResult, _check_k, normalize_method, select
 
 __all__ = [
     "Embedding",
@@ -77,23 +77,12 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     """Build an embedding from an existing decomposition (shared by sweeps)."""
     if dec.eigenvectors is None:
         raise ValueError("the decomposition was computed without eigenvectors")
-    method = normalize_method(method)
     sel = select(dec.eigenvalues, k, method)
-    lam_sel = dec.eigenvalues[sel.chosen]
-    if method == PLUS:
-        shift = float(np.sum(dec.eigenvalues[~sel.w])) / (1.0 + k)
-        axis_values = lam_sel + shift
-    elif method == CMDS:
-        axis_values = np.maximum(lam_sel, 0.0)
-    else:
-        axis_values = lam_sel.copy()
-
-    chosen = np.asarray(sel.chosen, dtype=np.intp)
     # descending |value|, magnitude ties by ascending eigenvalue index so the
     # axis order does not depend on the selector's pick order
-    order = np.lexsort((chosen, -np.abs(axis_values)))
-    axis_values = axis_values[order]
-    axis_indices = chosen[order]
+    order = np.lexsort((sel.chosen, -np.abs(sel.values)))
+    axis_values = sel.values[order]
+    axis_indices = sel.chosen[order]
     # one C-order gather: the layout of coords sets the reconstruct GEMM's rounding
     vecs = np.take(dec.eigenvectors, axis_indices, axis=1)
     # reproducible output: largest-magnitude entry of every eigenvector positive
@@ -108,17 +97,15 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
         axis_values=axis_values,
         axis_indices=axis_indices,
         selection=sel,
-        method=method,
+        method=sel.mode,
     )
 
 
 def embed(d, k: int, method: str = NEUC) -> Embedding:
     """Full pipeline: double centering, eigendecomposition, selection, coordinates.
 
-    For "neuc" the selected eigenvalues are used as-is; for "neuc-plus" each is
-    shifted by (sum of dropped eigenvalues)/(1+k); for "cmds" non-positive
-    selected values are clamped to zero-filled axes.  Deterministic in
-    (d, k, method).
+    Each axis carries its ``SelectionResult.values`` entry; a zero value gives
+    a zero-filled axis.  Deterministic in (d, k, method).
     """
     d = as_square_matrix(d, "dissimilarity matrix")
     _check_k(k, d.shape[0])  # before the eigensolve
@@ -175,8 +162,7 @@ class SweepEntry:
     report: StressReport
 
 
-def sweep(d, k_list, methods=(CMDS, NEUC, PLUS),
-          name: str = "dissimilarity matrix") -> list[SweepEntry]:
+def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> list[SweepEntry]:
     """Stress reports over a (k, method) grid sharing one eigendecomposition.
 
     ``name`` is what validation errors call the input.

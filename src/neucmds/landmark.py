@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import Embedding, embed_from_decomposition
 from .linalg import as_square_matrix, check_dissimilarity, double_center, eig_sym
-from .selection import NEUC, _check_k, normalize_method
+from .selection import NEUC, _check_k
 
 # axes whose |axis value| falls below this fraction of the largest are
 # dropped from the model instead of divided by
@@ -29,17 +29,16 @@ MAXMIN = "maxmin"
 class LandmarkModel:
     """Embedded landmark subset plus what triangulation needs.
 
-    ``vectors[l]`` is the landmark eigenvector of axis l (length m) and
-    ``axis_eigenvalues[l]`` its original, unshifted eigenvalue; both follow
-    the axis order of ``base``.  ``mean_dissim`` holds the column means of
-    the landmark submatrix.
+    ``projection`` (k x m) maps a point's landmark dissimilarities, less the
+    column means ``mean_dissim`` of the landmark submatrix, to its
+    coordinates: row l is ``base.coords[l]`` divided by -2 times the
+    original, unshifted eigenvalue of axis l.
     """
 
     landmark_indices: np.ndarray
     base: Embedding
     mean_dissim: np.ndarray
-    vectors: np.ndarray
-    axis_eigenvalues: np.ndarray
+    projection: np.ndarray
 
     @property
     def m(self) -> int:
@@ -91,26 +90,16 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     idx = _pick_landmarks(d, m, seed, strategy)
     sub = d[np.ix_(idx, idx)]
     dec = eig_sym(double_center(sub))
-    emb = embed_from_decomposition(dec, k, normalize_method(method))
-
-    scale = float(np.max(np.abs(emb.axis_values))) if emb.k else 0.0
-    keep = np.abs(emb.axis_values) > AXIS_DROP_REL_TOL * scale if scale else np.zeros(emb.k, bool)
+    emb = embed_from_decomposition(dec, k, method)
+    keep = np.abs(emb.axis_values) > AXIS_DROP_REL_TOL * float(np.max(np.abs(emb.axis_values)))
     base = replace(emb, coords=emb.coords[keep], signature=emb.signature[keep],
                    axis_values=emb.axis_values[keep], axis_indices=emb.axis_indices[keep])
-    vectors = base.coords / np.sqrt(np.abs(base.axis_values))[:, None]
     return LandmarkModel(
         landmark_indices=idx,
         base=base,
         mean_dissim=sub.mean(axis=0),
-        vectors=vectors,
-        axis_eigenvalues=dec.eigenvalues[base.axis_indices],
+        projection=base.coords / (-2.0 * dec.eigenvalues[base.axis_indices])[:, None],
     )
-
-
-def _triangulate_block(model: LandmarkModel, deltas: np.ndarray) -> np.ndarray:
-    centered = deltas.T - model.mean_dissim[:, None]
-    coef = (model.vectors @ centered) / (-2.0 * model.axis_eigenvalues[:, None])
-    return np.sqrt(np.abs(model.base.axis_values))[:, None] * coef
 
 
 def triangulate(model: LandmarkModel, delta) -> np.ndarray:
@@ -123,7 +112,7 @@ def triangulate(model: LandmarkModel, delta) -> np.ndarray:
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (model.m,):
         raise ValueError(f"expected {model.m} dissimilarities, got shape {delta.shape}")
-    return _triangulate_block(model, delta[None, :])[:, 0]
+    return model.projection @ (delta - model.mean_dissim)
 
 
 def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
@@ -139,7 +128,7 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     coords = np.empty((model.k, n), dtype=np.float64)
     coords[:, model.landmark_indices] = model.base.coords
     rest = np.setdiff1d(np.arange(n), model.landmark_indices, assume_unique=True)
-    if rest.size:
-        deltas = d[np.ix_(rest, model.landmark_indices)]
-        coords[:, rest] = _triangulate_block(model, deltas)
+    # column j holds rest[j]'s dissimilarities to the landmarks (d is symmetric)
+    deltas = d[np.ix_(model.landmark_indices, rest)]
+    coords[:, rest] = model.projection @ (deltas - model.mean_dissim[:, None])
     return replace(model.base, coords=coords)

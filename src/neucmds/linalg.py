@@ -24,6 +24,13 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _check_sigma(sigma) -> float:
+    sigma = float(sigma)
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    return sigma
+
+
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
     """Require exact (bitwise) symmetry; our constructors guarantee it.
 

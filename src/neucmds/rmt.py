@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .linalg import _check_sigma, eig_sym
 from .selection import CMDS, NEUC, PLUS, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -23,14 +24,22 @@ _BISECT_LO = 1e-15
 _BISECT_HI = 2.0
 _BISECT_ITERS = 200
 
+LAB_COLUMNS = ("c", "r", "theory", "empirical", "rel_err")
+
+
+def _lab_mode(mode: str) -> str:
+    mode = normalize_method(mode)
+    if mode == PLUS:
+        raise ValueError("mode must be 'cmds' or 'neuc'")
+    return mode
+
 
 def semicircle_mass(a: float, b: float, sigma: float = 1.0) -> float:
     """Limiting fraction of eigenvalues in (a*sqrt(n), b*sqrt(n)).
 
     The semicircle density is supported on [-2 sigma, 2 sigma] on this scale.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_sigma(sigma)
 
     def antideriv(x: float) -> float:
         x = min(max(x, -2.0 * sigma), 2.0 * sigma)
@@ -54,16 +63,12 @@ def _selected_fraction(r: float, mode: str) -> float:
 
 def solve_r(c: float, mode: str) -> float:
     """Bisection root of the selected-fraction equation, to 1e-12 in r."""
-    mode = normalize_method(mode)
+    mode = _lab_mode(mode)
     c = float(c)
-    if mode == CMDS:
-        if not 0.0 < c <= 0.5:
-            raise ValueError(f"cmds selected fraction must be in (0, 0.5], got {c}")
-    elif mode == NEUC:
-        if not 0.0 < c < 1.0:
-            raise ValueError(f"neuc selected fraction must be in (0, 1), got {c}")
-    else:
-        raise ValueError("mode must be 'cmds' or 'neuc'")
+    if mode == CMDS and not 0.0 < c <= 0.5:
+        raise ValueError(f"cmds selected fraction must be in (0, 0.5], got {c}")
+    if mode == NEUC and not 0.0 < c < 1.0:
+        raise ValueError(f"neuc selected fraction must be in (0, 1), got {c}")
     lo, hi = _BISECT_LO, _BISECT_HI
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
@@ -76,7 +81,7 @@ def solve_r(c: float, mode: str) -> float:
 
 def theory_error_coeffs(c: float, mode: str) -> tuple[float, float]:
     """Coefficients (a, b) of the limiting error e = (a + b*n) * n^2 sigma^2."""
-    mode = normalize_method(mode)
+    mode = _lab_mode(mode)
     r = solve_r(c, mode)
     t = 1.0 - r / 2.0
     poly = 1.0 - 2.0 * r + r * r / 2.0
@@ -105,8 +110,7 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_sigma(sigma)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     upper = np.tri(n, dtype=bool).T  # diagonal included
     count = n * (n + 1) // 2
@@ -126,7 +130,26 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
 
 def empirical_error_from_eigenvalues(lam, k: int, mode: str) -> float:
     """Dropped-eigenvalue error of a selection on an existing spectrum."""
-    mode = normalize_method(mode)
-    if mode == PLUS:
-        raise ValueError("mode must be 'cmds' or 'neuc'")
-    return select(lam, int(k), mode).objective / 4.0
+    return select(lam, int(k), _lab_mode(mode)).objective / 4.0
+
+
+def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
+              dist: str = GAUSSIAN, seed: int = 0) -> list[list[float]]:
+    """One row of ``LAB_COLUMNS`` per fraction c: theory against the mean error
+    at k = max(1, round(c*n)) over ``trials`` Wigner matrices of seeds seed,
+    seed+1, ...  Every argument is checked before the first sample."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    sigma = _check_sigma(sigma)
+    theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
+    spectra = []
+    for trial in range(trials):
+        b = sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial)
+        spectra.append(eig_sym(b, vectors=False).eigenvalues)
+    rows = []
+    for c, r, expected in theory:
+        k = max(1, int(round(c * n)))
+        empirical = float(np.mean([empirical_error_from_eigenvalues(lam, k, mode)
+                                   for lam in spectra]))
+        rows.append([c, r, expected, empirical, (empirical - expected) / expected])
+    return rows

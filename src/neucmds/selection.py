@@ -41,7 +41,9 @@ class SelectionResult:
     """Outcome of one eigenvalue selection.
 
     ``chosen`` holds indices into the sorted (descending) eigenvalue vector in
-    the order they were picked.  ``r`` counts chosen eigenvalues >= 0 (zero
+    the order they were picked; ``values[i]`` is the axis value of chosen[i]:
+    the eigenvalue ("neuc"), clamped at 0 ("cmds") or plus (sum of dropped
+    values)/(1+k) ("neuc-plus").  ``r`` counts chosen eigenvalues >= 0 (zero
     axes forced in at large k are counted here) and ``s`` those < 0, so
     r + s = k always.  ``bound_c1``/``bound_c2`` are the two terms of the
     minimized bound, including the factor 4 of the stress decomposition;
@@ -49,6 +51,7 @@ class SelectionResult:
     """
 
     chosen: np.ndarray
+    values: np.ndarray
     w: np.ndarray
     r: int
     s: int
@@ -99,30 +102,30 @@ def _check_k(k: int, n: int) -> int:
     return k
 
 
-def _bounds(lam: np.ndarray, w: np.ndarray, k: int, mode: str) -> tuple[float, float]:
-    """Canonical bound terms from the dropped set, in ascending index order.
-
-    Every selector, and the brute-force oracle of the tests, reports values
-    computed here, so equal dropped multisets give bitwise-equal objectives.
-    """
-    dropped = lam[~w]
-    s2 = float(np.sum(dropped * dropped))
-    s1 = float(np.sum(dropped))
-    c1 = 4.0 * s2
-    c2 = 4.0 * s1 * s1
-    if mode == PLUS:
-        c2 /= 1.0 + k
-    return c1, c2
-
-
 def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
+    """The selection that picked ``order``, with bound terms and values from
+    the dropped set in ascending index order.
+
+    Every selector, and the brute-force oracle of the tests, builds its result
+    here, so equal dropped multisets give bitwise-equal objectives.
+    """
     chosen = np.asarray(order, dtype=np.intp)
     w = np.zeros(lam.shape[0], dtype=bool)
     w[chosen] = True
-    r = int(np.sum(lam[chosen] >= 0.0))
-    c1, c2 = _bounds(lam, w, chosen.size, mode)
+    dropped = lam[~w]
+    s1 = float(np.sum(dropped))
+    c1 = 4.0 * float(np.sum(dropped * dropped))
+    c2 = 4.0 * s1 * s1
+    values = lam[chosen]
+    r = int(np.sum(values >= 0.0))
+    if mode == PLUS:
+        c2 /= 1.0 + chosen.size
+        values += s1 / (1.0 + chosen.size)
+    elif mode == CMDS:
+        np.maximum(values, 0.0, out=values)
     return SelectionResult(
         chosen=chosen,
+        values=values,
         w=w,
         r=r,
         s=int(chosen.size - r),

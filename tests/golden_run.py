@@ -1,6 +1,6 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 25 commands that succeed and 14 that fail with ``python -m neucmds.cli``
+Runs 25 commands that succeed and 17 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
@@ -77,6 +77,9 @@ ERROR_COMMANDS = [
     "embed --input d.txt --k 0 --output err.txt",
     "select --input d.txt --k 41 --output err.txt",
     "sweep --input d.txt --k-list 0:4:2 --output err.txt",
+    "rmt --n 20 --c-list 0.3 --sigma nan --output err.txt",
+    "perturb --input p.txt --kind noise --sigma inf --output err.txt",
+    "rmt --n 1000000000000000 --c-list 0.3 --output err.txt",  # 7.11 PiB: fails at once
 ]
 
 

@@ -7,6 +7,8 @@ below are the straightforward versions they replaced; every result must
 match them bitwise, with the same dtype and C layout.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -197,6 +199,21 @@ class TestInPlaceEquivalence:
         m[rng.random((n, n)) < 0.2] = -0.0
         for a in (m, np.asfortranarray(m), m.astype(np.float32), (m * 100).astype(np.int64)):
             assert_same(mirror_upper(a), ref_mirror_upper(a))
+
+
+def test_gen_random_simplex_draws_into_the_point_array():
+    # the points are drawn row by row into one n x n array, so the peak is that
+    # array, the output, one Gram product and strips; an n x (n-1) draw copied
+    # into the point array would add one more n x n
+    n = 400
+    gen_random_simplex(n, seed=1)
+    tracemalloc.start()
+    try:
+        gen_random_simplex(n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * 8 * n * n
 
 
 def test_mirror_upper_signed_zeros():

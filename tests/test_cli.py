@@ -323,6 +323,59 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["rmt", "embed"])
+def test_eigensolver_failure_is_four(command, tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which is a data error (exit 3)
+    from neucmds import cli, rmt
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(rmt if command == "rmt" else cli, "eig_sym", fail)
+    if command == "rmt":
+        argv = ["rmt", "--n", "20", "--c-list", "0.3"]
+    else:
+        inp = tmp_path / "d.txt"
+        write_matrix(inp, gen_random_simplex(9, seed=2), TEXT)
+        argv = ["embed", "--input", str(inp), "--k", "2"]
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 4
+    assert capsys.readouterr().err == "numerical error: Eigenvalues did not converge\n"
+    assert not out.exists() and not Path(f"{out}.report.json").exists()
+
+
+def test_impossible_size_is_four(tmp_path, capsys):
+    # the sampler's first request, a 7.11 PiB index vector, exceeds any address
+    # space and fails at once; at n = 1e8 np.tri would first fill 763 MiB
+    out = tmp_path / "rmt.csv"
+    assert main(["rmt", "--n", str(10**15), "--c-list", "0.3", "--output", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: Unable to allocate 7.11 PiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["rmt", "perturb"])
+def test_non_finite_sigma_is_three_before_sampling(command, sigma, tmp_path, monkeypatch,
+                                                    capsys):
+    from neucmds import datasets, rmt
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled with a non-finite sigma")
+    monkeypatch.setattr(rmt, "sample_wigner", fail)
+    monkeypatch.setattr(datasets, "_rng", fail)
+    if command == "rmt":
+        argv = ["rmt", "--n", "20", "--c-list", "0.3"]
+    else:
+        points = tmp_path / "p.txt"
+        write_points(points, np.random.default_rng(0).normal(size=(6, 2)))
+        argv = ["perturb", "--input", str(points), "--kind", "noise"]
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--sigma", sigma, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: sigma must be positive and finite, got {sigma}\n"
+    assert not out.exists()
+
+
 MATRIX_COMMANDS = [
     ["embed", "--k", "2"],
     ["select", "--k", "2"],

@@ -5,7 +5,7 @@ from neucmds import embedding, landmark
 from neucmds.embedding import embed, reconstruct
 from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
 from neucmds.linalg import double_center, eig_sym
-from neucmds.selection import NEUC, PLUS
+from neucmds.selection import CMDS, NEUC, PLUS
 
 from conftest import random_edm, random_hollow
 
@@ -93,6 +93,38 @@ class TestTriangulate:
             # axis order and sign conventions may differ; compare per-axis
             match = np.abs(np.sort(np.abs(classical)) - np.sort(np.abs(got))).max()
             assert match <= 1e-8 * max(1.0, np.abs(classical).max())
+
+
+def ref_triangulate_block(model, dec, deltas):
+    """The three-step triangulation the one projection replaced: unit
+    eigenvectors from the coordinates, a division by -2 times the unshifted
+    eigenvalue, then the axis scale back on."""
+    scale = np.sqrt(np.abs(model.base.axis_values))[:, None]
+    vectors = model.base.coords / scale
+    centered = deltas.T - model.mean_dissim[:, None]
+    coef = (vectors @ centered) / (-2.0 * dec.eigenvalues[model.base.axis_indices][:, None])
+    return scale * coef
+
+
+@pytest.mark.parametrize("method", [CMDS, NEUC, PLUS])
+@pytest.mark.parametrize("seed", range(6))
+def test_projection_matches_the_three_step_triangulation(method, seed):
+    rng = np.random.default_rng(seed)
+    n, m = 70, 25
+    d = random_hollow(rng, n) if seed % 2 else random_edm(rng, n, 8)
+    model = fit_landmarks(d, m, 6, method, seed=seed)
+    idx = model.landmark_indices
+    dec = eig_sym(double_center(d[np.ix_(idx, idx)]))
+    rest = np.setdiff1d(np.arange(n), idx)
+    want = ref_triangulate_block(model, dec, d[np.ix_(rest, idx)])
+    got = embed_landmark(d, m, 6, method, seed=seed).coords[:, rest]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for j in (0, m // 2, m - 1):  # one row alone, and a landmark's own row
+        row = d[idx[j], idx]
+        want_row = ref_triangulate_block(model, dec, row[None, :])[:, 0]
+        assert np.abs(triangulate(model, row) - want_row).max() <= 1e-12 * np.abs(want_row).max()
+        base = model.base.coords[:, j]
+        assert np.abs(triangulate(model, row) - base).max() <= 1e-9 * np.abs(base).max()
 
 
 class TestEmbedLandmark:

@@ -5,6 +5,7 @@ from neucmds.rmt import (
     GAUSSIAN,
     RADEMACHER,
     empirical_error_from_eigenvalues,
+    lab_table,
     sample_wigner,
     semicircle_mass,
     solve_r,
@@ -133,3 +134,44 @@ class TestEmpirical:
             dropped = np.delete(lam, select(lam, 10, mode).chosen)
             assert empirical_error_from_eigenvalues(lam, 10, mode) == \
                 np.sum(dropped * dropped) + np.sum(dropped) ** 2
+
+
+# ---------------------------------------------------------------- lab table
+
+def ref_lab_rows(n, sigma, c_values, trials, dist, seed, mode):
+    """The body of the rmt command before rmt.lab_table held it."""
+    theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
+    spectra = []
+    for trial in range(trials):
+        b = sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial)
+        spectra.append(eig_sym(b, vectors=False).eigenvalues)
+    rows = []
+    for c, r, expected in theory:
+        k = max(1, int(round(c * n)))
+        empirical = float(np.mean([
+            empirical_error_from_eigenvalues(lam, k, mode) for lam in spectra
+        ]))
+        rows.append([c, r, expected, empirical, (empirical - expected) / expected])
+    return rows
+
+
+@pytest.mark.parametrize("mode, c_values", [
+    ("cmds", [0.001, 0.1, 0.3, 0.5]),
+    ("neuc", [0.001, 0.1, 0.5, 0.9]),
+])
+@pytest.mark.parametrize("trials, dist", [(1, GAUSSIAN), (3, GAUSSIAN), (2, RADEMACHER)])
+def test_lab_table_equals_the_old_command_body(mode, c_values, trials, dist):
+    # c = 0.001 rounds to k = 0 at n = 61, so the k >= 1 floor is exercised
+    got = lab_table(61, c_values, mode, sigma=1.5, trials=trials, dist=dist, seed=4)
+    want = ref_lab_rows(61, 1.5, c_values, trials, dist, 4, mode)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_sigma_must_be_positive_and_finite(sigma):
+    message = f"sigma must be positive and finite, got {sigma}"
+    for call in (lambda: sample_wigner(5, sigma), lambda: semicircle_mass(-1.0, 1.0, sigma),
+                 lambda: lab_table(5, [0.3], "neuc", sigma=sigma)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

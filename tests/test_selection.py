@@ -365,3 +365,37 @@ def test_select_rejects_non_finite_spectra(lam, where, method):
     with pytest.raises(ValueError) as err:
         select(np.array(lam), 2, method)
     assert str(err.value) == f"eigenvalue vector has a non-finite entry: {where}"
+
+
+# ---------------------------------------------------------------- axis values
+# The per-method axis values as embed_from_decomposition computed them before
+# the selection carried them.
+
+def ref_axis_values(lam, sel, k, method):
+    lam_sel = lam[sel.chosen]
+    if method == PLUS:
+        return lam_sel + float(np.sum(lam[~sel.w])) / (1.0 + k)
+    if method == CMDS:
+        return np.maximum(lam_sel, 0.0)
+    return lam_sel.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)),
+        min_size=1,
+        max_size=30,
+    ),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@example(values=[0.0, 0.0, -0.0], scale=1.0)  # every axis a zero
+def test_axis_values_equal_the_per_method_formula(values, scale):
+    # small integers give ties, zeros and exactly cancelling dropped sums
+    lam = np.sort(np.asarray(values, dtype=np.float64) * scale)[::-1]
+    for method in METHODS:
+        for k in range(1, lam.size + 1):
+            sel = select(lam, k, method)
+            want = ref_axis_values(lam, sel, k, method)
+            assert sel.values.dtype == want.dtype and sel.values.shape == (k,)
+            assert sel.values.tobytes() == want.tobytes()
