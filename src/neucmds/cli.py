@@ -23,7 +23,7 @@ from .datasets import (
     perturb_missing,
     perturb_noise,
 )
-from .embedding import embed_from_decomposition, report, sweep
+from .embedding import embed, report, sweep
 from .io import (
     BINARY,
     TEXT,
@@ -47,17 +47,15 @@ EXIT_NUMERICAL = 4
 # ---------------------------------------------------------------- commands
 
 def _parse_k_list(expr: str) -> list[int]:
-    """Either a single integer or an inclusive range 'a:b:step'."""
-    if ":" in expr:
-        parts = expr.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad k-list {expr!r}; expected a:b or a:b:step")
-        a, b = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step < 1 or b < a:
-            raise ValueError(f"bad k-list {expr!r}")
-        return list(range(a, b + 1, step))
-    return [int(expr)]
+    """Either a single integer or an inclusive range 'a:b' or 'a:b:step'."""
+    parts = expr.split(":")
+    try:  # a part that is no integer, or more than three parts, is a ValueError
+        a, b, step = (int(parts[0]), int(parts[-1]), 1) if len(parts) < 3 else map(int, parts)
+    except ValueError:
+        raise ValueError(f"bad k-list {expr!r}; expected k, a:b or a:b:step") from None
+    if step < 1 or b < a:
+        raise ValueError(f"bad k-list {expr!r}")
+    return list(range(a, b + 1, step))
 
 
 def _parse_list(expr: str, option: str, parse) -> list:
@@ -73,14 +71,16 @@ def _parse_list(expr: str, option: str, parse) -> list:
     return values
 
 
+def _save(path, d, emb) -> None:
+    """Report emb against d, then write the embedding and ``<path>.report.json``."""
+    rep = report(d, emb)
+    write_embedding(path, emb)
+    write_json(path + ".report.json", rep.to_dict())
+
+
 def cmd_embed(args) -> None:
     d = read_matrix(args.input, args.format)
-    _check_k(args.k, d.shape[0])  # before the eigensolve
-    dec = eig_sym(double_center(d, name=args.input))
-    emb = embed_from_decomposition(dec, args.k, args.method)
-    rep = report(d, emb, dec)
-    write_embedding(args.output, emb)
-    write_json(args.output + ".report.json", rep.to_dict())
+    _save(args.output, d, embed(d, args.k, args.method, name=args.input))
 
 
 def cmd_select(args) -> None:
@@ -137,11 +137,8 @@ def cmd_rmt(args) -> None:
 
 def cmd_landmark(args) -> None:
     d = read_matrix(args.input, args.format)
-    emb = embed_landmark(d, args.landmarks, args.k, method=args.method, seed=args.seed,
-                         name=args.input)
-    # no spectral split against the full matrix exists for a landmark embedding
-    write_json(args.output + ".report.json", report(d, emb).to_dict())
-    write_embedding(args.output, emb)
+    _save(args.output, d, embed_landmark(d, args.landmarks, args.k, method=args.method,
+                                         seed=args.seed, name=args.input))
 
 
 # ---------------------------------------------------------------- parser

@@ -12,7 +12,9 @@ import numpy as np
 from .linalg import BLOCK, _check_sigma, mirror_upper_inplace, sum_minus_twice
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int) -> np.random.Generator:  # every seeded draw of the package
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
@@ -168,6 +170,8 @@ def perturb_noise(points, sigma="auto", seed: int = 0) -> np.ndarray:
         if sigma != "auto":
             raise ValueError(f"sigma must be a positive number or 'auto', got {sigma!r}")
         sigma = float(dist.max()) / 500.0
+        if sigma == 0.0:
+            raise ValueError("the automatic noise scale needs points that do not all coincide")
     sigma = _check_sigma(sigma)
     rng = _rng(seed)
     for i in range(n - 1):  # row by row draws the same stream as one draw

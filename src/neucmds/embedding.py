@@ -47,8 +47,9 @@ class Embedding:
     ``coords[l, i]`` is the l-th coordinate of point i; axes are ordered by
     descending |axis value|.  ``signature[l]`` is +1 or -1 and matches the
     sign of ``axis_values[l]`` (zero axes carry +1 and all-zero coordinates).
-    ``axis_indices[l]`` is the position of axis l in the sorted eigenvalue
-    vector of the decomposition the embedding was built from.
+    ``axis_indices[l]`` and the exact stress split ``split`` = (c1, c2, c3)
+    refer to the decomposition the embedding was built from; ``split`` is None
+    without one (a landmark or hand-built embedding).
     """
 
     coords: np.ndarray
@@ -57,6 +58,7 @@ class Embedding:
     axis_indices: np.ndarray
     selection: SelectionResult | None
     method: str
+    split: tuple[float, float, float] | None = None
 
     @property
     def n(self) -> int:
@@ -74,10 +76,13 @@ class Embedding:
 
 
 def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) -> Embedding:
-    """Build an embedding from an existing decomposition (shared by sweeps)."""
-    if dec.eigenvectors is None:
-        raise ValueError("the decomposition was computed without eigenvectors")
+    """Build an embedding and its split from a decomposition with eigenvectors."""
     sel = select(dec.eigenvalues, k, method)
+    # the split first (it rejects a values-only dec): its n x n temporary is
+    # freed before the coordinates are allocated
+    full = np.zeros(dec.n)
+    full[sel.chosen] = sel.values
+    split = decompose(dec.eigenvalues, dec.eigenvectors, sel.w, full)
     # descending |value|, magnitude ties by ascending eigenvalue index so the
     # axis order does not depend on the selector's pick order
     order = np.lexsort((sel.chosen, -np.abs(sel.values)))
@@ -91,25 +96,19 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     vecs[:, flip] *= -1.0
     signature = np.where(axis_values < 0.0, -1, 1).astype(np.int64)
     coords = np.sqrt(np.abs(axis_values))[:, None] * vecs.T
-    return Embedding(
-        coords=coords,
-        signature=signature,
-        axis_values=axis_values,
-        axis_indices=axis_indices,
-        selection=sel,
-        method=sel.mode,
-    )
+    return Embedding(coords, signature, axis_values, axis_indices, sel, sel.mode, split)
 
 
-def embed(d, k: int, method: str = NEUC) -> Embedding:
+def embed(d, k: int, method: str = NEUC, name: str = "dissimilarity matrix") -> Embedding:
     """Full pipeline: double centering, eigendecomposition, selection, coordinates.
 
     Each axis carries its ``SelectionResult.values`` entry; a zero value gives
-    a zero-filled axis.  Deterministic in (d, k, method).
+    a zero-filled axis.  Deterministic in (d, k, method).  ``name`` is what
+    validation errors call the input.
     """
-    d = as_square_matrix(d, "dissimilarity matrix")
+    d = as_square_matrix(d, name)
     _check_k(k, d.shape[0])  # before the eigensolve
-    return embed_from_decomposition(eig_sym(double_center(d)), k, method)
+    return embed_from_decomposition(eig_sym(double_center(d, name)), k, method)
 
 
 def reconstruct(emb: Embedding) -> np.ndarray:
@@ -126,21 +125,11 @@ def reconstruct(emb: Embedding) -> np.ndarray:
     return sum_minus_twice(g, lambda i0, i1: np.add.outer(y[i0:i1], y[i0:]))
 
 
-def report(d, emb: Embedding, dec: SpectralDecomposition | None = None) -> StressReport:
-    """Error report of an embedding against the matrix it approximates.
-
-    ``dec`` is the decomposition the embedding was built from; only with it
-    is the exact split c1 + c2 + c3 defined.  Without it (a landmark
-    embedding, whose spectrum is the landmark submatrix's) the three fields
-    are None.
-    """
+def report(d, emb: Embedding) -> StressReport:
+    """Error report of an embedding against the matrix d; c1, c2, c3 are ``emb.split``."""
     d_hat = reconstruct(emb)
     ssq = stress(d, d_hat)
-    c1 = c2 = c3 = None
-    if dec is not None:
-        c1, c2, c3 = decompose(
-            dec.eigenvalues, dec.eigenvectors, emb.selection.w, emb.full_axis_values()
-        )
+    c1, c2, c3 = emb.split or (None, None, None)
     neg_pairs, neg_axes = negativity_stats(d_hat, emb.signature)
     return StressReport(
         stress_sq=ssq,
@@ -174,7 +163,7 @@ def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> lis
     dec = eig_sym(b)
     del b  # one n x n less while the reports run
     return [
-        SweepEntry(k, m, report(d, embed_from_decomposition(dec, k, m), dec))
+        SweepEntry(k, m, report(d, embed_from_decomposition(dec, k, m)))
         for k in k_list
         for m in methods
     ]

@@ -14,10 +14,10 @@ Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  Both work
 one row at a time: a row is converted by one numpy call and formatted by one
 ``%`` string; only a row that fails to convert is scanned token by token,
-to name the failing column.  A text matrix file is decoded line by line, so
-a read never holds the whole file as one object.  Binary files are read
-into the result array directly and written from the array's own buffer,
-with no second n*n copy; they are the format for large n.
+to name the failing column.  Text matrix and point files are decoded line
+by line, so a read never holds the whole file as one object.  Binary files
+are read into the result array directly and written from the array's own
+buffer, with no second n*n copy; they are the format for large n.
 """
 
 from __future__ import annotations
@@ -45,15 +45,18 @@ def _replacing(path):
     """Binary handle on a temp file that is renamed to path when the block
     ends; on any failure the temp file is removed and path is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # name path, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _atomic_write(path, *chunks) -> None:
@@ -130,6 +133,17 @@ def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
     return out
 
 
+def _text_lines(fh) -> list[str]:
+    """All lines of a binary handle, decoded as UTF-8 one line at a time."""
+    fh.seek(0)
+    try:
+        return [p for raw in fh for p in raw.decode().splitlines()]
+    except UnicodeDecodeError:
+        fh.seek(0)
+        fh.read().decode()  # raises the whole-file error, which names the file offset
+        raise
+
+
 def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
     m = np.ascontiguousarray(m, dtype=np.float64)
     if fmt == TEXT:
@@ -147,14 +161,7 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         head = fh.read(_HEADER_BYTES)
         is_binary = head[:4] == MAGIC
         if not (fmt == BINARY or (fmt is None and is_binary)):
-            fh.seek(0)
-            try:  # line by line: the file is never one bytes or str object
-                lines = [p for raw in fh for p in raw.decode().splitlines()]
-            except UnicodeDecodeError:
-                fh.seek(0)
-                fh.read().decode()  # raises the whole-file error, which names the file offset
-                raise
-            return parse_table(lines, name=str(path))
+            return parse_table(_text_lines(fh), name=str(path))
         if not is_binary:
             raise ValueError(f"{path}: missing binary magic")
         if len(head) < _HEADER_BYTES:
@@ -171,8 +178,8 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
 
 
 def read_points(path) -> np.ndarray:
-    with open(path, "rb") as fh:  # UTF-8 whatever the locale, as read_matrix
-        return parse_table(fh.read().decode(), name=str(path), square=False)
+    with open(path, "rb") as fh:
+        return parse_table(_text_lines(fh), name=str(path), square=False)
 
 
 def write_points(path, p: np.ndarray) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .datasets import _rng
 from .embedding import Embedding, embed_from_decomposition
 from .linalg import as_square_matrix, check_dissimilarity, double_center, eig_sym
 from .selection import NEUC, _check_k
@@ -51,7 +52,7 @@ class LandmarkModel:
 
 def _pick_landmarks(d: np.ndarray, m: int, seed: int, strategy: str) -> np.ndarray:
     n = d.shape[0]
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _rng(seed)
     if strategy == RANDOM:
         idx = rng.choice(n, size=m, replace=False)
     elif strategy == MAXMIN:
@@ -93,7 +94,8 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     emb = embed_from_decomposition(dec, k, method)
     keep = np.abs(emb.axis_values) > AXIS_DROP_REL_TOL * float(np.max(np.abs(emb.axis_values)))
     base = replace(emb, coords=emb.coords[keep], signature=emb.signature[keep],
-                   axis_values=emb.axis_values[keep], axis_indices=emb.axis_indices[keep])
+                   axis_values=emb.axis_values[keep], axis_indices=emb.axis_indices[keep],
+                   split=None)
     return LandmarkModel(
         landmark_indices=idx,
         base=base,

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .datasets import _rng
 from .linalg import _check_sigma, eig_sym
 from .selection import CMDS, NEUC, PLUS, normalize_method, select
 
@@ -111,7 +112,7 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     sigma = _check_sigma(sigma)
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    rng = _rng(seed)
     upper = np.tri(n, dtype=bool).T  # diagonal included
     count = n * (n + 1) // 2
     if dist == GAUSSIAN:

@@ -1,10 +1,10 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 25 commands that succeed and 17 that fail with ``python -m neucmds.cli``
+Runs 25 commands that succeed and 21 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
-directory (41 files), and the exit code and stderr of every command.  Two
+directory (42 files), and the exit code and stderr of every command.  Two
 trees give the same output exactly when the CLI is byte-identical on this
 set, so a refactor is checked with
 
@@ -33,6 +33,7 @@ INPUTS = {
     "x-blank.txt": "3\n0 1 2\n\n2 3 0\n",
     "x-trail.txt": "2\n0 1\n1 0\nmore\n",
     "x-big.txt": "3\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n",
+    "x-same.txt": "3 2\n1 2\n1 2\n1 2\n",
 }
 
 COMMANDS = [
@@ -80,6 +81,10 @@ ERROR_COMMANDS = [
     "rmt --n 20 --c-list 0.3 --sigma nan --output err.txt",
     "perturb --input p.txt --kind noise --sigma inf --output err.txt",
     "rmt --n 1000000000000000 --c-list 0.3 --output err.txt",  # 7.11 PiB: fails at once
+    "sweep --input d.txt --k-list : --output err.txt",
+    "embed --input d.txt --k 1 --output nodir/err.txt",
+    "perturb --input x-same.txt --kind noise --output err.txt",
+    "generate --kind simplex --n 5 --seed -1 --output err.txt",
 ]
 
 

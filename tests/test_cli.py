@@ -326,11 +326,11 @@ class TestExitCodes:
 @pytest.mark.parametrize("command", ["rmt", "embed"])
 def test_eigensolver_failure_is_four(command, tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError, which is a data error (exit 3)
-    from neucmds import cli, rmt
+    from neucmds import embedding, rmt
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    monkeypatch.setattr(rmt if command == "rmt" else cli, "eig_sym", fail)
+    monkeypatch.setattr(rmt if command == "rmt" else embedding, "eig_sym", fail)
     if command == "rmt":
         argv = ["rmt", "--n", "20", "--c-list", "0.3"]
     else:
@@ -437,3 +437,67 @@ def test_k_is_checked_before_the_eigensolve(argv, k, tmp_path, monkeypatch, caps
     assert main([*argv, "--input", str(inp), "--output", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"error: k must satisfy 1 <= k <= 9, got {k}\n"
     assert list(tmp_path.iterdir()) == [inp]
+
+
+SEEDED_COMMANDS = {
+    "generate": ["generate", "--kind", "simplex", "--n", "5"],
+    "perturb-noise": ["perturb", "--kind", "noise", "--input", "p.txt"],
+    "perturb-missing": ["perturb", "--kind", "missing", "--input", "p.txt"],
+    "rmt": ["rmt", "--n", "10", "--c-list", "0.3"],
+    "landmark": ["landmark", "--k", "2", "--landmarks", "5", "--input", "d.txt"],
+}
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS.values(), ids=SEEDED_COMMANDS.keys())
+def test_negative_seed_is_three(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_points("p.txt", np.random.default_rng(0).normal(size=(6, 2)))
+    write_matrix("d.txt", gen_random_simplex(8, seed=1), TEXT)
+    assert main([*argv, "--seed", "-1", "--output", "out"]) == 3
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.txt", "p.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--input", "d.txt", "--k", "2"],
+    ["sweep", "--input", "d.txt", "--k-list", "2"],
+    ["generate", "--kind", "balls", "--n", "5"],
+], ids=["embed", "sweep", "generate"])
+@pytest.mark.parametrize("output", ["missing/e.txt", "taken"], ids=["missing-dir", "a-dir"])
+def test_write_errors_name_the_output_path(argv, output, tmp_path, monkeypatch, capsys):
+    # the temp file the write goes through is never named, and never left behind
+    monkeypatch.chdir(tmp_path)
+    write_matrix("d.txt", gen_random_simplex(8, seed=1), TEXT)
+    os.mkdir("taken")
+    assert main([*argv, "--output", output]) == 3
+    reason = ("[Errno 2] No such file or directory" if output.startswith("missing")
+              else "[Errno 21] Is a directory")
+    assert capsys.readouterr().err == f"error: {reason}: '{output}'\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.txt", "taken"]
+    assert os.listdir("taken") == []
+
+
+@pytest.mark.parametrize("k_list", [":", "", "::", "1:", ":3", "1:2:3:4", "1,2"])
+def test_k_list_without_integers_is_a_bad_k_list(k_list, tmp_path, capsys):
+    inp = tmp_path / "d.txt"
+    write_matrix(inp, gen_random_simplex(8, seed=1), TEXT)
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--input", str(inp), "--k-list", k_list, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: bad k-list {k_list!r}; expected k, a:b or a:b:step\n")
+    assert not out.exists()
+
+
+def test_automatic_noise_scale_of_coincident_points_is_three(tmp_path, capsys):
+    points = tmp_path / "same.txt"
+    write_points(points, np.tile([[1.5, -2.0]], (3, 1)))  # three copies of one point
+    out = tmp_path / "out.txt"
+    assert main(["perturb", "--input", str(points), "--kind", "noise",
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: the automatic noise scale needs points that do not all coincide\n")
+    assert not out.exists()
+    # an explicit --sigma keeps its own message
+    assert main(["perturb", "--input", str(points), "--kind", "noise", "--sigma", "0",
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "error: sigma must be positive and finite, got 0.0\n"

@@ -14,7 +14,7 @@ import pytest
 
 from neucmds import cli
 from neucmds.datasets import gen_random_simplex
-from neucmds.embedding import embed_from_decomposition, report
+from neucmds.embedding import embed_from_decomposition
 from neucmds.io import write_matrix
 from neucmds.linalg import double_center, eig_sym
 from neucmds.metrics import decompose
@@ -144,8 +144,6 @@ def test_decompose_needs_eigenvectors():
     args = (full.eigenvalues, None, emb.selection.w, emb.full_axis_values())
     with pytest.raises(ValueError, match="computed without eigenvectors"):
         decompose(*args)
-    with pytest.raises(ValueError, match="computed without eigenvectors"):
-        report(d, emb, eig_sym(double_center(d), vectors=False))
 
 
 # ---------------------------------------------------------------- sample_wigner

@@ -329,6 +329,22 @@ def test_text_read_never_holds_the_file_as_one_object(tmp_path):
     assert peak < 1.5 * size + m.nbytes
 
 
+def test_points_read_never_holds_the_file_as_one_object(tmp_path):
+    p = np.random.default_rng(5).normal(size=(400, 50))
+    path = tmp_path / "p.txt"
+    path.write_text(ref_format_rows(["400 50"], p))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        got = read_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == p.tobytes()
+    # the lines and the result; a whole-file read holds two copies of the file at once
+    assert peak < 1.5 * size + p.nbytes
+
+
 # Python's UTF-8 mode and locale coercion off: the locale decodes ASCII only
 ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
 READ_BOTH = """

@@ -180,7 +180,7 @@ def test_report_round_trips_to_json(rng):
     d = random_hollow(rng, 10)
     dec = eig_sym(double_center(d))
     emb = embed_from_decomposition(dec, 3, "neuc")
-    rep = report(d, emb, dec)
+    rep = report(d, emb)
     landmark_rep = report(d, embed_landmark(d, 6, 2, seed=1))
     for r in (rep, landmark_rep):
         assert isinstance(r, StressReport)

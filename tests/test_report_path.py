@@ -23,7 +23,9 @@ from neucmds import embedding, landmark, linalg
 from neucmds.embedding import Embedding, embed_from_decomposition, reconstruct, report
 from neucmds.linalg import BLOCK, check_dissimilarity, check_symmetric, double_center, eig_sym
 from neucmds.metrics import (
+    StressReport,
     avg_geometric_distortion,
+    decompose,
     negativity_stats,
     scaled_additive_error,
     stress,
@@ -296,13 +298,44 @@ def test_report_calls_every_layer_by_name(monkeypatch):
     # fused or inlined layer would read zero there
     d = random_hollow(np.random.default_rng(5), 12)
     dec = eig_sym(double_center(d))
-    emb = embed_from_decomposition(dec, 4, "neuc-plus")
     calls = count_calls(monkeypatch, embedding, REPORT_LAYERS)
-    report(d, emb, dec)
-    assert calls == {name: 1 for name in REPORT_LAYERS}
+    emb = embed_from_decomposition(dec, 4, "neuc-plus")
+    assert calls == {"decompose": 1}  # the split is taken where dec is in hand
     calls.clear()
     report(d, emb)
     assert calls == {name: 1 for name in REPORT_LAYERS if name != "decompose"}
+
+
+def ref_report(d, emb, dec):
+    """The report body that took the decomposition as a parameter."""
+    d_hat = reconstruct(emb)
+    ssq = stress(d, d_hat)
+    c1, c2, c3 = decompose(
+        dec.eigenvalues, dec.eigenvectors, emb.selection.w, emb.full_axis_values()
+    )
+    neg_pairs, neg_axes = negativity_stats(d_hat, emb.signature)
+    return StressReport(
+        stress_sq=ssq,
+        stress=math.sqrt(ssq),
+        c1=c1,
+        c2=c2,
+        c3=c3,
+        scaled_additive=scaled_additive_error(d, d_hat),
+        avg_distortion=avg_geometric_distortion(d, d_hat),
+        neg_dissim_count=neg_pairs,
+        neg_axes_count=neg_axes,
+    )
+
+
+@pytest.mark.parametrize("n", [3, 40, BLOCK + 1])
+@pytest.mark.parametrize("method", METHODS)
+def test_report_equals_the_report_given_the_decomposition(n, method):
+    d = random_hollow(np.random.default_rng(n), n)
+    dec = eig_sym(double_center(d))
+    for k in (1, 3, n):
+        emb = embed_from_decomposition(dec, k, method)
+        # repr of every float, so -0.0 and 0.0 differ
+        assert report(d, emb).to_json() == ref_report(d, emb, dec).to_json()
 
 
 # ---------------------------------------------------------------- validation
