@@ -23,7 +23,7 @@ from .datasets import (
     perturb_missing,
     perturb_noise,
 )
-from .embedding import embed, report, sweep
+from .embedding import embed, report, spectrum, sweep
 from .io import (
     BINARY,
     TEXT,
@@ -35,9 +35,8 @@ from .io import (
     write_matrix,
 )
 from .landmark import embed_landmark
-from .linalg import double_center, eig_sym
 from .metrics import StressReport
-from .selection import METHODS, NEUC, _check_k, normalize_method, select
+from .selection import METHODS, NEUC, normalize_method, select
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -71,23 +70,15 @@ def _parse_list(expr: str, option: str, parse) -> list:
     return values
 
 
-def _save(path, d, emb) -> None:
-    """Report emb against d, then write the embedding and ``<path>.report.json``."""
-    rep = report(d, emb)
-    write_embedding(path, emb)
-    write_json(path + ".report.json", rep.to_dict())
-
-
 def cmd_embed(args) -> None:
     d = read_matrix(args.input, args.format)
-    _save(args.output, d, embed(d, args.k, args.method, name=args.input))
+    emb = embed(d, args.k, args.method, name=args.input)
+    write_embedding(args.output, emb, report(d, emb))
 
 
 def cmd_select(args) -> None:
     d = read_matrix(args.input, args.format)
-    _check_k(args.k, d.shape[0])  # before the eigensolve
-    lam = eig_sym(double_center(d, name=args.input), vectors=False).eigenvalues
-    sel = select(lam, args.k, args.method)
+    sel = select(spectrum(d, args.k, args.input, vectors=False).eigenvalues, args.k, args.method)
     write_json(args.output, {
         "method": sel.mode,
         "k": sel.k,
@@ -137,8 +128,8 @@ def cmd_rmt(args) -> None:
 
 def cmd_landmark(args) -> None:
     d = read_matrix(args.input, args.format)
-    _save(args.output, d, embed_landmark(d, args.landmarks, args.k, method=args.method,
-                                         seed=args.seed, name=args.input))
+    emb = embed_landmark(d, args.landmarks, args.k, args.method, args.seed, name=args.input)
+    write_embedding(args.output, emb, report(d, emb))
 
 
 # ---------------------------------------------------------------- parser
@@ -236,7 +227,8 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{args.input}: " if isinstance(exc, UnicodeDecodeError) else ""  # names no file
+        print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
 

@@ -30,15 +30,6 @@ from .metrics import (
 )
 from .selection import METHODS, NEUC, SelectionResult, _check_k, normalize_method, select
 
-__all__ = [
-    "Embedding",
-    "SweepEntry",
-    "embed",
-    "embed_from_decomposition",
-    "reconstruct",
-    "report",
-    "sweep",
-]
 
 @dataclass(frozen=True)
 class Embedding:
@@ -99,16 +90,23 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     return Embedding(coords, signature, axis_values, axis_indices, sel, sel.mode, split)
 
 
+def spectrum(d, k: int, name: str, vectors: bool = True) -> SpectralDecomposition:
+    """Check d square and k against its order, then validate, double-center and
+    decompose d (eigenvalues alone unless ``vectors``); ``name`` is what
+    validation errors call the input."""
+    d = as_square_matrix(d, name)
+    _check_k(k, d.shape[0])  # before the eigensolve
+    return eig_sym(double_center(d, name), vectors)
+
+
 def embed(d, k: int, method: str = NEUC, name: str = "dissimilarity matrix") -> Embedding:
-    """Full pipeline: double centering, eigendecomposition, selection, coordinates.
+    """Full pipeline: ``spectrum``, selection, coordinates.
 
     Each axis carries its ``SelectionResult.values`` entry; a zero value gives
     a zero-filled axis.  Deterministic in (d, k, method).  ``name`` is what
     validation errors call the input.
     """
-    d = as_square_matrix(d, name)
-    _check_k(k, d.shape[0])  # before the eigensolve
-    return embed_from_decomposition(eig_sym(double_center(d, name)), k, method)
+    return embed_from_decomposition(spectrum(d, k, name), k, method)
 
 
 def reconstruct(emb: Embedding) -> np.ndarray:

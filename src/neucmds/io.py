@@ -4,11 +4,11 @@ Matrix files are either text (first line "n", then n whitespace-separated
 rows) or binary (magic "NMDS", version byte, little-endian u64 n, then n*n
 little-endian float64 row-major).  Point clouds are text only: first line
 "n d", then n rows of d floats.  Text tables allow only blank lines after
-the declared rows.  Embeddings, JSON reports and CSV tables are written
-only.  All writes go to a temp file first and are renamed into place, so
-failures leave no partial output.  Text files are formatted and written
-``TEXT_BLOCK_ROWS`` rows at a time, so a write holds one block of text, not
-the whole file.
+the declared rows.  Embeddings and their reports, JSON and CSV are written
+only, each file to a temp file renamed into place, so a failure leaves no
+partial output, nor an embedding without its report.  Text files are
+formatted and written ``TEXT_BLOCK_ROWS`` rows at a time, so a write holds
+one block of text, not the whole file.
 
 Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  Both work
@@ -22,7 +22,7 @@ buffer, with no second n*n copy; they are the format for large n.
 
 from __future__ import annotations
 
-import contextlib
+import errno
 import json
 import os
 import struct
@@ -40,38 +40,50 @@ BINARY = "bin"
 TEXT_BLOCK_ROWS = 128
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Binary handle on a temp file that is renamed to path when the block
-    ends; on any failure the temp file is removed and path is left as it was."""
-    directory = os.path.dirname(os.path.abspath(path))
+def _write_files(*files) -> None:
+    """Write each (path, chunks) pair's bytes-like chunks to a temp file beside
+    path, and rename the temp files to the paths only once all are written and
+    no path is a directory (where a rename fails): a failure leaves every path
+    as it was and no temp file.  Files get the mode ``open(path, "w")`` gives."""
+    mask = os.umask(0o077)  # reading the umask means setting it
+    os.umask(mask)
+    tmps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        try:
+        for path, chunks in files:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", suffix="~")
+            tmps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
-                yield fh
+                os.fchmod(fd, 0o666 & ~mask)
+                for chunk in chunks:
+                    fh.write(chunk)
+        for tmp, (path, _) in zip(tmps, files):
             os.replace(tmp, path)
-        except BaseException:
+    except BaseException as exc:
+        for tmp in tmps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
-    except OSError as exc:  # name path, not the temp file
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        if isinstance(exc, OSError):  # name path, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 def _atomic_write(path, *chunks) -> None:
     """Write the bytes-like chunks, in order, to a temp file renamed to path."""
-    with _replacing(path) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    _write_files((path, chunks))
 
 
-def _write_rows(path, head, rows) -> None:
-    """Write ``format_rows(head, rows)`` atomically, one block of rows at a time."""
-    with _replacing(path) as fh:
-        fh.write(format_rows(head, []).encode())
-        for start in range(0, len(rows), TEXT_BLOCK_ROWS):
-            fh.write(format_rows([], rows[start:start + TEXT_BLOCK_ROWS]).encode())
+def _text_blocks(head, rows):
+    """``format_rows(head, rows)`` as bytes, one block of rows at a time."""
+    yield format_rows(head, []).encode()
+    for start in range(0, len(rows), TEXT_BLOCK_ROWS):
+        yield format_rows([], rows[start:start + TEXT_BLOCK_ROWS]).encode()
+
+
+def _json(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode()
 
 
 def format_rows(head, rows) -> str:
@@ -147,7 +159,7 @@ def _text_lines(fh) -> list[str]:
 def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
     m = np.ascontiguousarray(m, dtype=np.float64)
     if fmt == TEXT:
-        _write_rows(path, [str(m.shape[0])], m)
+        _write_files((path, _text_blocks([str(m.shape[0])], m)))
     elif fmt == BINARY:
         header = MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", m.shape[0])
         _atomic_write(path, header, m.astype("<f8", copy=False))  # the array's own buffer
@@ -183,18 +195,20 @@ def read_points(path) -> np.ndarray:
 
 
 def write_points(path, p: np.ndarray) -> None:
-    _write_rows(path, [f"{p.shape[0]} {p.shape[1]}"], p)
+    _write_files((path, _text_blocks([f"{p.shape[0]} {p.shape[1]}"], p)))
 
 
-def write_embedding(path, emb) -> None:
+def write_embedding(path, emb, report) -> None:
     """First line "n k", then the signature row, the axis-value row and the
-    k x n coordinates."""
+    k x n coordinates; ``report.to_dict()`` goes to ``<path>.report.json`` as
+    JSON.  Both files are written, or neither."""
     head = [f"{emb.n} {emb.k}", " ".join(str(int(s)) for s in emb.signature)]
-    _write_rows(path, head, [emb.axis_values, *emb.coords])
+    _write_files((path, _text_blocks(head, [emb.axis_values, *emb.coords])),
+                 (f"{path}.report.json", [_json(report.to_dict())]))
 
 
 def write_json(path, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2) + "\n").encode())
+    _atomic_write(path, _json(obj))
 
 
 def write_csv(path, header, rows) -> None:

@@ -1,10 +1,10 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 25 commands that succeed and 21 that fail with ``python -m neucmds.cli``
+Runs 25 commands that succeed and 22 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
-directory (42 files), and the exit code and stderr of every command.  Two
+directory (43 files), and the exit code and stderr of every command.  Two
 trees give the same output exactly when the CLI is byte-identical on this
 set, so a refactor is checked with
 
@@ -62,7 +62,7 @@ COMMANDS = [
     "rmt --n 60 --c-list 0.1,0.3 --method neuc --seed 1 --output rn.csv",
 ]
 
-# run after COMMANDS, once x-short.bin exists; none may leave an output file
+# run after COMMANDS, once x-short.bin and x-magic.bin exist; none may leave an output file
 ERROR_COMMANDS = [
     "embed --input x-asym.txt --k 1 --output err.txt",
     "landmark --input x-asym.txt --k 1 --landmarks 2 --output err.txt",
@@ -73,6 +73,7 @@ ERROR_COMMANDS = [
     "embed --input x-trail.txt --k 1 --output err.txt",
     "embed --input x-big.txt --k 1 --output err.txt",
     "embed --input x-short.bin --k 1 --output err.txt",
+    "embed --input x-magic.bin --k 1 --output err.txt",  # read as text: a decode error
     "embed --input d.txt --format bin --k 1 --output err.txt",
     "embed --input missing.txt --k 1 --output err.txt",
     "embed --input d.txt --k 0 --output err.txt",
@@ -110,7 +111,9 @@ def golden_run(src: Path) -> list[str]:
         write_inputs(work)
         for command in COMMANDS:
             run(command)
-        (work / "x-short.bin").write_bytes((work / "d.bin").read_bytes()[:-1])
+        whole = (work / "d.bin").read_bytes()
+        (work / "x-short.bin").write_bytes(whole[:-1])
+        (work / "x-magic.bin").write_bytes(b"XXXX" + whole[4:])
         for command in ERROR_COMMANDS:
             run(command)
         for path in work.iterdir():

@@ -309,11 +309,11 @@ class TestExitCodes:
             "rmt-repeat"])
     def test_list_arguments_reject_repeats_and_empty_tokens(self, argv, message, tmp_path,
                                                             monkeypatch, capsys):
-        from neucmds import cli, rmt
+        from neucmds import cli, embedding, rmt
 
         def fail(*args, **kwargs):
             raise AssertionError("read or solved before checking the list argument")
-        for module, name in ((cli, "read_matrix"), (cli, "eig_sym"), (rmt, "sample_wigner")):
+        for module, name in ((cli, "read_matrix"), (embedding, "eig_sym"), (rmt, "sample_wigner")):
             monkeypatch.setattr(module, name, fail)
         out = tmp_path / "out.csv"
         rest = (["--input", str(tmp_path / "d.txt"), "--k-list", "1:3"] if argv[0] == "sweep"
@@ -426,12 +426,11 @@ def test_invalid_input_is_named_by_its_path(argv, tmp_path, capsys):
     (["sweep", "--k-list", "1:30:4"], 13),
 ], ids=["embed-zero", "embed-above-n", "select-above-n", "sweep-zero", "sweep-above-n"])
 def test_k_is_checked_before_the_eigensolve(argv, k, tmp_path, monkeypatch, capsys):
-    from neucmds import cli, embedding
+    from neucmds import embedding
 
     def fail(*args, **kwargs):
         raise AssertionError("solved before checking k")
-    for module in (cli, embedding):
-        monkeypatch.setattr(module, "eig_sym", fail)
+    monkeypatch.setattr(embedding, "eig_sym", fail)
     inp = tmp_path / "d.txt"
     write_matrix(inp, gen_random_simplex(9, seed=2), TEXT)
     assert main([*argv, "--input", str(inp), "--output", str(tmp_path / "out")]) == 3

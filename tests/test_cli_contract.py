@@ -8,7 +8,9 @@ or 10**15 so that the first allocation fails at once; ``--trials`` never
 takes the large value, since ``rmt`` would go on sampling.  Whatever the
 argv, the exit code is 0, 2, 3 or 4, exits 3 and 4 print exactly one stderr
 line, nothing prints a traceback or a warning, and a failing command leaves
-no output file and no temp file.
+no output file and no temp file.  An embedding and its report are written
+together or not at all, and a file that is no UTF-8 text is named in the
+decode error.
 """
 
 import os
@@ -115,6 +117,39 @@ def test_cli_contract(argv, inputs, capsys):
     if code != 0:
         assert left == []
     assert not [name for name in left if name.startswith(".tmp-")]
+
+
+# ---------------------------------------------------------------- write and read failures
+
+EMBEDDINGS = [["embed", *MATRIX, "--k", "2"], ["landmark", *MATRIX, "--k", "2", "--landmarks", "5"]]
+
+
+@pytest.mark.parametrize("old", [None, b"old"], ids=["new", "old"])
+@pytest.mark.parametrize("directory", ["out", "out.report.json"])
+@pytest.mark.parametrize("argv", EMBEDDINGS, ids=["embed", "landmark"])
+def test_embedding_and_report_are_both_written_or_neither(argv, directory, old, inputs, capsys):
+    # a directory in the way of either file fails the command before any rename
+    os.mkdir(directory)
+    other = "out.report.json" if directory == "out" else "out"
+    if old is not None:
+        Path(other).write_bytes(old)
+    before = sorted(os.listdir(inputs))
+    assert main([*argv, "--output", "out"]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{directory}'\n"
+    assert sorted(os.listdir(inputs)) == before
+    assert os.listdir(directory) == []
+    if old is not None:
+        assert Path(other).read_bytes() == old
+
+
+@pytest.mark.parametrize("argv", [["embed", "--k", "2"], ["select", "--k", "2"],
+                                  ["perturb", "--kind", "knn"]], ids=["embed", "select", "perturb"])
+def test_decode_error_names_the_input(argv, inputs, capsys):
+    # the reader raises the whole-file UnicodeDecodeError, whose message names no file
+    with pytest.raises(UnicodeDecodeError) as info:
+        Path("magic.bin").read_bytes().decode()
+    assert main([*argv, "--input", "magic.bin", "--output", "out"]) == 3
+    assert capsys.readouterr().err == f"error: magic.bin: {info.value}\n"
 
 
 # ---------------------------------------------------------------- BLAS threads

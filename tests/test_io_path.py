@@ -35,6 +35,7 @@ from neucmds.io import (
     write_matrix,
     write_points,
 )
+from neucmds.metrics import StressReport
 
 from conftest import random_hollow
 
@@ -412,7 +413,7 @@ def test_embedding_write_is_the_reference_bytes(k, tmp_path):
         method="neuc",
     )
     path = tmp_path / "e.txt"
-    write_embedding(path, emb)
+    write_embedding(path, emb, StressReport(0.0, 0.0, None, None, None, 0.0, None, 0, 0))
     head = [f"{n} {k}", " ".join(str(int(s)) for s in emb.signature)]
     want = ref_format_rows(head, [axis_values, *emb.coords])
     assert path.read_bytes() == want.encode()
@@ -495,3 +496,46 @@ def test_failed_write_leaves_the_old_file(tmp_path):
         io._atomic_write(path, b"head", object())  # fails after the first chunk
     assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
     assert path.read_bytes() == b"old"
+
+
+def test_write_replaces_a_symlink_to_a_directory(tmp_path):
+    # os.replace swaps the link itself, so the directory check must not follow it
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "dir")
+    io.write_json(tmp_path / "link", {"a": 1})
+    assert not (tmp_path / "link").is_symlink()
+    assert (tmp_path / "link").read_text() == '{\n  "a": 1\n}\n'
+    assert os.listdir(tmp_path / "dir") == []
+
+
+MODES = """
+import os
+import sys
+from neucmds.datasets import gen_random_simplex
+from neucmds.embedding import embed, report
+from neucmds.io import BINARY, write_csv, write_embedding, write_json, write_matrix, write_points
+mask = int(sys.argv[1], 8)
+os.umask(mask)
+os.chdir(sys.argv[2])
+d = gen_random_simplex(6, seed=1)
+write_matrix("m.txt", d)
+write_matrix("m.bin", d, BINARY)
+write_points("p.txt", d)
+emb = embed(d, 2)
+write_embedding("e.txt", emb, report(d, emb))
+write_json("j.json", {"a": 1})
+write_csv("t.csv", ["a"], [[1]])
+assert os.umask(0) == mask, "a writer changed the umask"
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])
+def test_written_files_get_the_mode_open_gives(umask, mode, tmp_path):
+    src = str(Path(io.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", MODES, umask, str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.iterdir()}
+    names = ["e.txt", "e.txt.report.json", "j.json", "m.bin", "m.txt", "p.txt", "t.csv"]
+    assert modes == {name: oct(mode) for name in names}

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from neucmds import embedding, landmark
+from neucmds.datasets import gen_euclidean_ball, gen_random_simplex
 from neucmds.embedding import embed, reconstruct
-from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
+from neucmds.landmark import MAXMIN, embed_landmark, fit_landmarks, triangulate
 from neucmds.linalg import double_center, eig_sym
 from neucmds.selection import CMDS, NEUC, PLUS
 
@@ -47,6 +50,25 @@ class TestFit:
         a = fit_landmarks(d, 8, 3, NEUC, seed=5, strategy="maxmin")
         b = fit_landmarks(d, 8, 3, NEUC, seed=5, strategy="maxmin")
         np.testing.assert_array_equal(a.landmark_indices, b.landmark_indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=st.sampled_from([gen_euclidean_ball, gen_random_simplex]), n=st.integers(3, 30),
+       gen_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_maxmin_picks_a_well_defined_set_on_negative_dissimilarities(gen, n, gen_seed, seed,
+                                                                     data):
+    # overlapping balls and simplex gaps give negative entries, which the
+    # farthest-point walk compares like any others
+    d = gen(n, seed=gen_seed)
+    assume((d < 0.0).any())
+    m = data.draw(st.integers(2, n), label="m")
+    k = data.draw(st.integers(1, m - 1), label="k")
+    idx = fit_landmarks(d, m, k, seed=seed, strategy=MAXMIN).landmark_indices
+    assert idx.tolist() == sorted(set(idx.tolist())) and len(idx) == m
+    assert 0 <= idx[0] and idx[-1] < n
+    again = fit_landmarks(d, m, k, seed=seed, strategy=MAXMIN).landmark_indices
+    assert again.tolist() == idx.tolist()
+    assert np.isfinite(embed_landmark(d, m, k, seed=seed, strategy=MAXMIN).coords).all()
 
 
 class TestTriangulate:
