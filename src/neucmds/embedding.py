@@ -28,7 +28,7 @@ from .metrics import (
     scaled_additive_error,
     stress,
 )
-from .selection import METHODS, NEUC, SelectionResult, _check_k, normalize_method, select
+from .selection import METHODS, NEUC, _check_k, normalize_method, select
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,6 @@ class Embedding:
     signature: np.ndarray
     axis_values: np.ndarray
     axis_indices: np.ndarray
-    selection: SelectionResult | None
-    method: str
     split: tuple[float, float, float] | None = None
 
     @property
@@ -59,12 +57,6 @@ class Embedding:
     def k(self) -> int:
         return int(self.coords.shape[0])
 
-    def full_axis_values(self) -> np.ndarray:
-        """Length-n axis-value vector, zero outside the selected set."""
-        full = np.zeros(self.n, dtype=np.float64)
-        full[self.axis_indices] = self.axis_values
-        return full
-
 
 def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) -> Embedding:
     """Build an embedding and its split from a decomposition with eigenvectors."""
@@ -73,7 +65,7 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     # freed before the coordinates are allocated
     full = np.zeros(dec.n)
     full[sel.chosen] = sel.values
-    split = decompose(dec.eigenvalues, dec.eigenvectors, sel.w, full)
+    split = decompose(dec.eigenvalues, dec.eigenvectors, full)
     # descending |value|, magnitude ties by ascending eigenvalue index so the
     # axis order does not depend on the selector's pick order
     order = np.lexsort((sel.chosen, -np.abs(sel.values)))
@@ -87,7 +79,7 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     vecs[:, flip] *= -1.0
     signature = np.where(axis_values < 0.0, -1, 1).astype(np.int64)
     coords = np.sqrt(np.abs(axis_values))[:, None] * vecs.T
-    return Embedding(coords, signature, axis_values, axis_indices, sel, sel.mode, split)
+    return Embedding(coords, signature, axis_values, axis_indices, split)
 
 
 def spectrum(d, k: int, name: str, vectors: bool = True) -> SpectralDecomposition:

@@ -123,11 +123,12 @@ def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
     n, d = (counts[0], counts[0]) if square else counts
     if len(lines) < n + 1:
         raise ValueError(f"{name}: expected {n} rows, file has {len(lines) - 1}")
-    out = np.empty((n, d))
     for i in range(n):
         parts = lines[i + 1].split()
         if len(parts) != d:
             raise ValueError(f"{name}: line {i + 2}: expected {d} values, got {len(parts)}")
+        if i == 0:  # allocate once a row has shown d values: a header alone may ask any size
+            out = np.empty((n, d))
         try:
             out[i] = np.array(parts, dtype=np.float64)  # float() on each token
         except ValueError:

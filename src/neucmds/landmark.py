@@ -122,7 +122,7 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     """Fit landmarks, then triangulate every non-landmark point.
 
     Returns an embedding over all n points carrying the landmark signature;
-    its selection and axis indices refer to the landmark submatrix spectrum.
+    its axis indices refer to the landmark submatrix spectrum.
     """
     d = as_square_matrix(d, name)  # fit_landmarks validates it
     model = fit_landmarks(d, m, k, method=method, seed=seed, strategy=strategy, name=name)

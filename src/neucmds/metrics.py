@@ -8,7 +8,6 @@ which is the identity the acceptance suite verifies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -39,9 +38,6 @@ class StressReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _pair(d, d_hat) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(d, dtype=np.float64)
@@ -58,7 +54,7 @@ def stress(d, d_hat) -> float:
     return float(np.sum(np.square(diff, out=diff)))
 
 
-def decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
+def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
     """Exact three-term stress split for axis values ``lam_tilde``.
 
     Parameters
@@ -68,10 +64,8 @@ def decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
     u : (n, n) array
         Paired eigenvectors, one per column; None (a values-only solve)
         raises ``ValueError``.
-    w : (n,) bool array
-        Indicator of the selected axes.
     lam_tilde : (n,) array
-        Axis values actually used; must vanish outside the support of w.
+        Axis values actually used, zero off the selected axes.
 
     Returns
     -------
@@ -83,17 +77,13 @@ def decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
     lam = np.asarray(lam, dtype=np.float64)
     lam_tilde = np.asarray(lam_tilde, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    w = np.asarray(w, dtype=bool)
     n = lam.shape[0]
-    if lam_tilde.shape != lam.shape or w.shape != lam.shape or u.shape != (n, n):
+    if lam_tilde.shape != lam.shape or u.shape != (n, n):
         raise ValueError("inconsistent dimensions in decompose()")
-    if np.any(lam_tilde[~w] != 0.0):
-        i = int(np.flatnonzero(~w & (lam_tilde != 0.0))[0])
-        raise ValueError(f"axis value {i} is nonzero outside the selected set")
 
     dl = lam - lam_tilde
-    c1 = 4.0 * (float(np.sum(lam[~w] ** 2)) + float(np.sum(dl[w] ** 2)))
-    total = float(np.sum(lam[~w])) + float(np.sum(dl[w]))
+    c1 = 4.0 * float(np.sum(dl * dl))
+    total = float(np.sum(dl))
     c2 = 4.0 * total * total
     v = (u * u) @ dl
     c3 = 2.0 * n * float(np.sum(v * v)) - c2 / 2.0

@@ -52,7 +52,6 @@ class SelectionResult:
 
     chosen: np.ndarray
     values: np.ndarray
-    w: np.ndarray
     r: int
     s: int
     bound_c1: float
@@ -126,7 +125,6 @@ def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
     return SelectionResult(
         chosen=chosen,
         values=values,
-        w=w,
         r=r,
         s=int(chosen.size - r),
         bound_c1=c1,

@@ -4,7 +4,9 @@
 exponential; the greedy selectors must match it.  ``gram_to_dissim`` is the
 inverse of :func:`neucmds.linalg.double_center` on centered Gram matrices.
 ``mirror_upper`` is the copying form of
-:func:`neucmds.linalg.mirror_upper_inplace`.
+:func:`neucmds.linalg.mirror_upper_inplace`.  ``ref_decompose`` is the
+stress split summed over the dropped and the selected axes separately, the
+form :func:`neucmds.metrics.decompose` must match.
 """
 
 from __future__ import annotations
@@ -87,3 +89,37 @@ def gram_to_dissim(g) -> np.ndarray:
     m = diag[:, None] + diag[None, :] - 2.0 * g
     np.fill_diagonal(m, 0.0)
     return mirror_upper(m)
+
+
+def chosen_mask(indices, n: int) -> np.ndarray:
+    """Length-n bool indicator of the axes in ``indices``."""
+    w = np.zeros(n, dtype=bool)
+    w[np.asarray(indices, dtype=np.intp)] = True
+    return w
+
+
+def full_axis_values(emb) -> np.ndarray:
+    """Length-n axis-value vector of an embedding, zero off its axes."""
+    full = np.zeros(emb.n, dtype=np.float64)
+    full[emb.axis_indices] = emb.axis_values
+    return full
+
+
+def ref_decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
+    """The split (c1, c2, c3) with c1 and c2 summed in two groups: the dropped
+    eigenvalues ``lam[~w]`` and the selected differences ``lam - lam_tilde``
+    over ``w``.  ``lam_tilde`` must vanish off ``w``."""
+    lam = np.asarray(lam, dtype=np.float64)
+    lam_tilde = np.asarray(lam_tilde, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    w = np.asarray(w, dtype=bool)
+    n = lam.shape[0]
+    assert lam_tilde.shape == lam.shape == w.shape and u.shape == (n, n)
+    assert not np.any(lam_tilde[~w] != 0.0), "axis value nonzero outside the selected set"
+    dl = lam - lam_tilde
+    c1 = 4.0 * (float(np.sum(lam[~w] ** 2)) + float(np.sum(dl[w] ** 2)))
+    total = float(np.sum(lam[~w])) + float(np.sum(dl[w]))
+    c2 = 4.0 * total * total
+    v = (u * u) @ dl
+    c3 = 2.0 * n * float(np.sum(v * v)) - c2 / 2.0
+    return c1, c2, c3

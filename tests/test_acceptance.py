@@ -24,7 +24,7 @@ from neucmds.rmt import (
 from neucmds.selection import CMDS, NEUC, PLUS, select_neuc, select_plus
 
 from conftest import random_edm, random_hollow
-from oracle import select_bruteforce
+from oracle import full_axis_values, select_bruteforce
 
 SIMPLEX_SEED = 42
 
@@ -61,8 +61,7 @@ def test_01_decomposition_identity():
                     emb = embed_from_decomposition(dec, k, method)
                     ssq = stress(d, reconstruct(emb))
                     c1, c2, c3 = decompose(
-                        dec.eigenvalues, dec.eigenvectors,
-                        emb.selection.w, emb.full_axis_values(),
+                        dec.eigenvalues, dec.eigenvectors, full_axis_values(emb),
                     )
                     rel = abs(ssq - (c1 + c2 + c3)) / max(1.0, ssq)
                     worst = max(worst, rel)

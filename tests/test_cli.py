@@ -252,6 +252,31 @@ class TestExitCodes:
         assert "symmetric" not in proc.stderr
         assert not out.exists()
 
+    def test_oversized_header_is_three(self, tmp_path):
+        # a PiB-scale header: the parser must reject line 2 before allocating
+        pts = tmp_path / "midd.txt"
+        pts.write_text("3 1000000000000000\n1 2\n1 2\n1 2\n")
+        out = tmp_path / "d.txt"
+        proc = run_cli("perturb", "--input", pts, "--kind", "knn", "--output", out)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"error: {pts}: line 2: expected 1000000000000000 values, got 2"]
+        assert not out.exists()
+
+    def test_oversized_square_header_is_a_line_2_error(self):
+        n = 10 ** 15
+
+        class Lines:  # n + 1 lines without holding them
+            def __len__(self):
+                return n + 1
+
+            def __getitem__(self, i):
+                return str(n) if i == 0 else "0 1"
+
+        with pytest.raises(ValueError) as info:
+            parse_table(Lines(), name="m.txt")
+        assert str(info.value) == f"m.txt: line 2: expected {n} values, got 2"
+
     def test_text_file_read_as_binary_is_three(self, tmp_path):
         inp = tmp_path / "d.txt"
         write_matrix(inp, gen_random_simplex(5, seed=1), TEXT)

@@ -158,10 +158,13 @@ SRC = str(Path(neucmds.__file__).resolve().parents[1])
 EMBED = """
 import sys
 import numpy as np
-from neucmds import embed
+from neucmds.embedding import embed_from_decomposition, spectrum
 from neucmds.io import read_matrix
-emb = embed(read_matrix(sys.argv[1]), int(sys.argv[2]))
-np.savez(sys.argv[3], chosen=emb.selection.chosen, coords=emb.coords)
+from neucmds.selection import select
+k = int(sys.argv[2])
+dec = spectrum(read_matrix(sys.argv[1]), k, "d")  # embed's own steps, dec kept for the picks
+emb = embed_from_decomposition(dec, k, "neuc")
+np.savez(sys.argv[3], chosen=select(dec.eigenvalues, k, "neuc").chosen, coords=emb.coords)
 """
 
 

@@ -22,7 +22,7 @@ from neucmds.rmt import GAUSSIAN, RADEMACHER, sample_wigner
 from neucmds.selection import METHODS, select
 
 from conftest import random_hollow
-from oracle import mirror_upper
+from oracle import full_axis_values, mirror_upper
 
 SPECTRUM_RTOL = 1e-12  # scaled by max|lambda|
 
@@ -141,7 +141,7 @@ def test_decompose_needs_eigenvectors():
     d = random_hollow(np.random.default_rng(6), 12)
     full = eig_sym(double_center(d))
     emb = embed_from_decomposition(full, 3, "neuc")
-    args = (full.eigenvalues, None, emb.selection.w, emb.full_axis_values())
+    args = (full.eigenvalues, None, full_axis_values(emb))
     with pytest.raises(ValueError, match="computed without eigenvectors"):
         decompose(*args)
 

@@ -20,6 +20,7 @@ from neucmds.metrics import stress
 from neucmds.selection import CMDS, METHODS, NEUC, PLUS, select
 
 from conftest import random_edm, random_hollow
+from oracle import full_axis_values
 
 COLLINEAR = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
 
@@ -125,8 +126,6 @@ class TestReconstruct:
             signature=np.zeros(0, dtype=np.int64),
             axis_values=np.zeros(0),
             axis_indices=np.zeros(0, dtype=np.intp),
-            selection=None,
-            method=NEUC,
         )
         np.testing.assert_array_equal(reconstruct(emb), np.zeros((5, 5)))
 
@@ -144,8 +143,6 @@ class TestReconstruct:
             signature=np.array([1, -1]),
             axis_values=np.array([1.0, -1.0]),
             axis_indices=np.array([0, 1]),
-            selection=None,
-            method=NEUC,
         )
         np.testing.assert_array_equal(reconstruct(emb), np.zeros((2, 2)))
 
@@ -160,7 +157,7 @@ class TestReconstruct:
         dec = eig_sym(double_center(d))
         emb = embed_from_decomposition(dec, 5, PLUS)
         d_hat = reconstruct(emb)
-        lt = emb.full_axis_values()
+        lt = full_axis_values(emb)
         alt = np.zeros_like(d)
         for axis in range(dec.n):
             diff = dec.eigenvectors[:, axis][:, None] - dec.eigenvectors[:, axis][None, :]
@@ -200,16 +197,15 @@ class TestPlusOptimality:
             dec = eig_sym(double_center(d))
             k = int(rng.integers(1, n))
             emb = embed_from_decomposition(dec, k, PLUS)
-            w = emb.selection.w
-            lt = emb.full_axis_values()
-            c1, c2, _ = decompose(dec.eigenvalues, dec.eigenvectors, w, lt)
+            lt = full_axis_values(emb)
+            c1, c2, _ = decompose(dec.eigenvalues, dec.eigenvectors, lt)
             base = c1 + c2
             delta = 1e-3 * max(1.0, np.abs(dec.eigenvalues).max())
             for axis in emb.axis_indices:
                 for sign in (+1.0, -1.0):
                     bumped = lt.copy()
                     bumped[axis] += sign * delta
-                    b1, b2, _ = decompose(dec.eigenvalues, dec.eigenvectors, w, bumped)
+                    b1, b2, _ = decompose(dec.eigenvalues, dec.eigenvectors, bumped)
                     assert b1 + b2 >= base - 1e-9 * max(1.0, base)
 
 

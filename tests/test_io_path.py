@@ -409,8 +409,6 @@ def test_embedding_write_is_the_reference_bytes(k, tmp_path):
         signature=np.where(axis_values < 0.0, -1, 1),
         axis_values=axis_values,
         axis_indices=np.arange(k),
-        selection=None,
-        method="neuc",
     )
     path = tmp_path / "e.txt"
     write_embedding(path, emb, StressReport(0.0, 0.0, None, None, None, 0.0, None, 0, 0))

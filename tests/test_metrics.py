@@ -1,11 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from neucmds.datasets import (
+    gen_euclidean_ball,
+    gen_random_simplex,
+    perturb_knn,
+    perturb_missing,
+    perturb_noise,
+)
 from neucmds.embedding import embed_from_decomposition, reconstruct, report
 from neucmds.landmark import embed_landmark
-from neucmds.linalg import double_center, eig_sym
+from neucmds.linalg import SpectralDecomposition, double_center, eig_sym
 from neucmds.metrics import (
     StressReport,
     avg_geometric_distortion,
@@ -14,9 +22,10 @@ from neucmds.metrics import (
     scaled_additive_error,
     stress,
 )
-from neucmds.selection import METHODS
+from neucmds.selection import CMDS, METHODS, NEUC, PLUS
 
-from conftest import random_hollow
+from conftest import random_edm, random_hollow
+from oracle import chosen_mask, full_axis_values, ref_decompose
 
 TWO_BY_TWO_U = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -40,14 +49,13 @@ class TestStress:
 class TestDecompose:
     def test_nothing_dropped(self):
         lam = np.array([2.0, -1.0])
-        c1, c2, c3 = decompose(lam, TWO_BY_TWO_U, np.array([True, True]), lam)
+        c1, c2, c3 = decompose(lam, TWO_BY_TWO_U, lam)
         assert (c1, c2, c3) == (0.0, 0.0, 0.0)
 
     def test_hand_case(self):
         # drop the first eigenvalue of (1, 0); the c3 term vanishes for this u
         lam = np.array([1.0, 0.0])
-        w = np.array([False, True])
-        c1, c2, c3 = decompose(lam, TWO_BY_TWO_U, w, np.zeros(2))
+        c1, c2, c3 = decompose(lam, TWO_BY_TWO_U, np.zeros(2))
         assert c1 == 4.0 and c2 == 4.0
         np.testing.assert_allclose(c3, 0.0, atol=1e-12)
 
@@ -58,14 +66,9 @@ class TestDecompose:
         shift = lam[~w].sum() / (1 + k)
         lam_tilde = np.where(w, lam + shift, 0.0)
         u = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
-        c1, c2, _ = decompose(lam, u, w, lam_tilde)
+        c1, c2, _ = decompose(lam, u, lam_tilde)
         closed = 4.0 * np.sum(lam[~w] ** 2) + 4.0 * lam[~w].sum() ** 2 / (1 + k)
         np.testing.assert_allclose(c1 + c2, closed, rtol=1e-14)
-
-    def test_rejects_value_outside_support(self):
-        lam = np.array([1.0, 0.5])
-        with pytest.raises(ValueError, match="outside"):
-            decompose(lam, TWO_BY_TWO_U, np.array([True, False]), np.array([1.0, 0.5]))
 
 
 class TestDecompositionIdentity:
@@ -79,10 +82,7 @@ class TestDecompositionIdentity:
                 emb = embed_from_decomposition(dec, k, method)
                 d_hat = reconstruct(emb)
                 ssq = stress(d, d_hat)
-                c1, c2, c3 = decompose(
-                    dec.eigenvalues, dec.eigenvectors, emb.selection.w,
-                    emb.full_axis_values(),
-                )
+                c1, c2, c3 = decompose(dec.eigenvalues, dec.eigenvectors, full_axis_values(emb))
                 assert abs(ssq - (c1 + c2 + c3)) <= 1e-8 * max(1.0, ssq)
                 assert c3 >= -1e-10 * max(1.0, ssq)
 
@@ -94,13 +94,73 @@ class TestDecompositionIdentity:
             dec = eig_sym(double_center(d))
             k = int(rng.integers(1, n + 1))
             emb = embed_from_decomposition(dec, k, "neuc")
-            w = emb.selection.w
+            w = chosen_mask(emb.axis_indices, n)
             lam = dec.eigenvalues
             plain = np.where(w, lam, 0.0)
             shifted = np.where(w, lam + lam[~w].sum() / (1.0 + k), 0.0)
-            c1p, c2p, _ = decompose(lam, dec.eigenvectors, w, plain)
-            c1s, c2s, _ = decompose(lam, dec.eigenvectors, w, shifted)
+            c1p, c2p, _ = decompose(lam, dec.eigenvectors, plain)
+            c1s, c2s, _ = decompose(lam, dec.eigenvectors, shifted)
             assert c1s + c2s <= c1p + c2p + 1e-12 * max(1.0, c1p + c2p)
+
+
+def _split_against_reference(dec, k, method):
+    """The embedding of (dec, k, method); asserts its split equals ``decompose``
+    of its axis values and matches ``ref_decompose`` to 1e-14 of max|c|."""
+    emb = embed_from_decomposition(dec, k, method)
+    full = full_axis_values(emb)
+    got = decompose(dec.eigenvalues, dec.eigenvectors, full)
+    want = ref_decompose(dec.eigenvalues, dec.eigenvectors,
+                         chosen_mask(emb.axis_indices, dec.n), full)
+    assert emb.split == got
+    tol = 1e-14 * max(abs(c) for c in want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= tol, (k, method, got, want)
+    return emb
+
+
+class TestSplitMatchesReference:
+    # the split from lam_tilde alone against the dropped/selected grouping
+    @pytest.mark.parametrize("case", ["hollow-10", "hollow-50", "hollow-200", "simplex-40",
+                                      "simplex-300", "balls-30", "knn-60", "noise-60",
+                                      "missing-60"])
+    def test_every_method_and_k(self, case):
+        kind, n = case.split("-")
+        n = int(n)
+        pts = np.random.default_rng(4).normal(size=(n, 8))
+        d = {
+            "hollow": lambda: random_hollow(np.random.default_rng(n), n),
+            "simplex": lambda: gen_random_simplex(n, seed=0),
+            "balls": lambda: gen_euclidean_ball(n, seed=0),
+            "knn": lambda: perturb_knn(pts, 4),
+            "noise": lambda: perturb_noise(pts, "auto", seed=0),
+            "missing": lambda: perturb_missing(pts, 0.8, seed=1),
+        }[kind]()
+        dec = eig_sym(double_center(d))
+        ks = range(1, n + 1) if n <= 60 else sorted({1, 5, n // 10, n // 4, n // 3,
+                                                     n // 2, n - 1, n})
+        for method in METHODS:
+            for k in ks:
+                _split_against_reference(dec, k, method)
+
+    def test_cmds_with_clamped_axes(self):
+        rng = np.random.default_rng(7)
+        d = random_edm(rng, 30, 3)  # rank 3: most eigenvalues round to either sign
+        dec = eig_sym(double_center(d))
+        npos = int(np.sum(dec.eigenvalues > 0.0))
+        assert npos < 29
+        for k in range(npos + 1, 31):
+            emb = _split_against_reference(dec, k, CMDS)
+            assert np.sum(emb.axis_values == 0.0) == k - npos  # the clamped axes
+
+    @pytest.mark.parametrize("method", [NEUC, PLUS])
+    def test_neuc_with_forced_zero_axes(self, method):
+        rng = np.random.default_rng(8)
+        lam = np.array([3.0, 1.5, 0.25, 0.0, 0.0, 0.0, -0.5, -2.0])
+        u = np.linalg.qr(rng.normal(size=(lam.size, lam.size)))[0]
+        dec = SpectralDecomposition(lam, u)
+        for k in range(1, lam.size + 1):
+            emb = _split_against_reference(dec, k, method)
+            if k > 5:  # every nonzero eigenvalue is taken, then zeros in index order
+                assert np.isin([3, 4, 5][:k - 5], emb.axis_indices).all()
 
 
 class TestScaledAdditive:
@@ -184,7 +244,7 @@ def test_report_round_trips_to_json(rng):
     landmark_rep = report(d, embed_landmark(d, 6, 2, seed=1))
     for r in (rep, landmark_rep):
         assert isinstance(r, StressReport)
-        loaded = __import__("json").loads(r.to_json())
+        loaded = json.loads(json.dumps(r.to_dict()))
         assert list(loaded) == [
             "stress_sq", "stress", "c1", "c2", "c3",
             "scaled_additive", "avg_distortion", "neg_dissim_count", "neg_axes_count",
@@ -192,5 +252,5 @@ def test_report_round_trips_to_json(rng):
         assert loaded["stress_sq"] == pytest.approx(r.stress_sq)
     assert rep.stress_sq == pytest.approx(rep.c1 + rep.c2 + rep.c3)
     assert rep.stress_sq == stress(d, reconstruct(emb))
-    loaded = __import__("json").loads(landmark_rep.to_json())
+    loaded = json.loads(json.dumps(landmark_rep.to_dict()))
     assert loaded["c1"] is None and loaded["c2"] is None and loaded["c3"] is None

@@ -1,7 +1,10 @@
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,16 @@ def test_benchmark_layer_names_match_the_package():
         names = vars(importlib.import_module(f"neucmds.{module}"))
         assert any(name.startswith(start) and _traced_function(module, name)
                    for name in names), f"no {module}.{start}* function"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    # a stale name in the README's examples (a removed field or method) fails here
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks, "no python blocks in the README"
+    namespace = {}
+    for i, block in enumerate(blocks):
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
