@@ -20,6 +20,7 @@ from .metrics import (
     decompose,
     negativity_stats,
     scaled_additive_error,
+    spectral_reports,
     stress,
 )
 from .selection import (
@@ -63,6 +64,7 @@ __all__ = [
     "select_cmds",
     "select_neuc",
     "select_plus",
+    "spectral_reports",
     "stress",
     "sweep",
     "triangulate",

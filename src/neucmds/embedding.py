@@ -9,7 +9,7 @@ are reported rather than clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .metrics import (
     decompose,
     negativity_stats,
     scaled_additive_error,
+    spectral_reports,
     stress,
 )
 from .selection import METHODS, NEUC, _check_k, normalize_method, select
@@ -144,6 +145,9 @@ class SweepEntry:
 def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> list[SweepEntry]:
     """Stress reports over a (k, method) grid sharing one eigendecomposition.
 
+    Each row comes from the spectrum (``metrics.spectral_reports``); a row the
+    closed forms leave to the entrywise path is ``report`` of the embedding.
+    ``avg_distortion`` and ``neg_dissim_count`` are None on every row.
     ``name`` is what validation errors call the input.
     """
     d = as_square_matrix(d, name)
@@ -152,8 +156,11 @@ def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> lis
     k_list = [_check_k(k, b.shape[0]) for k in k_list]
     dec = eig_sym(b)
     del b  # one n x n less while the reports run
-    return [
-        SweepEntry(k, m, report(d, embed_from_decomposition(dec, k, m)))
-        for k in k_list
-        for m in methods
-    ]
+    grid = [(k, m) for k in k_list for m in methods]
+    entries = []
+    for (k, m), rep in zip(grid, spectral_reports(d, dec, grid)):
+        if rep is None:  # the closed forms cancel on this row: build d_hat
+            rep = replace(report(d, embed_from_decomposition(dec, k, m)),
+                          avg_distortion=None, neg_dissim_count=None)
+        entries.append(SweepEntry(k, m, rep))
+    return entries

@@ -14,6 +14,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import BLOCK
+from .selection import select
+
+# Below this share of ||d||^2 a closed-form stress or scaled-additive residual
+# is a difference of near-equal sums, and ``spectral_reports`` leaves the row to
+# the entrywise path.  The closed forms err by up to about 1.5e-15 ||d||^2, so a
+# row above the floor stays within 3e-11 of the entrywise value.
+SPECTRAL_FLOOR = 5e-5
 
 
 @dataclass(frozen=True)
@@ -23,6 +30,8 @@ class StressReport:
     ``avg_distortion`` is None when no pair has positive dissimilarity on
     both sides, and ``c1``/``c2``/``c3`` are None when the embedding has no
     decomposition of the full matrix (both serialized as JSON null).
+    ``avg_distortion`` and ``neg_dissim_count`` read the reconstruction entry
+    by entry; both are None on the rows ``spectral_reports`` gives.
     """
 
     stress_sq: float
@@ -32,7 +41,7 @@ class StressReport:
     c3: float | None
     scaled_additive: float
     avg_distortion: float | None
-    neg_dissim_count: int
+    neg_dissim_count: int | None
     neg_axes_count: int
 
     def to_dict(self) -> dict:
@@ -82,12 +91,84 @@ def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
         raise ValueError("inconsistent dimensions in decompose()")
 
     dl = lam - lam_tilde
-    c1 = 4.0 * float(np.sum(dl * dl))
-    total = float(np.sum(dl))
-    c2 = 4.0 * total * total
+    c1, c2 = _dropped_terms(dl)
     v = (u * u) @ dl
     c3 = 2.0 * n * float(np.sum(v * v)) - c2 / 2.0
     return c1, c2, c3
+
+
+def _dropped_terms(dl) -> tuple[float, float]:
+    """c1 and c2 of the split from the per-axis differences lam - lam_tilde."""
+    c1 = 4.0 * float(np.sum(dl * dl))
+    total = float(np.sum(dl))
+    return c1, 4.0 * total * total
+
+
+def spectral_reports(d, dec, grid) -> list[StressReport | None]:
+    """Stress reports of every (k, method) in ``grid`` from the spectrum alone.
+
+    ``dec`` decomposes the centered Gram matrix B of the hollow symmetric d,
+    so d_ij = B_ii + B_jj - 2 B_ij.  With the selected eigenvectors U_S, their
+    eigenvalues lam_S and axis values t, the reconstruction is
+    d_hat_ij = y_i + y_j - 2 G_ij for G = U_S diag(t) U_S^T and y = diag G, and
+    with g = G 1 and b = diag B:
+
+        <d, d_hat> = 2 rowsum(d).y - 4 b.g + 4 t.lam_S
+        ||d_hat||^2 = 2n ||y||^2 + 2 (sum y)^2 + 4 t.t - 8 y.g
+        stress_sq = ||d||^2 - 2 <d, d_hat> + ||d_hat||^2
+        scaled_additive^2 = ||d||^2 - <d, d_hat>^2 / ||d_hat||^2
+        c3 = 2n ||b - y||^2 - c2 / 2
+
+    and c1, c2 are ``decompose``'s, bitwise.  Each row costs O(n k) and no
+    n x n array.  A row is None where the subtractions cancel: stress_sq or
+    scaled_additive^2 at or below ``SPECTRAL_FLOOR`` ||d||^2, or ||d_hat||^2
+    below ``SPECTRAL_FLOOR`` 4 t.t.  Axes orthogonal to 1 give
+    ||d_hat||^2 >= 4 t.t; a smaller one comes from an axis along 1, which adds
+    nothing to d_hat.  ``avg_distortion`` and ``neg_dissim_count`` are None on
+    every row.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    lam, u = dec.eigenvalues, dec.eigenvectors
+    n = dec.n
+    if u is None or d.shape != (n, n):
+        raise ValueError("spectral_reports() needs d and its decomposition with eigenvectors")
+    rowsum = d.sum(axis=1)
+    b = rowsum / n - float(rowsum.sum()) / (2.0 * n * n)
+    dd = float(np.vdot(d, d))
+    floor = SPECTRAL_FLOOR * dd
+    reports: list[StressReport | None] = []
+    for k, method in grid:
+        sel = select(lam, k, method)
+        full = np.zeros(n)
+        full[sel.chosen] = sel.values
+        # ascending indices: the arithmetic depends on the chosen set, not the pick order
+        idx = np.sort(sel.chosen)
+        t = full[idx]
+        us = np.take(u, idx, axis=1)
+        g = us @ (t * us.sum(axis=0))
+        y = np.square(us, out=us) @ t
+        cross = 2.0 * float(rowsum @ y) - 4.0 * float(b @ g) + 4.0 * float(t @ lam[idx])
+        sy, tt = float(y.sum()), float(t @ t)
+        hat = 2.0 * n * float(y @ y) + 2.0 * sy * sy + 4.0 * tt - 8.0 * float(y @ g)
+        ssq = dd - 2.0 * cross + hat
+        resid = dd - cross * cross / hat if hat > 0.0 else dd
+        if ssq <= floor or resid <= floor or hat < SPECTRAL_FLOOR * 4.0 * tt:
+            reports.append(None)
+            continue
+        c1, c2 = _dropped_terms(lam - full)
+        v = b - y
+        reports.append(StressReport(
+            stress_sq=ssq,
+            stress=math.sqrt(ssq),
+            c1=c1,
+            c2=c2,
+            c3=2.0 * n * float(v @ v) - c2 / 2.0,
+            scaled_additive=math.sqrt(resid),
+            avg_distortion=None,
+            neg_dissim_count=None,
+            neg_axes_count=int(np.sum(t < 0.0)),
+        ))
+    return reports
 
 
 def scaled_additive_error(d, d_hat) -> float:

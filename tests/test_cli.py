@@ -181,6 +181,10 @@ class TestCommands:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("k,method,stress_sq,stress,c1,c2,c3")
         assert len(lines) == 1 + 3 * 3  # three k values, three methods
+        header = lines[0].split(",")
+        for line in lines[1:]:  # the entrywise columns are left to embed
+            row = dict(zip(header, line.split(",")))
+            assert row["avg_distortion"] == row["neg_dissim_count"] == ""
 
     def test_perturb_knn(self, tmp_path):
         pts = np.array([[0.0], [1.0], [3.0], [6.0]])

@@ -1,0 +1,153 @@
+"""Sweep rows from the spectrum against the direct path through d_hat.
+
+``metrics.spectral_reports`` gives each (k, method) row from the one
+eigendecomposition; ``report(d, embed_from_decomposition(dec, k, m))`` builds
+d_hat and stays the reference.  Rows whose closed forms cancel come back None
+and ``sweep`` fills them from the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from neucmds.datasets import gen_random_simplex
+from neucmds.embedding import embed_from_decomposition, report, sweep
+from neucmds.linalg import SpectralDecomposition, double_center, eig_sym
+from neucmds.metrics import SPECTRAL_FLOOR, spectral_reports
+from neucmds.selection import CMDS, METHODS, NEUC, PLUS
+
+from conftest import random_edm, random_hollow
+
+RTOL = 1e-10
+SPLIT_FIELDS = ("stress_sq", "c1", "c2", "c3", "scaled_additive")
+
+
+def matches_direct(d, dec, grid):
+    """Asserts every spectral row of ``grid`` against the direct report and
+    returns the (k, method) pairs that fell back, with their direct reports."""
+    fell = []
+    for (k, method), got in zip(grid, spectral_reports(d, dec, grid)):
+        want = report(d, embed_from_decomposition(dec, k, method))
+        if got is None:
+            fell.append(((k, method), want))
+            continue
+        where = (d.shape[0], k, method)
+        assert (got.c1, got.c2) == (want.c1, want.c2), where
+        assert got.stress_sq == pytest.approx(want.stress_sq, rel=RTOL, abs=0), where
+        assert got.scaled_additive == pytest.approx(want.scaled_additive, rel=RTOL, abs=0), where
+        # c3 against the scale of the split it belongs to, c1 + c2 + c3 = stress_sq
+        assert abs(got.c3 - want.c3) <= RTOL * want.stress_sq, where
+        assert got.stress == math.sqrt(got.stress_sq)
+        assert got.neg_axes_count == want.neg_axes_count, where
+        assert (got.avg_distortion, got.neg_dissim_count) == (None, None)
+    return fell
+
+
+def assert_fell_where_it_cancels(d, fell):
+    floor = 2.0 * SPECTRAL_FLOOR * float(np.vdot(d, d))
+    for where, want in fell:
+        assert min(want.stress_sq, want.scaled_additive ** 2) <= floor, where
+
+
+def test_acceptance_1_grid():
+    rng = np.random.default_rng(1)
+    fell = set()
+    for n, count in ((10, 20), (50, 20), (200, 10)):
+        for _ in range(count):
+            d = random_hollow(rng, n)
+            dec = eig_sym(double_center(d))
+            grid = [(k, m) for m in METHODS for k in sorted({1, n // 4, n // 2, n - 1})]
+            rows = matches_direct(d, dec, grid)
+            assert_fell_where_it_cancels(d, rows)
+            fell |= {(n, *where) for where, _ in rows}
+    # only the (n-1)-axis signed embeddings come close enough to d
+    assert fell == {(n, n - 1, m) for n in (10, 50, 200) for m in (NEUC, PLUS)}
+
+
+def test_acceptance_8_grid():
+    d = gen_random_simplex(1000, seed=42)
+    dec = eig_sym(double_center(d))
+    grid = [(k, m) for k in range(10, 301, 10) for m in (CMDS, NEUC)]
+    assert matches_direct(d, dec, grid) == []
+
+
+KINDS = ("hollow", "edm", "negative-heavy")
+
+
+def draw_matrix(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hollow":
+        return random_hollow(rng, n, scale=float(rng.uniform(1e-3, 1e3)))
+    e = random_edm(rng, n, int(rng.integers(1, n + 1)))
+    if kind == "edm":
+        return e
+    # mostly a negated EDM: the spectrum is dominated by negative eigenvalues
+    return random_hollow(rng, n, scale=0.1) - e / max(e.max(), 1e-300)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_property_over_hollow_edm_and_negative_heavy(kind, n, seed, data):
+    d = draw_matrix(kind, n, seed)
+    ks = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
+    grid = [(k, m) for k in ks for m in METHODS]
+    matches_direct(d, eig_sym(double_center(d)), grid)
+
+
+@pytest.mark.parametrize("case", ["edm-rank-3", "edm-rank-8", "hollow-k-n"])
+def test_fallback_rows_are_the_direct_values(case):
+    rng = np.random.default_rng(11)
+    n = 24
+    if case == "hollow-k-n":
+        d, grid = random_hollow(rng, n), [(n, NEUC), (n, PLUS)]
+    else:
+        rank = int(case.rsplit("-", 1)[1])
+        d = random_edm(rng, n, rank)
+        grid = [(k, m) for k in (rank, rank + 1, n // 2, n) for m in METHODS]
+    dec = eig_sym(double_center(d))
+    assert spectral_reports(d, dec, grid) == [None] * len(grid)
+    entries = sweep(d, sorted({k for k, _ in grid}), sorted({m for _, m in grid}))
+    by_key = {(e.k, e.method): e.report for e in entries}
+    for k, method in grid:
+        got, want = by_key[k, method], report(d, embed_from_decomposition(dec, k, method))
+        assert [getattr(got, f) for f in SPLIT_FIELDS] == [getattr(want, f) for f in SPLIT_FIELDS]
+        assert (got.stress, got.neg_axes_count) == (want.stress, want.neg_axes_count)
+        assert (got.avg_distortion, got.neg_dissim_count) == (None, None)
+
+
+@pytest.mark.parametrize("noise", [3e-3, 1e-3, 1e-4])
+def test_near_exact_fits_fall_back(noise):
+    # stress near 2e-5, 3e-6 and 3e-8 of ||d||^2: the closed forms would keep
+    # too few digits there
+    rng = np.random.default_rng(12)
+    e = random_edm(rng, 30, 4)
+    d = e + random_hollow(rng, 30, scale=noise * e.max())
+    fell = matches_direct(d, eig_sym(double_center(d)), [(k, m) for k in (4, 5) for m in METHODS])
+    assert len(fell) == 6
+    assert_fell_where_it_cancels(d, fell)
+
+
+def test_an_axis_along_ones_falls_back():
+    # cmds keeps one positive axis, the near-zero one along 1: d_hat is zero up to
+    # rounding, and the closed-form ||d_hat||^2 cancels
+    n = 6
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, n - 1))]))[0]
+    lam = np.array([1e-15, -0.5, -1.0, -2.0, -3.0, -4.0])
+    b = (u * lam) @ u.T
+    diag = np.diagonal(b)
+    d = diag[:, None] + diag[None, :] - 2.0 * b
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    dec = SpectralDecomposition(lam, u)
+    grid = [(1, CMDS), (2, CMDS)]
+    assert spectral_reports(d, dec, grid) == [None, None]
+
+
+def test_spectral_reports_needs_eigenvectors():
+    d = random_hollow(np.random.default_rng(3), 6)
+    with pytest.raises(ValueError, match="eigenvectors"):
+        spectral_reports(d, eig_sym(double_center(d), vectors=False), [(2, NEUC)])
