@@ -8,7 +8,6 @@ are reported rather than clamped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,15 +19,7 @@ from .linalg import (
     eig_sym,
     sum_minus_twice,
 )
-from .metrics import (
-    StressReport,
-    avg_geometric_distortion,
-    decompose,
-    negativity_stats,
-    scaled_additive_error,
-    spectral_reports,
-    stress,
-)
+from .metrics import StressReport, decompose, spectral_reports, strip_report
 from .selection import METHODS, NEUC, _check_k, normalize_method, select
 
 
@@ -62,8 +53,7 @@ class Embedding:
 def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) -> Embedding:
     """Build an embedding and its split from a decomposition with eigenvectors."""
     sel = select(dec.eigenvalues, k, method)
-    # the split first (it rejects a values-only dec): its n x n temporary is
-    # freed before the coordinates are allocated
+    # the split first: it rejects a values-only dec
     full = np.zeros(dec.n)
     full[sel.chosen] = sel.values
     split = decompose(dec.eigenvalues, dec.eigenvectors, full)
@@ -117,22 +107,9 @@ def reconstruct(emb: Embedding) -> np.ndarray:
 
 
 def report(d, emb: Embedding) -> StressReport:
-    """Error report of an embedding against the matrix d; c1, c2, c3 are ``emb.split``."""
-    d_hat = reconstruct(emb)
-    ssq = stress(d, d_hat)
-    c1, c2, c3 = emb.split or (None, None, None)
-    neg_pairs, neg_axes = negativity_stats(d_hat, emb.signature)
-    return StressReport(
-        stress_sq=ssq,
-        stress=math.sqrt(ssq),
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        scaled_additive=scaled_additive_error(d, d_hat),
-        avg_distortion=avg_geometric_distortion(d, d_hat),
-        neg_dissim_count=neg_pairs,
-        neg_axes_count=neg_axes,
-    )
+    """Error report of an embedding against the hollow symmetric matrix d, summed
+    from strips of d_hat (``metrics.strip_report``); c1, c2, c3 are ``emb.split``."""
+    return strip_report(d, emb.coords, emb.signature, emb.split)
 
 
 @dataclass(frozen=True)
@@ -159,7 +136,7 @@ def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> lis
     grid = [(k, m) for k in k_list for m in methods]
     entries = []
     for (k, m), rep in zip(grid, spectral_reports(d, dec, grid)):
-        if rep is None:  # the closed forms cancel on this row: build d_hat
+        if rep is None:  # the closed forms cancel on this row: sum it entry by entry
             rep = replace(report(d, embed_from_decomposition(dec, k, m)),
                           avg_distortion=None, neg_dissim_count=None)
         entries.append(SweepEntry(k, m, rep))

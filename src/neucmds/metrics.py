@@ -92,7 +92,8 @@ def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
 
     dl = lam - lam_tilde
     c1, c2 = _dropped_terms(dl)
-    v = (u * u) @ dl
+    # (u * u) @ dl a strip of rows at a time: no n x n temporary
+    v = np.concatenate([np.square(u[i0:i0 + BLOCK]) @ dl for i0 in range(0, n, BLOCK)])
     c3 = 2.0 * n * float(np.sum(v * v)) - c2 / 2.0
     return c1, c2, c3
 
@@ -189,12 +190,12 @@ def scaled_additive_error(d, d_hat) -> float:
     return float(np.linalg.norm(np.subtract(x, residual, out=residual)))
 
 
-def _above_diagonal(mask: np.ndarray) -> np.ndarray:
-    """Clear, in a mask of the strip ``[i0:i0 + BLOCK, i0:]``, the entries on and
-    below the diagonal; returns the mask."""
-    tile = mask[:, :mask.shape[0]]
+def _above_diagonal(strip: np.ndarray) -> np.ndarray:
+    """Zero, in the strip ``[i0:i0 + BLOCK, i0:]`` of a mask or a float matrix,
+    the entries on and below the diagonal; returns the strip."""
+    tile = strip[:, :strip.shape[0]]
     np.copyto(tile, False, where=np.tri(*tile.shape, dtype=bool))
-    return mask
+    return strip
 
 
 def _qualifying(d, d_hat, i0) -> np.ndarray:
@@ -215,7 +216,7 @@ def avg_geometric_distortion(d, d_hat) -> float | None:
 
     Reads d and d_hat in strips of ``BLOCK`` rows and holds two float
     buffers of the qualifying count: the log-ratios and the copy the median
-    partitions.
+    partitions, which keeps the mean's summation in row-major order.
     """
     d, d_hat = _pair(d, d_hat)
     starts = range(0, d.shape[0], BLOCK)
@@ -224,20 +225,31 @@ def avg_geometric_distortion(d, d_hat) -> float | None:
         return None
     logs, end = np.empty(count), 0
     for i0 in starts:  # row-major over the upper triangle: fixes the mean's order
-        ok = _qualifying(d, d_hat, i0)
         rows = slice(i0, i0 + BLOCK)
-        out = logs[end:end + int(np.count_nonzero(ok))]
-        end += out.size
-        np.log(d[rows, i0:][ok], out=out)
-        other = d_hat[rows, i0:][ok]
-        np.subtract(out, np.log(other, out=other), out=out)
-    logs *= 0.5
+        end += _log_ratios(d[rows, i0:], d_hat[rows, i0:], _qualifying(d, d_hat, i0), logs[end:])
+    return _distortion(logs)
+
+
+def _log_ratios(a, b, ok, out) -> int:
+    """Write (log a - log b) / 2 over the mask ``ok`` of two strips, in row-major
+    order, at the start of ``out``; returns the count written."""
+    out = out[:int(np.count_nonzero(ok))]
+    np.log(a[ok], out=out)
+    other = b[ok]
+    np.subtract(out, np.log(other, out=other), out=out)
+    out *= 0.5
+    return out.size
+
+
+def _distortion(logs, in_place: bool = False) -> float:
+    """exp of the mean |l - median| over the half log-ratios ``logs``, which it
+    overwrites; the median partitions a copy, or ``logs`` itself if ``in_place``."""
     # np.median's value up to the sign of a zero, which the abs drops; it needs
     # no NaN check, as a NaN log-ratio (+inf on both sides) makes the mean NaN
-    half = count // 2
-    part = logs.copy()
+    half = logs.size // 2
+    part = logs if in_place else logs.copy()
     part.partition(half)
-    logs -= part[half] if count % 2 else (part[:half].max() + part[half]) / 2.0
+    logs -= part[half] if logs.size % 2 else (part[:half].max() + part[half]) / 2.0
     return float(math.exp(np.mean(np.abs(logs, out=logs))))
 
 
@@ -250,3 +262,54 @@ def negativity_stats(d_hat, signature) -> tuple[int, int]:
                     for i0 in range(0, d_hat.shape[0], BLOCK))
     neg_axes = int(np.sum(np.asarray(signature) < 0))
     return neg_pairs, neg_axes
+
+
+def _upper_strips(d, x, signature, bufs):
+    """Rows i0:i1 of d and of d_hat = (y_i + y_j) - 2 g_ij, g = x^T S x, y = diag g,
+    from column i0 on and zero on and below the diagonal, per strip of ``BLOCK``
+    rows (one GEMM each), in the two rows of ``bufs`` (2 x BLOCK n floats)."""
+    s, n = np.asarray(signature, dtype=np.float64), x.shape[1]
+    y = np.einsum("l,li,li->i", s, x, x)
+    for i0 in range(0, n, BLOCK):
+        i1, m = i0 + BLOCK, n - i0
+        part, hat = (b[:min(BLOCK, m) * m].reshape(-1, m) for b in bufs)
+        np.add.outer(y[i0:i1], y[i0:], out=part)
+        np.matmul((s[:, None] * x[:, i0:i1]).T, x[:, i0:], out=hat)
+        hat *= 2.0
+        np.subtract(part, hat, out=hat)
+        np.copyto(part, d[i0:i1, i0:])  # the pair sums' buffer takes d's strip
+        yield _above_diagonal(part), _above_diagonal(hat)
+
+
+def strip_report(d, coords, signature, split=None) -> StressReport:
+    """Error report of the embedding ``coords`` (k x n) under ``signature`` against
+    the hollow symmetric d, with ``split`` as (c1, c2, c3), summed over the pairs
+    i < j of strips of d_hat in one pass, plus a second for the scaled additive
+    error where ||d - d_hat||^2 - <d - d_hat, d_hat>^2 / ||d_hat||^2 would cancel
+    a digit.  Equal to the whole-matrix metrics up to rounding."""
+    d, x = np.asarray(d, dtype=np.float64), np.asarray(coords, dtype=np.float64)
+    n = x.shape[1]
+    if d.shape != (n, n):
+        raise ValueError(f"matrix shapes do not match: {d.shape} vs {(n, n)}")
+    bufs, logs = np.empty((2, min(BLOCK, n) * n)), np.empty(n * (n - 1) // 2)
+    dd = cross = hh = ssq = along = neg = count = 0
+    for dp, hat in _upper_strips(d, x, signature, bufs):
+        dd += float(np.vdot(dp, dp))
+        cross += float(np.vdot(dp, hat))
+        hh += float(np.vdot(hat, hat))
+        neg += int(np.count_nonzero(hat < 0.0))
+        count += _log_ratios(dp, hat, (dp > 0.0) & (hat > 0.0), logs[count:])
+        miss = np.subtract(dp, hat, out=dp)
+        ssq += float(np.vdot(miss, miss))
+        along += float(np.vdot(miss, hat))
+    resid = dd if hh == 0.0 else ssq - along * along / hh
+    if hh > 0.0 and resid < 0.1 * ssq:
+        t, resid = cross / hh, 0.0
+        for dp, hat in _upper_strips(d, x, signature, bufs):
+            hat *= t
+            resid += float(np.vdot(np.subtract(dp, hat, out=hat), hat))
+    c1, c2, c3 = split or (None, None, None)
+    return StressReport(stress_sq=2.0 * ssq, stress=math.sqrt(2.0 * ssq), c1=c1, c2=c2, c3=c3,
+                        scaled_additive=math.sqrt(2.0 * resid),
+                        avg_distortion=_distortion(logs[:count], in_place=True) if count else None,
+                        neg_dissim_count=neg, neg_axes_count=int(np.sum(np.asarray(signature) < 0)))

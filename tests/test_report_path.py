@@ -1,11 +1,15 @@
 """The lean report path against the reference bodies it replaced.
 
-``reconstruct``, ``stress`` and ``scaled_additive_error`` build at most one
-n x n array each.  ``negativity_stats``, ``avg_geometric_distortion``,
-``check_symmetric`` and ``check_dissimilarity`` read their inputs in strips
-of ``BLOCK`` rows and build no n x n temporary; the distortion holds two
-float buffers of the qualifying pair count.  The ``ref_*`` functions below
-are the straightforward versions; every result must match them bitwise, on
+``report`` sums every field from strips of d_hat (``metrics.strip_report``)
+and builds no n x n array besides d; it must equal the whole-matrix
+functions on ``reconstruct`` within 1e-12 relative on the sums, and exactly
+on the counts and on c1, c2, c3.  ``reconstruct``, ``stress`` and
+``scaled_additive_error`` build at most one n x n array each.
+``negativity_stats``, ``avg_geometric_distortion``, ``check_symmetric`` and
+``check_dissimilarity`` read their inputs in strips of ``BLOCK`` rows and
+build no n x n temporary; the distortion holds two float buffers of the
+qualifying pair count.  The ``ref_*`` functions below are the
+straightforward versions; those public functions must match them bitwise, on
 symmetric, asymmetric and negative inputs alike.  The ``whole_*`` functions
 are the whole-matrix bodies the strip versions replaced: the checks must
 give their messages, and a memory guard must hold for the strip versions
@@ -15,12 +19,13 @@ and fail for them.
 import collections
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from neucmds import embedding, landmark, linalg
+from neucmds import embedding, landmark, linalg, metrics
 from neucmds.embedding import Embedding, embed_from_decomposition, reconstruct, report
 from neucmds.linalg import BLOCK, check_dissimilarity, check_symmetric, double_center, eig_sym
 from neucmds.metrics import (
@@ -120,6 +125,25 @@ def whole_avg_geometric_distortion(d, d_hat):
 def whole_negativity_stats(d_hat, signature):
     neg_pairs = int(np.count_nonzero(np.triu(d_hat < 0.0, 1)))
     return neg_pairs, int(np.sum(np.asarray(signature) < 0))
+
+
+def whole_report(d, emb):
+    """The report body that built d_hat: each metric on ``reconstruct``."""
+    d_hat = reconstruct(emb)
+    ssq = stress(d, d_hat)
+    c1, c2, c3 = emb.split or (None, None, None)
+    neg_pairs, neg_axes = negativity_stats(d_hat, emb.signature)
+    return StressReport(
+        stress_sq=ssq,
+        stress=math.sqrt(ssq),
+        c1=c1,
+        c2=c2,
+        c3=c3,
+        scaled_additive=scaled_additive_error(d, d_hat),
+        avg_distortion=avg_geometric_distortion(d, d_hat),
+        neg_dissim_count=neg_pairs,
+        neg_axes_count=neg_axes,
+    )
 
 
 def empty_embedding(n):
@@ -293,15 +317,18 @@ def count_calls(monkeypatch, module, names, record=lambda *args, **kwargs: True)
 
 def test_report_calls_every_layer_by_name(monkeypatch):
     # the benchmark's per-layer figures patch these module attributes; a
-    # fused or inlined layer would read zero there
+    # fused or inlined layer would read zero there.  The report's one layer is
+    # the strip kernel: no whole-matrix function runs, in either module
     d = random_hollow(np.random.default_rng(5), 12)
     dec = eig_sym(double_center(d))
-    calls = count_calls(monkeypatch, embedding, REPORT_LAYERS)
+    counters = [count_calls(monkeypatch, embedding, ["reconstruct", "decompose", "strip_report"]),
+                count_calls(monkeypatch, metrics, REPORT_LAYERS[1:])]
     emb = embed_from_decomposition(dec, 4, "neuc-plus")
-    assert calls == {"decompose": 1}  # the split is taken where dec is in hand
-    calls.clear()
+    assert sum(counters, collections.Counter()) == {"decompose": 1}  # where dec is in hand
+    for c in counters:
+        c.clear()
     report(d, emb)
-    assert calls == {name: 1 for name in REPORT_LAYERS if name != "decompose"}
+    assert sum(counters, collections.Counter()) == {"strip_report": 1}
 
 
 def ref_report(d, emb, dec):
@@ -330,8 +357,134 @@ def test_report_equals_the_report_given_the_decomposition(n, method):
     dec = eig_sym(double_center(d))
     for k in (1, 3, n):
         emb = embed_from_decomposition(dec, k, method)
-        # repr of every float, so -0.0 and 0.0 differ
-        assert json.dumps(report(d, emb).to_dict()) == json.dumps(ref_report(d, emb, dec).to_dict())
+        assert_reports_match(report(d, emb), ref_report(d, emb, dec), d)
+
+
+# ---------------------------------------------------------------- streamed report
+
+RTOL = 1e-12
+NOISE = 1e-14  # an exact fit's norms are rounding noise, below 1e-16 ||d|| here
+
+
+def assert_reports_match(got, want, d):
+    """c1, c2, c3 and the counts exactly; stress_sq, stress, scaled_additive and
+    avg_distortion within ``RTOL`` relative.  Where an exact fit leaves only
+    rounding noise in a norm, the two sums of noise differ: the norms are also
+    allowed ``NOISE`` ||d||, and stress_sq its square."""
+    scale = NOISE * math.sqrt(float(np.vdot(d, d)))
+    assert (got.c1, got.c2, got.c3) == (want.c1, want.c2, want.c3)
+    assert (got.neg_dissim_count, got.neg_axes_count) == (want.neg_dissim_count,
+                                                          want.neg_axes_count)
+    assert got.stress_sq == pytest.approx(want.stress_sq, rel=RTOL, abs=scale * scale)
+    assert got.stress == math.sqrt(got.stress_sq)
+    assert got.stress == pytest.approx(want.stress, rel=RTOL, abs=scale)
+    assert got.scaled_additive == pytest.approx(want.scaled_additive, rel=RTOL, abs=scale)
+    if want.avg_distortion is None:
+        assert got.avg_distortion is None
+    else:
+        assert got.avg_distortion == pytest.approx(want.avg_distortion, rel=RTOL, abs=0)
+
+
+def assert_streams(d, emb):
+    want = whole_report(d, emb)
+    assert_reports_match(report(d, emb), want, d)
+    return want
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_streamed_report_matches_the_whole_matrix_bodies(n):
+    for d, dec, emb in embeddings(n, seed=n):
+        want = assert_streams(d, emb)
+        if emb.split is not None:  # k >= 1: the split the decomposition gives
+            assert want == ref_report(d, emb, dec)
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK + 1, 300])
+def test_streamed_report_of_landmark_embeddings(n):
+    rng = np.random.default_rng(n)
+    d = np.abs(random_hollow(rng, n))
+    for method in METHODS:
+        emb = landmark.embed_landmark(d, min(n, 40), min(n - 1, 3), method, seed=n)
+        assert emb.split is None
+        assert_streams(d, emb)
+        assert_streams(random_hollow(rng, n), emb)  # negative pairs on the left too
+
+
+def free_embedding(n, k, signs, seed, scale=1.0):
+    """Random coordinates of n points on k axes with the given signs."""
+    coords = np.random.default_rng(seed).normal(scale=scale, size=(k, n))
+    return Embedding(coords, np.asarray(signs, dtype=np.int64), np.ones(k), np.arange(k))
+
+
+@pytest.mark.parametrize("n", [2, BLOCK + 1, 300])
+def test_streamed_report_of_all_zero_axes(n):
+    # ||d_hat||^2 = 0: scaled_additive is ||d||, and no pair qualifies
+    d = random_hollow(np.random.default_rng(n), n)
+    emb = free_embedding(n, 2, [1, -1], seed=n, scale=0.0)
+    want = assert_streams(d, emb)
+    assert (want.scaled_additive, want.avg_distortion) == (float(np.linalg.norm(d)), None)
+    assert (want.neg_dissim_count, want.neg_axes_count) == (0, 1)
+
+
+@pytest.mark.parametrize("n", [2, BLOCK, 300])
+def test_streamed_report_without_qualifying_pairs(n):
+    rng = np.random.default_rng(n)
+    emb = free_embedding(n, 3, [1, 1, 1], seed=n)
+    want = assert_streams(-np.abs(random_hollow(rng, n)), emb)
+    assert want.avg_distortion is None and want.neg_dissim_count == 0
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK + 1, 300])
+def test_streamed_report_of_an_all_negative_d_hat(n):
+    d = np.abs(random_hollow(np.random.default_rng(n), n))
+    want = assert_streams(d, free_embedding(n, 3, [-1, -1, -1], seed=n))
+    assert want.neg_dissim_count == n * (n - 1) // 2
+    assert (want.avg_distortion, want.neg_axes_count) == (None, 3)
+
+
+def with_positive_pairs(n, count, seed):
+    """Hollow symmetric d, negative off the diagonal except on ``count`` pairs."""
+    rng = np.random.default_rng(seed)
+    d = -np.abs(random_hollow(rng, n)) - 0.1
+    i, j = np.triu_indices(n, 1)
+    picked = rng.choice(i.size, count, replace=False)
+    d[i[picked], j[picked]] = d[j[picked], i[picked]] = rng.uniform(0.1, 10.0, size=count)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n", STRIP_SIZES)
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 101, 1000])
+def test_streamed_report_on_odd_and_even_qualifying_counts(n, count):
+    # a positive-signature embedding of distinct points: d_hat > 0 on every pair
+    d = with_positive_pairs(n, count, seed=n * 7 + count)
+    want = assert_streams(d, free_embedding(n, 4, [1, 1, 1, 1], seed=count))
+    assert want.avg_distortion is not None and want.neg_dissim_count == 0
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 300])
+def test_the_second_pass_runs_where_the_one_pass_residual_cancels(monkeypatch, n):
+    # near d_hat, the misfit is noise and the one-pass residual keeps its digits;
+    # near 3 d_hat, it is mostly along d_hat and the residual is summed again
+    # (with one pair, n = 2, every d is a multiple of d_hat)
+    rng = np.random.default_rng(n)
+    emb = free_embedding(n, 4, [1, -1, 1, 1], seed=n)
+    d_hat = reconstruct(emb)
+    noise = random_hollow(rng, n, scale=1e-4 * float(np.abs(d_hat).max()))
+    calls = count_calls(monkeypatch, metrics, ["_upper_strips"])
+    for d, passes in ((d_hat + noise, 1), (3.0 * d_hat + noise, 2), (3.0 * d_hat, 2)):
+        calls.clear()
+        assert_streams(d, emb)
+        assert calls["_upper_strips"] == passes
+
+
+def test_streamed_report_checks_the_shape():
+    emb = free_embedding(5, 2, [1, -1], seed=0)
+    for d in (np.zeros((4, 4)), np.zeros((5, 6)), np.zeros(25)):
+        with pytest.raises(ValueError) as info:
+            whole_report(d, emb)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(info.value))}$"):
+            report(d, emb)
 
 
 # ---------------------------------------------------------------- validation
@@ -475,9 +628,14 @@ def guard_case(case):
     """(strip function, whole-matrix body, args, bound in bytes) at n = GUARD_N:
     the symmetry and finiteness checks and negativity_stats stay below one
     n x n bool; the distortion stays within two float buffers of the
-    qualifying count plus one float strip."""
+    qualifying count plus one float strip; the report, with every pair
+    qualifying, within its log-ratio buffer of n (n - 1) / 2 floats plus four
+    float strips, where the whole body holds d_hat and one more n x n float."""
     n = GUARD_N
     d = random_hollow(np.random.default_rng(n), n)
+    if case == "report":
+        emb = free_embedding(n, 20, [1] * 20, seed=n)
+        return report, whole_report, (np.abs(d), emb), 8 * (n * (n - 1) // 2 + 4 * BLOCK * n)
     if case == "check_symmetric":
         return check_symmetric, whole_check_symmetric, (d,), n * n
     if case == "check_dissimilarity":
@@ -495,7 +653,7 @@ def guard_case(case):
 
 
 GUARD_CASES = ["check_symmetric", "check_dissimilarity", "negativity_stats",
-               "distortion, 11 pairs", "distortion, all pairs"]
+               "distortion, 11 pairs", "report", "distortion, all pairs"]
 
 
 @pytest.mark.parametrize("case", GUARD_CASES)

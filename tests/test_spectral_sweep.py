@@ -7,17 +7,19 @@ and ``sweep`` fills them from the reference.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neucmds import embedding, metrics
 from neucmds.datasets import gen_random_simplex
 from neucmds.embedding import embed_from_decomposition, report, sweep
 from neucmds.linalg import SpectralDecomposition, double_center, eig_sym
 from neucmds.metrics import SPECTRAL_FLOOR, spectral_reports
-from neucmds.selection import CMDS, METHODS, NEUC, PLUS
+from neucmds.selection import CMDS, METHODS, NEUC, PLUS, _result
 
 from conftest import random_edm, random_hollow
 
@@ -145,6 +147,54 @@ def test_an_axis_along_ones_falls_back():
     dec = SpectralDecomposition(lam, u)
     grid = [(1, CMDS), (2, CMDS)]
     assert spectral_reports(d, dec, grid) == [None, None]
+
+
+def ones_axis_spectrum():
+    """A hollow d of 8 points and its exact spectrum, built by hand, with the
+    eigenvalues 3, 2, 1, 0, -0.5, -1, -2, -4 (tr B = -1.5) and the axis along 1
+    at 0; returns (d, decomposition, index of the axis along 1)."""
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(np.column_stack([np.ones(8), rng.normal(size=(8, 7))]))[0]
+    lam = np.array([0.0, 3.0, 2.0, 1.0, -0.5, -1.0, -2.0, -4.0])
+    order = np.argsort(-lam, kind="stable")
+    lam, u = lam[order], np.ascontiguousarray(u[:, order])
+    b = (u * lam) @ u.T
+    diag = np.diagonal(b)
+    d = np.triu(diag[:, None] + diag[None, :] - 2.0 * b, 1)
+    return d + d.T, SpectralDecomposition(lam, u), int(np.flatnonzero(lam == 0.0)[0])
+
+
+def hand_picked(monkeypatch, picked):
+    """Make every selection in the spectral and the direct path return ``picked``."""
+    for module in (metrics, embedding):
+        monkeypatch.setattr(module, "select", lambda lam, k, method: picked)
+
+
+def test_an_axis_along_ones_with_a_value_matches_the_direct_path(monkeypatch):
+    # no selector gives the zero axis along 1 a value while it drops a non-zero
+    # one; this neuc-plus set does, so g = G 1 = t_1 1 is not zero, and the
+    # 8 y.g and 4 b.g terms (b.g = t_1 tr B = -1.5 t_1) carry the row
+    d, dec, ones = ones_axis_spectrum()
+    chosen = [0, 1, ones, 6, 7]  # drops 1, -0.5 and -1
+    picked = _result(dec.eigenvalues, chosen, PLUS)
+    assert picked.values[chosen.index(ones)] == pytest.approx(-0.5 / 6.0)
+    hand_picked(monkeypatch, picked)
+    assert matches_direct(d, dec, [(len(chosen), PLUS)]) == []
+
+
+def test_a_scaled_reconstruction_falls_back(monkeypatch):
+    # every non-zero axis at half its eigenvalue: d_hat = d / 2, so stress_sq is
+    # ||d||^2 / 4 and only scaled_additive^2, rounding noise, is below the floor
+    d, dec, ones = ones_axis_spectrum()
+    chosen = [i for i in range(dec.n) if i != ones]
+    picked = replace(_result(dec.eigenvalues, chosen, NEUC), values=0.5 * dec.eigenvalues[chosen])
+    hand_picked(monkeypatch, picked)
+    grid = [(len(chosen), NEUC)]
+    assert spectral_reports(d, dec, grid) == [None]
+    dd = float(np.vdot(d, d))
+    want = report(d, embed_from_decomposition(dec, *grid[0]))
+    assert want.stress_sq == pytest.approx(dd / 4.0, rel=1e-12)
+    assert want.scaled_additive ** 2 <= 1e-20 * dd
 
 
 def test_spectral_reports_needs_eigenvectors():
