@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import BLOCK
-from .selection import select
+from .selection import PLUS, _check_k, _prefix, select
 
 # Below this share of ||d||^2 a closed-form stress or scaled-additive residual
 # is a difference of near-equal sums, and ``spectral_reports`` leaves the row to
@@ -120,13 +120,16 @@ def spectral_reports(d, dec, grid) -> list[StressReport | None]:
         scaled_additive^2 = ||d||^2 - <d, d_hat>^2 / ||d_hat||^2
         c3 = 2n ||b - y||^2 - c2 / 2
 
-    and c1, c2 are ``decompose``'s, bitwise.  Each row costs O(n k) and no
-    n x n array.  A row is None where the subtractions cancel: stress_sq or
-    scaled_additive^2 at or below ``SPECTRAL_FLOOR`` ||d||^2, or ||d_hat||^2
-    below ``SPECTRAL_FLOOR`` 4 t.t.  Axes orthogonal to 1 give
-    ||d_hat||^2 >= 4 t.t; a smaller one comes from an axis along 1, which adds
-    nothing to d_hat.  ``avg_distortion`` and ``neg_dissim_count`` are None on
-    every row.
+    and c1, c2 are ``decompose``'s, bitwise.  Each method runs ``select`` once,
+    at its largest k; the selection at a smaller k is the prefix of its picks
+    (``selection._prefix``), and y and g are running sums along the pick order
+    (``_prefix_sums``), so each eigenvector is gathered once per method and each
+    row costs O(n) past the sums, with no n x n array.  A row is None where the
+    subtractions cancel: stress_sq or scaled_additive^2 at or below
+    ``SPECTRAL_FLOOR`` ||d||^2, or ||d_hat||^2 below ``SPECTRAL_FLOOR`` 4 t.t.
+    Axes orthogonal to 1 give ||d_hat||^2 >= 4 t.t; a smaller one comes from an
+    axis along 1, which adds nothing to d_hat.  ``avg_distortion`` and
+    ``neg_dissim_count`` are None on every row.  Rows come in ``grid``'s order.
     """
     d = np.asarray(d, dtype=np.float64)
     lam, u = dec.eigenvalues, dec.eigenvectors
@@ -136,40 +139,65 @@ def spectral_reports(d, dec, grid) -> list[StressReport | None]:
     rowsum = d.sum(axis=1)
     b = rowsum / n - float(rowsum.sum()) / (2.0 * n * n)
     dd = float(np.vdot(d, d))
-    floor = SPECTRAL_FLOOR * dd
-    reports: list[StressReport | None] = []
-    for k, method in grid:
-        sel = select(lam, k, method)
-        full = np.zeros(n)
-        full[sel.chosen] = sel.values
-        # ascending indices: the arithmetic depends on the chosen set, not the pick order
-        idx = np.sort(sel.chosen)
-        t = full[idx]
-        us = np.take(u, idx, axis=1)
-        g = us @ (t * us.sum(axis=0))
-        y = np.square(us, out=us) @ t
-        cross = 2.0 * float(rowsum @ y) - 4.0 * float(b @ g) + 4.0 * float(t @ lam[idx])
-        sy, tt = float(y.sum()), float(t @ t)
-        hat = 2.0 * n * float(y @ y) + 2.0 * sy * sy + 4.0 * tt - 8.0 * float(y @ g)
-        ssq = dd - 2.0 * cross + hat
-        resid = dd - cross * cross / hat if hat > 0.0 else dd
-        if ssq <= floor or resid <= floor or hat < SPECTRAL_FLOOR * 4.0 * tt:
-            reports.append(None)
-            continue
-        c1, c2 = _dropped_terms(lam - full)
-        v = b - y
-        reports.append(StressReport(
-            stress_sq=ssq,
-            stress=math.sqrt(ssq),
-            c1=c1,
-            c2=c2,
-            c3=2.0 * n * float(v @ v) - c2 / 2.0,
-            scaled_additive=math.sqrt(resid),
-            avg_distortion=None,
-            neg_dissim_count=None,
-            neg_axes_count=int(np.sum(t < 0.0)),
-        ))
+    reports: list[StressReport | None] = [None] * len(grid)
+    for method in dict.fromkeys(m for _, m in grid):
+        rows = sorted((_check_k(k, n), i) for i, (k, m) in enumerate(grid) if m == method)
+        top = select(lam, rows[-1][0], method)
+        # per-pick weights: the axis value, or for neuc-plus the eigenvalue and a
+        # unit weight, which the shift s1 / (1 + k) of each k scales
+        shifted = top.mode == PLUS
+        w = np.column_stack([lam[top.chosen], np.ones(top.k)]) if shifted else top.values[:, None]
+        for (k, i), (ys, gs) in zip(rows, _prefix_sums(u, top.chosen, w, [k for k, _ in rows])):
+            sel = _prefix(lam, top, k)
+            # _result's s1 / (1 + k): the dropped values' sum in ascending index order
+            coef = [1.0, float(np.sum(np.delete(lam, sel.chosen))) / (1.0 + k)] if shifted else [1.0]
+            reports[i] = _spectral_row(lam, sel, ys @ coef, gs @ coef, rowsum, b, dd)
     return reports
+
+
+def _prefix_sums(u, chosen, w, ks):
+    """For each k of the ascending ``ks``, the n x p running sums over the first
+    k picks in ``chosen``: Y = sum_j u_j^2 w_j and G = sum_j (1.u_j) u_j w_j, for
+    the eigenvectors u_j and the rows w_j of the weights w (one per pick).  The
+    picks between two ks are gathered once, together; the two arrays yielded
+    are updated in place by the next step."""
+    ys, gs = np.zeros((2, u.shape[0], w.shape[1]))
+    done = 0
+    for k in ks:
+        block = np.take(u, chosen[done:k], axis=1)
+        gs += block @ (block.sum(axis=0)[:, None] * w[done:k])
+        ys += np.square(block, out=block) @ w[done:k]
+        done = k
+        yield ys, gs
+
+
+def _spectral_row(lam, sel, y, g, rowsum, b, dd) -> StressReport | None:
+    """The report of ``sel`` from y = diag G and g = G 1 by the closed forms of
+    ``spectral_reports``, or None where they cancel."""
+    n, t = y.size, sel.values
+    cross = 2.0 * float(rowsum @ y) - 4.0 * float(b @ g) + 4.0 * float(t @ lam[sel.chosen])
+    sy, tt = float(y.sum()), float(t @ t)
+    hat = 2.0 * n * float(y @ y) + 2.0 * sy * sy + 4.0 * tt - 8.0 * float(y @ g)
+    ssq = dd - 2.0 * cross + hat
+    resid = dd - cross * cross / hat if hat > 0.0 else dd
+    floor = SPECTRAL_FLOOR * dd
+    if ssq <= floor or resid <= floor or hat < SPECTRAL_FLOOR * 4.0 * tt:
+        return None
+    full = np.zeros(n)
+    full[sel.chosen] = t
+    c1, c2 = _dropped_terms(lam - full)
+    v = b - y
+    return StressReport(
+        stress_sq=ssq,
+        stress=math.sqrt(ssq),
+        c1=c1,
+        c2=c2,
+        c3=2.0 * n * float(v @ v) - c2 / 2.0,
+        scaled_additive=math.sqrt(resid),
+        avg_distortion=None,
+        neg_dissim_count=None,
+        neg_axes_count=int(np.sum(t < 0.0)),
+    )
 
 
 def scaled_additive_error(d, d_hat) -> float:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .datasets import _rng
-from .linalg import _check_sigma, eig_sym
+from .linalg import _check_sigma, eig_sym, mirror_upper_inplace
 from .selection import CMDS, NEUC, PLUS, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -121,12 +121,14 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
         vals = sigma * (2.0 * rng.integers(0, 2, size=count) - 1.0)
     else:
         raise ValueError(f"dist must be 'gaussian' or 'rademacher', got {dist!r}")
-    m = np.zeros((n, n))
+    m = np.empty((n, n))  # the mirror writes the lower triangle
     m[upper] = vals  # boolean assignment fills row-major, like the draw order
-    # off the diagonal each entry adds an exact zero from the other triangle
-    out = m + m.T
-    np.fill_diagonal(out, np.diagonal(m))
-    return out
+    del upper, vals
+    # the mirror adds an exact zero to each entry; the diagonal keeps a -0.0 draw
+    diag = np.diagonal(m).copy()
+    mirror_upper_inplace(m)
+    np.fill_diagonal(m, diag)
+    return m
 
 
 def empirical_error_from_eigenvalues(lam, k: int, mode: str) -> float:

@@ -134,6 +134,13 @@ def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
     )
 
 
+def _prefix(lam: np.ndarray, sel: SelectionResult, k: int) -> SelectionResult:
+    """The selection of the first k picks of ``sel``, made on the checked
+    spectrum ``lam``: bitwise ``select(lam, k, sel.mode)``, since no
+    selector's steps depend on k, so a smaller k picks a prefix."""
+    return sel if k == sel.k else _result(lam, sel.chosen[:k], sel.mode)
+
+
 def _walk(lam: np.ndarray, k: int, mode: str, take_pos) -> SelectionResult:
     """The greedy walk both signed selectors share, over a checked spectrum.
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neucmds import rmt
 from neucmds.rmt import (
     GAUSSIAN,
     RADEMACHER,
@@ -97,6 +98,44 @@ class TestSampleWigner:
     def test_rejects_bad_dist(self):
         with pytest.raises(ValueError, match="dist"):
             sample_wigner(10, 1.0, "uniform", seed=0)
+
+
+def ref_sample_wigner(n, sigma=1.0, dist=GAUSSIAN, seed=0):
+    """The sampler as it was before it mirrored its one n x n buffer in place."""
+    rng = rmt._rng(seed)
+    upper = np.tri(n, dtype=bool).T
+    count = n * (n + 1) // 2
+    if dist == GAUSSIAN:
+        vals = rng.normal(0.0, sigma, size=count)
+    else:
+        vals = sigma * (2.0 * rng.integers(0, 2, size=count) - 1.0)
+    m = np.zeros((n, n))
+    m[upper] = vals
+    out = m + m.T
+    np.fill_diagonal(out, np.diagonal(m))
+    return out
+
+
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 300])
+def test_sample_wigner_matches_the_reference_bytes(n, dist):
+    for seed, sigma in ((0, 1.0), (7, 0.25), (2**40 + 3, 3.0)):
+        got = sample_wigner(n, sigma, dist, seed=seed)
+        assert got.tobytes() == ref_sample_wigner(n, sigma, dist, seed).tobytes()
+        assert got.flags.c_contiguous
+
+
+def test_sample_wigner_keeps_the_sign_of_a_zero_draw(monkeypatch):
+    # a -0.0 draw stays -0.0 on the diagonal and reads +0.0 off it, as in the reference
+    class SignedZeros:
+        def normal(self, loc, scale, size):
+            return np.where(np.arange(size) % 3 == 0, -0.0, 1.0)
+
+    monkeypatch.setattr(rmt, "_rng", lambda seed: SignedZeros())
+    got, want = sample_wigner(7), ref_sample_wigner(7)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(np.diagonal(got)).any()
+    assert not np.signbit(got[~np.eye(7, dtype=bool)]).any()
 
 
 def empirical_error(b, k, mode):

@@ -14,6 +14,7 @@ from neucmds.selection import (
     _check_k,
     _check_lambda,
     _Kahan,
+    _prefix,
     _result,
     select,
     select_cmds,
@@ -229,24 +230,46 @@ def test_greedy_is_optimal_hypothesis(values, k_pick, mode):
     assert g.objective <= b.objective + 1e-9 * scale
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    values=st.lists(
-        st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)),
-        min_size=1,
-        max_size=30,
-    ),
-    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+# small integers give ties and zeros
+NESTED_VALUES = st.lists(
+    st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0, 1.0)),
+    min_size=1,
+    max_size=30,
 )
+NESTED_SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=NESTED_VALUES, scale=NESTED_SCALES)
 def test_selection_is_prefix_nested(values, scale):
-    # no greedy loop looks at k, so a smaller k chooses a prefix of a larger
-    # one; small integers give ties and zeros
+    # no greedy loop looks at k, so a smaller k chooses a prefix of a larger one
     lam = np.sort(np.asarray(values, dtype=np.float64) * scale)[::-1]
     n = lam.size
     for method in METHODS:
         full = select(lam, n, method).chosen
         for k in range(1, n + 1):
             np.testing.assert_array_equal(select(lam, k, method).chosen, full[:k])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=NESTED_VALUES, scale=NESTED_SCALES, data=st.data())
+def test_prefix_selection_is_select_bitwise(values, scale, data):
+    # the selection spectral_reports derives at each k below its one walk's kmax
+    lam = np.sort(np.asarray(values, dtype=np.float64) * scale)[::-1]
+    kmax = data.draw(st.integers(1, lam.size), label="kmax")
+    for method in METHODS:
+        top = select(lam, kmax, method)
+        for k in range(1, kmax + 1):
+            got, want = _prefix(lam, top, k), select(lam, k, method)
+            where = (method, k)
+            assert (got.mode, got.r, got.s) == (want.mode, want.r, want.s), where
+            for field in ("chosen", "values", "bound_c1", "bound_c2", "objective"):
+                assert same_bits(getattr(got, field), getattr(want, field)), (where, field)
 
 
 # ---------------------------------------------------------------- references
