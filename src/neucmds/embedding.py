@@ -8,7 +8,7 @@ are reported rather than clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,10 +122,9 @@ class SweepEntry:
 def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> list[SweepEntry]:
     """Stress reports over a (k, method) grid sharing one eigendecomposition.
 
-    Each row comes from the spectrum (``metrics.spectral_reports``); a row the
-    closed forms leave to the entrywise path is ``report`` of the embedding.
-    ``avg_distortion`` and ``neg_dissim_count`` are None on every row.
-    ``name`` is what validation errors call the input.
+    Every row comes from the spectrum alone (``metrics.spectral_reports``),
+    with no d_hat; ``avg_distortion`` and ``neg_dissim_count`` are None on
+    every row.  ``name`` is what validation errors call the input.
     """
     d = as_square_matrix(d, name)
     b = double_center(d, name)  # validates d before the methods and ks, eig_sym after them
@@ -134,10 +133,4 @@ def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> lis
     dec = eig_sym(b)
     del b  # one n x n less while the reports run
     grid = [(k, m) for k in k_list for m in methods]
-    entries = []
-    for (k, m), rep in zip(grid, spectral_reports(d, dec, grid)):
-        if rep is None:  # the closed forms cancel on this row: sum it entry by entry
-            rep = replace(report(d, embed_from_decomposition(dec, k, m)),
-                          avg_distortion=None, neg_dissim_count=None)
-        entries.append(SweepEntry(k, m, rep))
-    return entries
+    return [SweepEntry(k, m, rep) for (k, m), rep in zip(grid, spectral_reports(dec, grid))]

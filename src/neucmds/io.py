@@ -14,8 +14,8 @@ Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  Both work
 one row at a time: a row is converted by one numpy call and formatted by one
 ``%`` string; only a row that fails to convert is scanned token by token,
-to name the failing column.  Text matrix and point files are decoded line
-by line, so a read never holds the whole file as one object.  Binary files
+to name the failing column.  Text matrix and point files are decoded and
+parsed line by line, so a read holds the result and one line.  Binary files
 are read into the result array directly and written from the array's own
 buffer, with no second n*n copy; they are the format for large n.
 """
@@ -23,6 +23,7 @@ buffer, with no second n*n copy; they are the format for large n.
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
 import struct
@@ -97,19 +98,20 @@ def format_rows(head, rows) -> str:
 def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
     """Parse a text table of floats below a header line of counts.
 
-    ``text`` is a str or the list of its lines (``str.splitlines``).  A
-    square matrix has the header "n" and n rows of n values; a point cloud
-    (``square=False``) has the header "n d" and n rows of d values.  Errors
-    name their line, and their column where there is one.  Lines after the
-    declared rows must be blank.
+    ``text`` is a str or an iterable of its lines (``str.splitlines``), read
+    one at a time.  A square matrix has the header "n" and n rows of n values;
+    a point cloud (``square=False``) has the header "n d" and n rows of d
+    values.  Errors name the first line in error, and its column where there
+    is one.  Lines after the declared rows must be blank.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
-    if not lines:
+    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{name}: line 1: empty file")
     expected = "the matrix order" if square else "'n d'"
-    head = lines[0].split()
+    head = first.split()
     if len(head) != (1 if square else 2):
-        raise ValueError(f"{name}: line 1: expected {expected}, got {lines[0]!r}")
+        raise ValueError(f"{name}: line 1: expected {expected}, got {first!r}")
     counts = []
     for j, tok in enumerate(head):
         try:
@@ -121,39 +123,48 @@ def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
         if counts[-1] < 1:
             raise ValueError(f"{name}: line 1, column {j + 1}: count must be positive, got {tok}")
     n, d = (counts[0], counts[0]) if square else counts
-    if len(lines) < n + 1:
-        raise ValueError(f"{name}: expected {n} rows, file has {len(lines) - 1}")
-    for i in range(n):
-        parts = lines[i + 1].split()
+    rows = 0
+    for rows, line in enumerate(itertools.islice(lines, n), 1):
+        parts = line.split()
         if len(parts) != d:
-            raise ValueError(f"{name}: line {i + 2}: expected {d} values, got {len(parts)}")
-        if i == 0:  # allocate once a row has shown d values: a header alone may ask any size
+            raise ValueError(f"{name}: line {rows + 1}: expected {d} values, got {len(parts)}")
+        if rows == 1:  # allocate once a row has shown d values: a header alone may ask any size
             out = np.empty((n, d))
         try:
-            out[i] = np.array(parts, dtype=np.float64)  # float() on each token
+            out[rows - 1] = np.array(parts, dtype=np.float64)  # float() on each token
         except ValueError:
             for j, tok in enumerate(parts):
                 try:
                     float(tok)
                 except ValueError:
                     raise ValueError(
-                        f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
+                        f"{name}: line {rows + 1}, column {j + 1}: not a number: {tok!r}"
                     ) from None
             raise  # no token fails alone: keep numpy's error
-    for i in range(n + 1, len(lines)):
-        if lines[i].strip():
-            raise ValueError(f"{name}: line {i + 1}: unexpected content after the {n} rows")
+    if rows < n:
+        raise ValueError(f"{name}: expected {n} rows, file has {rows}")
+    for i, line in enumerate(lines, n + 2):
+        if line.strip():
+            raise ValueError(f"{name}: line {i}: unexpected content after the {n} rows")
     return out
 
 
-def _text_lines(fh) -> list[str]:
-    """All lines of a binary handle, decoded as UTF-8 one line at a time."""
+def _read_table(fh, name: str, square: bool = True) -> np.ndarray:
+    """``parse_table`` of a binary handle's lines, each decoded as UTF-8 as it is
+    read.  A decode error anywhere in the file is the error, as the whole-file
+    decode it raises gives it, with the file offset."""
     fh.seek(0)
+    lines = (p for raw in fh for p in raw.decode().splitlines())
     try:
-        return [p for raw in fh for p in raw.decode().splitlines()]
+        try:
+            return parse_table(lines, name=name, square=square)
+        except ValueError:
+            for _ in lines:  # the rest of the file, after a parse error
+                pass
+            raise
     except UnicodeDecodeError:
         fh.seek(0)
-        fh.read().decode()  # raises the whole-file error, which names the file offset
+        fh.read().decode()
         raise
 
 
@@ -174,7 +185,7 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         head = fh.read(_HEADER_BYTES)
         is_binary = head[:4] == MAGIC
         if not (fmt == BINARY or (fmt is None and is_binary)):
-            return parse_table(_text_lines(fh), name=str(path))
+            return _read_table(fh, str(path))
         if not is_binary:
             raise ValueError(f"{path}: missing binary magic")
         if len(head) < _HEADER_BYTES:
@@ -192,7 +203,7 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
 
 def read_points(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return parse_table(_text_lines(fh), name=str(path), square=False)
+        return _read_table(fh, str(path), square=False)
 
 
 def write_points(path, p: np.ndarray) -> None:

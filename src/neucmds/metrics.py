@@ -16,12 +16,6 @@ import numpy as np
 from .linalg import BLOCK
 from .selection import PLUS, _check_k, _prefix, select
 
-# Below this share of ||d||^2 a closed-form stress or scaled-additive residual
-# is a difference of near-equal sums, and ``spectral_reports`` leaves the row to
-# the entrywise path.  The closed forms err by up to about 1.5e-15 ||d||^2, so a
-# row above the floor stays within 3e-11 of the entrywise value.
-SPECTRAL_FLOOR = 5e-5
-
 
 @dataclass(frozen=True)
 class StressReport:
@@ -31,7 +25,7 @@ class StressReport:
     both sides, and ``c1``/``c2``/``c3`` are None when the embedding has no
     decomposition of the full matrix (both serialized as JSON null).
     ``avg_distortion`` and ``neg_dissim_count`` read the reconstruction entry
-    by entry; both are None on the rows ``spectral_reports`` gives.
+    by entry; both are None on the sweep rows, which come from the spectrum.
     """
 
     stress_sq: float
@@ -64,22 +58,12 @@ def stress(d, d_hat) -> float:
 
 
 def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
-    """Exact three-term stress split for axis values ``lam_tilde``.
-
-    Parameters
-    ----------
-    lam : (n,) array
-        Eigenvalues of the centered Gram matrix, sorted descending.
-    u : (n, n) array
-        Paired eigenvectors, one per column; None (a values-only solve)
-        raises ``ValueError``.
-    lam_tilde : (n,) array
-        Axis values actually used, zero off the selected axes.
-
-    Returns
-    -------
-    (c1, c2, c3) : floats summing to the stress of the reconstruction built
-    from ``lam_tilde`` against the one built from ``lam`` itself.
+    """Exact three-term stress split (c1, c2, c3) for the axis values
+    ``lam_tilde`` (zero off the selected axes) on the eigenvalues ``lam``
+    (descending) and eigenvectors ``u`` (one per column; None raises
+    ``ValueError``) of the centered Gram matrix.  With dl = lam - lam_tilde,
+    c1 = 4 ||dl||^2, c2 = 4 (sum dl)^2 and c3 = 2n ||z||^2 - c2 / 2 for
+    z = (U o U) dl, the one-column call of ``spectral_reports``' strip product.
     """
     if u is None:
         raise ValueError("the decomposition was computed without eigenvectors")
@@ -92,10 +76,8 @@ def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
 
     dl = lam - lam_tilde
     c1, c2 = _dropped_terms(dl)
-    # (u * u) @ dl a strip of rows at a time: no n x n temporary
-    v = np.concatenate([np.square(u[i0:i0 + BLOCK]) @ dl for i0 in range(0, n, BLOCK)])
-    c3 = 2.0 * n * float(np.sum(v * v)) - c2 / 2.0
-    return c1, c2, c3
+    z = _strip_sums(u, [dl])[0][0]
+    return c1, c2, 2.0 * n * float(z @ z) - c2 / 2.0
 
 
 def _dropped_terms(dl) -> tuple[float, float]:
@@ -105,99 +87,108 @@ def _dropped_terms(dl) -> tuple[float, float]:
     return c1, 4.0 * total * total
 
 
-def spectral_reports(d, dec, grid) -> list[StressReport | None]:
-    """Stress reports of every (k, method) in ``grid`` from the spectrum alone.
+def _span(n: int) -> int:
+    """Rows of U per strip, or columns per gather, of ``_strip_sums`` and the walk."""
+    return min(BLOCK, max(1, n // 16))
 
-    ``dec`` decomposes the centered Gram matrix B of the hollow symmetric d,
-    so d_ij = B_ii + B_jj - 2 B_ij.  With the selected eigenvectors U_S, their
-    eigenvalues lam_S and axis values t, the reconstruction is
-    d_hat_ij = y_i + y_j - 2 G_ij for G = U_S diag(t) U_S^T and y = diag G, and
-    with g = G 1 and b = diag B:
 
-        <d, d_hat> = 2 rowsum(d).y - 4 b.g + 4 t.lam_S
+def _strip_sums(u, weights, ones=None) -> list[np.ndarray]:
+    """For each weight array w (n, or n x p) of ``weights``: (U o U) w, and with
+    the axis sums ``ones`` = 1^T U also U (ones o w), on a new first axis; a
+    strip of ``_span`` rows of U at a time, with no n x n temporary."""
+    n = u.shape[0]
+    rows = _span(n)
+    scaled = [None if ones is None else ones[:, None] * w for w in weights]
+    sums = [np.empty((1 if ones is None else 2, *w.shape)) for w in weights]
+    buf = np.empty(rows * n)
+    for i0 in range(0, n, rows):
+        strip = u[i0:i0 + rows]
+        square = np.square(strip, out=buf[:strip.size].reshape(strip.shape))
+        for w, sw, out in zip(weights, scaled, sums):
+            np.matmul(square, w, out=out[0, i0:i0 + rows])
+            if sw is not None:
+                np.matmul(strip, sw, out=out[1, i0:i0 + rows])
+    return sums
+
+
+def spectral_reports(dec, grid) -> list[StressReport]:
+    """Stress reports of every (k, method) in ``grid`` from the spectrum alone,
+    in ``grid``'s order, with ``avg_distortion`` and ``neg_dissim_count`` None.
+
+    ``dec`` decomposes the centered Gram matrix B = U diag(lam) U^T of a hollow
+    symmetric d, so d_ij = B_ii + B_jj - 2 B_ij (Gower).  With the axis values t
+    on the chosen axes S and dl = lam - lam_tilde, the head sums
+    y = sum_S t_j u_j^2 and g = sum_S t_j (1.u_j) u_j and the tail sums
+    z = sum dl_j u_j^2 and h = sum dl_j (1.u_j) u_j give
+
+        stress_sq = 2n ||z||^2 + 2 (sum z)^2 + 4 ||dl||^2 - 8 z.h
         ||d_hat||^2 = 2n ||y||^2 + 2 (sum y)^2 + 4 t.t - 8 y.g
-        stress_sq = ||d||^2 - 2 <d, d_hat> + ||d_hat||^2
-        scaled_additive^2 = ||d||^2 - <d, d_hat>^2 / ||d_hat||^2
-        c3 = 2n ||b - y||^2 - c2 / 2
+        <d_hat, d - d_hat> = 2n y.z + 2 sum y sum z - 4 y.h - 4 z.g + 4 t.dl_S
+        scaled_additive^2 = stress_sq - <d_hat, d - d_hat>^2 / ||d_hat||^2
+        c3 = 2n ||z||^2 - c2 / 2
 
-    and c1, c2 are ``decompose``'s, bitwise.  Each method runs ``select`` once,
-    at its largest k; the selection at a smaller k is the prefix of its picks
-    (``selection._prefix``), and y and g are running sums along the pick order
-    (``_prefix_sums``), so each eigenvector is gathered once per method and each
-    row costs O(n) past the sums, with no n x n array.  A row is None where the
-    subtractions cancel: stress_sq or scaled_additive^2 at or below
-    ``SPECTRAL_FLOOR`` ||d||^2, or ||d_hat||^2 below ``SPECTRAL_FLOOR`` 4 t.t.
-    Axes orthogonal to 1 give ||d_hat||^2 >= 4 t.t; a smaller one comes from an
-    axis along 1, which adds nothing to d_hat.  ``avg_distortion`` and
-    ``neg_dissim_count`` are None on every row.  Rows come in ``grid``'s order.
+    with ``scaled_additive_error``'s rule for a zero d_hat (||d_hat||^2 <= 0),
+    and c1, c2 ``decompose``'s, bitwise.  Each method selects once, at its
+    largest k, whose prefixes are the smaller ks' picks (``selection._prefix``).
+    One strip pass over U (``_strip_sums``) gives each method's head at that k
+    and its tail over the other axes; the walk down the ks moves each block of
+    picks from the head to the tail.  No row builds an n x n array.
     """
-    d = np.asarray(d, dtype=np.float64)
-    lam, u = dec.eigenvalues, dec.eigenvectors
-    n = dec.n
-    if u is None or d.shape != (n, n):
-        raise ValueError("spectral_reports() needs d and its decomposition with eigenvectors")
-    rowsum = d.sum(axis=1)
-    b = rowsum / n - float(rowsum.sum()) / (2.0 * n * n)
-    dd = float(np.vdot(d, d))
-    reports: list[StressReport | None] = [None] * len(grid)
+    lam, u, n = dec.eigenvalues, dec.eigenvectors, dec.n
+    if u is None:
+        raise ValueError("spectral_reports() needs a decomposition with eigenvectors")
+    walks = []
     for method in dict.fromkeys(m for _, m in grid):
-        rows = sorted((_check_k(k, n), i) for i, (k, m) in enumerate(grid) if m == method)
-        top = select(lam, rows[-1][0], method)
-        # per-pick weights: the axis value, or for neuc-plus the eigenvalue and a
-        # unit weight, which the shift s1 / (1 + k) of each k scales
-        shifted = top.mode == PLUS
-        w = np.column_stack([lam[top.chosen], np.ones(top.k)]) if shifted else top.values[:, None]
-        for (k, i), (ys, gs) in zip(rows, _prefix_sums(u, top.chosen, w, [k for k, _ in rows])):
-            sel = _prefix(lam, top, k)
-            # _result's s1 / (1 + k): the dropped values' sum in ascending index order
-            coef = [1.0, float(np.sum(np.delete(lam, sel.chosen))) / (1.0 + k)] if shifted else [1.0]
-            reports[i] = _spectral_row(lam, sel, ys @ coef, gs @ coef, rowsum, b, dd)
+        rows = sorted(((_check_k(k, n), i) for i, (k, m) in enumerate(grid) if m == method),
+                      reverse=True)
+        top = select(lam, rows[0][0], method)
+        # on the picks, the head's axis value and 0, or for neuc-plus the eigenvalue and
+        # 1, which each k's shift s1 / (1 + k) scales; then the tail's, lam less the first
+        w = np.zeros((n, 3))
+        w[top.chosen, 0] = lam[top.chosen] if top.mode == PLUS else top.values
+        w[top.chosen, 1] = top.mode == PLUS
+        w[:, 2] = lam - w[:, 0]
+        walks.append((rows, top, w))
+    ones = u.sum(axis=0)
+    reports: list[StressReport] = [None] * len(grid)
+    for (rows, top, w), s in zip(walks, _strip_sums(u, [w for *_, w in walks], ones)):
+        # a pick leaving the head for the tail: -w0 and -w1 on the head, +w0 on the tail
+        move = w[top.chosen][:, [0, 1, 0]] * [-1.0, -1.0, 1.0]
+        scaled = ones[top.chosen, None] * move
+        span, done = _span(n), top.k
+        for k, i in rows:
+            for c0 in range(k, done, span):
+                picks = slice(c0, min(c0 + span, done))
+                v = np.take(u, top.chosen[picks], axis=1)
+                s[1] += v @ scaled[picks]
+                s[0] += np.square(v, out=v) @ move[picks]
+            done = k
+            reports[i] = _spectral_row(lam, _prefix(lam, top, k), s)
     return reports
 
 
-def _prefix_sums(u, chosen, w, ks):
-    """For each k of the ascending ``ks``, the n x p running sums over the first
-    k picks in ``chosen``: Y = sum_j u_j^2 w_j and G = sum_j (1.u_j) u_j w_j, for
-    the eigenvectors u_j and the rows w_j of the weights w (one per pick).  The
-    picks between two ks are gathered once, together; the two arrays yielded
-    are updated in place by the next step."""
-    ys, gs = np.zeros((2, u.shape[0], w.shape[1]))
-    done = 0
-    for k in ks:
-        block = np.take(u, chosen[done:k], axis=1)
-        gs += block @ (block.sum(axis=0)[:, None] * w[done:k])
-        ys += np.square(block, out=block) @ w[done:k]
-        done = k
-        yield ys, gs
-
-
-def _spectral_row(lam, sel, y, g, rowsum, b, dd) -> StressReport | None:
-    """The report of ``sel`` from y = diag G and g = G 1 by the closed forms of
-    ``spectral_reports``, or None where they cancel."""
-    n, t = y.size, sel.values
-    cross = 2.0 * float(rowsum @ y) - 4.0 * float(b @ g) + 4.0 * float(t @ lam[sel.chosen])
-    sy, tt = float(y.sum()), float(t @ t)
-    hat = 2.0 * n * float(y @ y) + 2.0 * sy * sy + 4.0 * tt - 8.0 * float(y @ g)
-    ssq = dd - 2.0 * cross + hat
-    resid = dd - cross * cross / hat if hat > 0.0 else dd
-    floor = SPECTRAL_FLOOR * dd
-    if ssq <= floor or resid <= floor or hat < SPECTRAL_FLOOR * 4.0 * tt:
-        return None
-    full = np.zeros(n)
-    full[sel.chosen] = t
-    c1, c2 = _dropped_terms(lam - full)
-    v = b - y
-    return StressReport(
-        stress_sq=ssq,
-        stress=math.sqrt(ssq),
-        c1=c1,
-        c2=c2,
-        c3=2.0 * n * float(v @ v) - c2 / 2.0,
-        scaled_additive=math.sqrt(resid),
-        avg_distortion=None,
-        neg_dissim_count=None,
-        neg_axes_count=int(np.sum(t < 0.0)),
-    )
+def _spectral_row(lam, sel, sums) -> StressReport:
+    """The report of ``sel`` by the formulas of ``spectral_reports``, from the
+    2 x n x 3 sums ((U o U) w and U (ones o w)) of its walk's weights w."""
+    n, t = lam.size, sel.values
+    dl = lam.copy()
+    dl[sel.chosen] -= t
+    c1, c2 = _dropped_terms(dl)
+    # [y z] and [g h]; neuc-plus shifts each pick's value and difference by _result's s1 / (1 + k)
+    shift = float(np.sum(np.delete(lam, sel.chosen))) / (1.0 + sel.k) if sel.mode == PLUS else 0.0
+    yz, gh = sums @ np.array([[1.0, 0.0], [shift, -shift], [0.0, 1.0]])
+    (yy, y_z), (_, zz) = (yz.T @ yz).tolist()
+    (yg, yh), (zg, zh) = (yz.T @ gh).tolist()
+    sy, sz = float(np.sum(t)), float(np.sum(dl))  # sum y and sum z: each u_j has unit norm
+    hat = 2.0 * n * yy + 2.0 * sy * sy + 4.0 * float(t @ t) - 8.0 * yg
+    # stress_sq and the residual are squared norms: only rounding takes them below 0
+    ssq = max(2.0 * n * zz + 2.0 * sz * sz + c1 - 8.0 * zh, 0.0)
+    along = 2.0 * n * y_z + 2.0 * sy * sz - 4.0 * yh - 4.0 * zg + 4.0 * float(t @ dl[sel.chosen])
+    resid = max(ssq - along * along / hat, 0.0) if hat > 0.0 else ssq
+    return StressReport(stress_sq=ssq, stress=math.sqrt(ssq), c1=c1, c2=c2,
+                        c3=2.0 * n * zz - c2 / 2.0, scaled_additive=math.sqrt(resid),
+                        avg_distortion=None, neg_dissim_count=None,
+                        neg_axes_count=int(np.count_nonzero(t < 0.0)))
 
 
 def scaled_additive_error(d, d_hat) -> float:
@@ -314,7 +305,8 @@ def strip_report(d, coords, signature, split=None) -> StressReport:
     the hollow symmetric d, with ``split`` as (c1, c2, c3), summed over the pairs
     i < j of strips of d_hat in one pass, plus a second for the scaled additive
     error where ||d - d_hat||^2 - <d - d_hat, d_hat>^2 / ||d_hat||^2 would cancel
-    a digit.  Equal to the whole-matrix metrics up to rounding."""
+    a digit.  Equal to the whole-matrix metrics up to rounding, except that a
+    d_hat of rounding noise alone counts as zero for the scaled additive error."""
     d, x = np.asarray(d, dtype=np.float64), np.asarray(coords, dtype=np.float64)
     n = x.shape[1]
     if d.shape != (n, n):
@@ -330,8 +322,11 @@ def strip_report(d, coords, signature, split=None) -> StressReport:
         miss = np.subtract(dp, hat, out=dp)
         ssq += float(np.vdot(miss, miss))
         along += float(np.vdot(miss, hat))
-    resid = dd if hh == 0.0 else ssq - along * along / hh
-    if hh > 0.0 and resid < 0.1 * ssq:
+    # a d_hat of rounding noise alone, at the scale of its Gram form, is a zero d_hat
+    scale = float(np.max(np.einsum("li,li->i", x, x), initial=0.0))
+    zero = hh <= (8.0 * (x.shape[0] + 1) * n * np.finfo(np.float64).eps * scale) ** 2
+    resid = dd if zero else ssq - along * along / hh
+    if not zero and resid < 0.1 * ssq:
         t, resid = cross / hh, 0.0
         for dp, hat in _upper_strips(d, x, signature, bufs):
             hat *= t

@@ -346,6 +346,24 @@ def test_points_read_never_holds_the_file_as_one_object(tmp_path):
     assert peak < 1.5 * size + p.nbytes
 
 
+def test_text_read_holds_the_result_and_one_line(tmp_path):
+    n = 300
+    m = random_hollow(np.random.default_rng(7), n)
+    path = tmp_path / "m.txt"
+    path.write_text(ref_format_rows([str(n)], m))
+    line = max(len(raw) for raw in path.read_bytes().splitlines())
+    tracemalloc.start()
+    try:
+        got = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == m.tobytes()
+    # the result, and one line at a time: decoded, split into a str per token
+    # and parsed; the file is 1.8 MiB, the longest line 7 KiB
+    assert peak < m.nbytes + 16 * line
+
+
 # Python's UTF-8 mode and locale coercion off: the locale decodes ASCII only
 ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
 READ_BOTH = """
