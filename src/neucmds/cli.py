@@ -45,8 +45,9 @@ EXIT_NUMERICAL = 4
 
 # ---------------------------------------------------------------- commands
 
-def _parse_k_list(expr: str) -> list[int]:
-    """Either a single integer or an inclusive range 'a:b' or 'a:b:step'."""
+def _parse_k_list(expr: str) -> range:
+    """Either a single integer or an inclusive range 'a:b' or 'a:b:step', as a
+    range: a k-list far beyond the matrix order fails at its first bad k."""
     parts = expr.split(":")
     try:  # a part that is no integer, or more than three parts, is a ValueError
         a, b, step = (int(parts[0]), int(parts[-1]), 1) if len(parts) < 3 else map(int, parts)
@@ -54,7 +55,7 @@ def _parse_k_list(expr: str) -> list[int]:
         raise ValueError(f"bad k-list {expr!r}; expected k, a:b or a:b:step") from None
     if step < 1 or b < a:
         raise ValueError(f"bad k-list {expr!r}")
-    return list(range(a, b + 1, step))
+    return range(a, b + 1, step)
 
 
 def _parse_list(expr: str, option: str, parse) -> list:
@@ -78,7 +79,8 @@ def cmd_embed(args) -> None:
 
 def cmd_select(args) -> None:
     d = read_matrix(args.input, args.format)
-    sel = select(spectrum(d, args.k, args.input, vectors=False).eigenvalues, args.k, args.method)
+    dec, [(k, method)] = spectrum(d, [(args.k, args.method)], args.input, vectors=False)
+    sel = select(dec.eigenvalues, k, method)
     write_json(args.output, {
         "method": sel.mode,
         "k": sel.k,
@@ -113,8 +115,8 @@ def cmd_perturb(args) -> None:
 
 def cmd_sweep(args) -> None:
     methods = _parse_list(args.methods, "--methods", normalize_method)
-    d = read_matrix(args.input, args.format)
-    entries = sweep(d, _parse_k_list(args.k_list), methods, name=args.input)
+    k_list = _parse_k_list(args.k_list)
+    entries = sweep(read_matrix(args.input, args.format), k_list, methods, name=args.input)
     header = ["k", "method", *(f.name for f in fields(StressReport))]
     rows = [[e.k, e.method, *e.report.to_dict().values()] for e in entries]
     write_csv(args.output, header, rows)

@@ -12,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SpectralDecomposition,
-    as_square_matrix,
-    double_center,
-    eig_sym,
-    sum_minus_twice,
-)
-from .metrics import StressReport, decompose, spectral_reports, strip_report
+from .linalg import SpectralDecomposition, double_center, eig_sym, sum_minus_twice
+# report, the one report builder, is also importable from here, beside embed
+from .metrics import StressReport, decompose, report, spectral_reports
 from .selection import METHODS, NEUC, _check_k, normalize_method, select
 
 
@@ -73,13 +68,19 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     return Embedding(coords, signature, axis_values, axis_indices, split)
 
 
-def spectrum(d, k: int, name: str, vectors: bool = True) -> SpectralDecomposition:
-    """Check d square and k against its order, then validate, double-center and
-    decompose d (eigenvalues alone unless ``vectors``); ``name`` is what
-    validation errors call the input."""
-    d = as_square_matrix(d, name)
-    _check_k(k, d.shape[0])  # before the eigensolve
-    return eig_sym(double_center(d, name), vectors)
+def spectrum(d, grid, name: str = "dissimilarity matrix", vectors: bool = True):
+    """The one way into the eigensolve.  Validate and double-center d, check each
+    (k, method) pair of ``grid`` in turn, its method and then its k against the
+    order of d, and only then decompose (eigenvalues alone unless ``vectors``).
+    ``grid`` is read once, so a bad pair fails before any later pair is drawn.
+    Returns the decomposition and the checked grid, each k an int and each
+    method normalized.  ``name`` is what validation errors call the input."""
+    b = double_center(d, name)
+    checked = []
+    for k, method in grid:
+        method = normalize_method(method)
+        checked.append((_check_k(k, b.shape[0]), method))
+    return eig_sym(b, vectors), checked
 
 
 def embed(d, k: int, method: str = NEUC, name: str = "dissimilarity matrix") -> Embedding:
@@ -89,7 +90,8 @@ def embed(d, k: int, method: str = NEUC, name: str = "dissimilarity matrix") -> 
     a zero-filled axis.  Deterministic in (d, k, method).  ``name`` is what
     validation errors call the input.
     """
-    return embed_from_decomposition(spectrum(d, k, name), k, method)
+    dec, [(k, method)] = spectrum(d, [(k, method)], name)
+    return embed_from_decomposition(dec, k, method)
 
 
 def reconstruct(emb: Embedding) -> np.ndarray:
@@ -106,12 +108,6 @@ def reconstruct(emb: Embedding) -> np.ndarray:
     return sum_minus_twice(g, lambda i0, i1: np.add.outer(y[i0:i1], y[i0:]))
 
 
-def report(d, emb: Embedding) -> StressReport:
-    """Error report of an embedding against the hollow symmetric matrix d, summed
-    from strips of d_hat (``metrics.strip_report``); c1, c2, c3 are ``emb.split``."""
-    return strip_report(d, emb.coords, emb.signature, emb.split)
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     k: int
@@ -126,11 +122,6 @@ def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> lis
     with no d_hat; ``avg_distortion`` and ``neg_dissim_count`` are None on
     every row.  ``name`` is what validation errors call the input.
     """
-    d = as_square_matrix(d, name)
-    b = double_center(d, name)  # validates d before the methods and ks, eig_sym after them
-    methods = [normalize_method(m) for m in methods]
-    k_list = [_check_k(k, b.shape[0]) for k in k_list]
-    dec = eig_sym(b)
-    del b  # one n x n less while the reports run
-    grid = [(k, m) for k in k_list for m in methods]
+    methods = list(methods)
+    dec, grid = spectrum(d, ((k, m) for k in k_list for m in methods), name)
     return [SweepEntry(k, m, rep) for (k, m), rep in zip(grid, spectral_reports(dec, grid))]

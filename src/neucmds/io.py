@@ -27,7 +27,6 @@ import itertools
 import json
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -45,19 +44,18 @@ def _write_files(*files) -> None:
     """Write each (path, chunks) pair's bytes-like chunks to a temp file beside
     path, and rename the temp files to the paths only once all are written and
     no path is a directory (where a rename fails): a failure leaves every path
-    as it was and no temp file.  Files get the mode ``open(path, "w")`` gives."""
-    mask = os.umask(0o077)  # reading the umask means setting it
-    os.umask(mask)
+    as it was and no temp file.  Files get the mode ``open(path, "w")`` gives:
+    each temp file is opened with mode 0o666, and the kernel applies the umask."""
     tmps = []
     try:
         for path, chunks in files:
             if os.path.isdir(path) and not os.path.islink(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".tmp-", suffix="~")
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               f".tmp-{os.urandom(8).hex()}~")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
-                os.fchmod(fd, 0o666 & ~mask)
                 for chunk in chunks:
                     fh.write(chunk)
         for tmp, (path, _) in zip(tmps, files):
@@ -69,11 +67,6 @@ def _write_files(*files) -> None:
         if isinstance(exc, OSError):  # name path, not the temp file
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
-
-
-def _atomic_write(path, *chunks) -> None:
-    """Write the bytes-like chunks, in order, to a temp file renamed to path."""
-    _write_files((path, chunks))
 
 
 def _text_blocks(head, rows):
@@ -174,7 +167,7 @@ def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
         _write_files((path, _text_blocks([str(m.shape[0])], m)))
     elif fmt == BINARY:
         header = MAGIC + bytes([BINARY_VERSION]) + struct.pack("<Q", m.shape[0])
-        _atomic_write(path, header, m.astype("<f8", copy=False))  # the array's own buffer
+        _write_files((path, [header, m.astype("<f8", copy=False)]))  # the array's own buffer
     else:
         raise ValueError(f"unknown matrix format {fmt!r}")
 
@@ -220,7 +213,7 @@ def write_embedding(path, emb, report) -> None:
 
 
 def write_json(path, obj) -> None:
-    _atomic_write(path, _json(obj))
+    _write_files((path, [_json(obj)]))
 
 
 def write_csv(path, header, rows) -> None:
@@ -233,4 +226,4 @@ def write_csv(path, header, rows) -> None:
 
     lines = [",".join(header)]
     lines.extend(",".join(cell(v) for v in row) for row in rows)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _write_files((path, [("\n".join(lines) + "\n").encode()]))

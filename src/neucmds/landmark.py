@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import _rng
-from .embedding import Embedding, embed_from_decomposition
-from .linalg import as_square_matrix, check_dissimilarity, double_center, eig_sym
-from .selection import NEUC, _check_k
+from .embedding import Embedding, embed_from_decomposition, spectrum
+from .linalg import as_square_matrix, check_dissimilarity
+from .selection import NEUC
 
 # axes whose |axis value| falls below this fraction of the largest are
 # dropped from the model instead of divided by
@@ -87,10 +87,9 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
         raise ValueError(f"cannot draw {m} landmarks from {n} points")
     if m <= k:
         raise ValueError(f"need more landmarks than axes: m={m}, k={k}")
-    _check_k(k, m)  # before the eigensolve
     idx = _pick_landmarks(d, m, seed, strategy)
     sub = d[np.ix_(idx, idx)]
-    dec = eig_sym(double_center(sub))
+    dec, [(k, method)] = spectrum(sub, [(k, method)])
     emb = embed_from_decomposition(dec, k, method)
     keep = np.abs(emb.axis_values) > AXIS_DROP_REL_TOL * float(np.max(np.abs(emb.axis_values)))
     base = replace(emb, coords=emb.coords[keep], signature=emb.signature[keep],

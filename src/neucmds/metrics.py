@@ -300,22 +300,20 @@ def _upper_strips(d, x, signature, bufs):
         yield _above_diagonal(part), _above_diagonal(hat)
 
 
-def strip_report(d, coords, signature, split=None) -> StressReport:
-    """Error report of the embedding ``coords`` (k x n) under ``signature`` against
-    the hollow symmetric d, with ``split`` as (c1, c2, c3), summed over the pairs
-    i < j of strips of d_hat in one pass, plus a second for the scaled additive
-    error where ||d - d_hat||^2 - <d - d_hat, d_hat>^2 / ||d_hat||^2 would cancel
-    a digit.  Equal to the whole-matrix metrics up to rounding, except that a
-    d_hat of rounding noise alone counts as zero for the scaled additive error."""
-    d, x = np.asarray(d, dtype=np.float64), np.asarray(coords, dtype=np.float64)
+def report(d, emb) -> StressReport:
+    """Error report of the embedding ``emb`` against the hollow symmetric d, with
+    ``emb.split`` as (c1, c2, c3), summed over the pairs i < j of strips of d_hat
+    in one pass, plus a second for the scaled additive error where
+    ||d - d_hat||^2 - <d - d_hat, d_hat>^2 / ||d_hat||^2 would cancel a digit.
+    Equal to the whole-matrix metrics up to rounding, except that a d_hat of
+    rounding noise alone counts as zero for the scaled additive error."""
+    d, x = np.asarray(d, dtype=np.float64), np.asarray(emb.coords, dtype=np.float64)
     n = x.shape[1]
     if d.shape != (n, n):
         raise ValueError(f"matrix shapes do not match: {d.shape} vs {(n, n)}")
     bufs, logs = np.empty((2, min(BLOCK, n) * n)), np.empty(n * (n - 1) // 2)
-    dd = cross = hh = ssq = along = neg = count = 0
-    for dp, hat in _upper_strips(d, x, signature, bufs):
-        dd += float(np.vdot(dp, dp))
-        cross += float(np.vdot(dp, hat))
+    hh = ssq = along = neg = count = 0
+    for dp, hat in _upper_strips(d, x, emb.signature, bufs):
         hh += float(np.vdot(hat, hat))
         neg += int(np.count_nonzero(hat < 0.0))
         count += _log_ratios(dp, hat, (dp > 0.0) & (hat > 0.0), logs[count:])
@@ -325,14 +323,15 @@ def strip_report(d, coords, signature, split=None) -> StressReport:
     # a d_hat of rounding noise alone, at the scale of its Gram form, is a zero d_hat
     scale = float(np.max(np.einsum("li,li->i", x, x), initial=0.0))
     zero = hh <= (8.0 * (x.shape[0] + 1) * n * np.finfo(np.float64).eps * scale) ** 2
-    resid = dd if zero else ssq - along * along / hh
+    resid = ssq if zero else ssq - along * along / hh  # ssq is ||d||^2 for a zero d_hat
     if not zero and resid < 0.1 * ssq:
-        t, resid = cross / hh, 0.0
-        for dp, hat in _upper_strips(d, x, signature, bufs):
+        t, resid = 1.0 + along / hh, 0.0  # <d, d_hat> / ||d_hat||^2
+        for dp, hat in _upper_strips(d, x, emb.signature, bufs):
             hat *= t
             resid += float(np.vdot(np.subtract(dp, hat, out=hat), hat))
-    c1, c2, c3 = split or (None, None, None)
+    c1, c2, c3 = emb.split or (None, None, None)
     return StressReport(stress_sq=2.0 * ssq, stress=math.sqrt(2.0 * ssq), c1=c1, c2=c2, c3=c3,
                         scaled_additive=math.sqrt(2.0 * resid),
                         avg_distortion=_distortion(logs[:count], in_place=True) if count else None,
-                        neg_dissim_count=neg, neg_axes_count=int(np.sum(np.asarray(signature) < 0)))
+                        neg_dissim_count=neg,
+                        neg_axes_count=int(np.sum(np.asarray(emb.signature) < 0)))

@@ -113,6 +113,11 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
         raise ValueError(f"need n >= 2, got {n}")
     sigma = _check_sigma(sigma)
     rng = _rng(seed)
+    try:  # the n x n result first: an impossible n fails before any index vector
+        m = np.empty((n, n))  # the mirror writes the lower triangle
+    except ValueError as exc:  # numpy's "array is too big", past any address space
+        raise MemoryError(f"Unable to allocate an array with shape ({n}, {n}) "
+                          f"and data type float64: {exc}") from None
     upper = np.tri(n, dtype=bool).T  # diagonal included
     count = n * (n + 1) // 2
     if dist == GAUSSIAN:
@@ -121,7 +126,6 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
         vals = sigma * (2.0 * rng.integers(0, 2, size=count) - 1.0)
     else:
         raise ValueError(f"dist must be 'gaussian' or 'rademacher', got {dist!r}")
-    m = np.empty((n, n))  # the mirror writes the lower triangle
     m[upper] = vals  # boolean assignment fills row-major, like the draw order
     del upper, vals
     # the mirror adds an exact zero to each entry; the diagonal keeps a -0.0 draw

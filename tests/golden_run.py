@@ -81,7 +81,7 @@ ERROR_COMMANDS = [
     "sweep --input d.txt --k-list 0:4:2 --output err.txt",
     "rmt --n 20 --c-list 0.3 --sigma nan --output err.txt",
     "perturb --input p.txt --kind noise --sigma inf --output err.txt",
-    "rmt --n 1000000000000000 --c-list 0.3 --output err.txt",  # 7.11 PiB: fails at once
+    "rmt --n 1000000000000000 --c-list 0.3 --output err.txt",  # no n x n sample: fails at once
     "sweep --input d.txt --k-list : --output err.txt",
     "embed --input d.txt --k 1 --output nodir/err.txt",
     "perturb --input x-same.txt --kind noise --output err.txt",

@@ -373,14 +373,40 @@ def test_eigensolver_failure_is_four(command, tmp_path, monkeypatch, capsys):
 
 
 def test_impossible_size_is_four(tmp_path, capsys):
-    # the sampler's first request, a 7.11 PiB index vector, exceeds any address
-    # space and fails at once; at n = 1e8 np.tri would first fill 763 MiB
+    # the sampler's first request, the n x n sample, exceeds any address space
+    # and fails at once, before np.tri's index vectors
     out = tmp_path / "rmt.csv"
     assert main(["rmt", "--n", str(10**15), "--c-list", "0.3", "--output", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical error: Unable to allocate 7.11 PiB")
+    assert err.startswith("numerical error: Unable to allocate an array with shape "
+                          "(1000000000000000, 1000000000000000)")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# VmHWM, not ru_maxrss: Linux carries the spawning parent's peak into the
+# child's ru_maxrss across exec, and the test process may be large
+RMT_PEAK = """
+import sys
+from neucmds.cli import main
+code = main(["rmt", "--n", "100000000", "--c-list", "0.3", "--output", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    print(code, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_unallocatable_sample_fails_before_the_index_vectors(tmp_path):
+    # at n = 1e8 the 71.1 PiB sample cannot be mapped; np.tri's two index
+    # vectors (763 MiB together) would be filled first if it ran before
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RMT_PEAK, str(tmp_path / "rmt.csv")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 4
+    assert proc.stderr.startswith("numerical error: Unable to allocate 71.1 PiB")
+    assert peak_kib < 100 * 1024
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])

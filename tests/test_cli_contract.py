@@ -162,7 +162,7 @@ from neucmds.embedding import embed_from_decomposition, spectrum
 from neucmds.io import read_matrix
 from neucmds.selection import select
 k = int(sys.argv[2])
-dec = spectrum(read_matrix(sys.argv[1]), k, "d")  # embed's own steps, dec kept for the picks
+dec, _ = spectrum(read_matrix(sys.argv[1]), [(k, "neuc")], "d")  # embed's own steps, dec kept for the picks
 emb = embed_from_decomposition(dec, k, "neuc")
 np.savez(sys.argv[3], chosen=select(dec.eigenvalues, k, "neuc").chosen, coords=emb.coords)
 """

@@ -509,7 +509,7 @@ def test_failed_write_leaves_the_old_file(tmp_path):
     path = tmp_path / "m.bin"
     path.write_bytes(b"old")
     with pytest.raises(TypeError):
-        io._atomic_write(path, b"head", object())  # fails after the first chunk
+        io._write_files((path, [b"head", object()]))  # fails after the first chunk
     assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
     assert path.read_bytes() == b"old"
 
@@ -555,3 +555,21 @@ def test_written_files_get_the_mode_open_gives(umask, mode, tmp_path):
     modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.iterdir()}
     names = ["e.txt", "e.txt.report.json", "j.json", "m.bin", "m.txt", "p.txt", "t.csv"]
     assert modes == {name: oct(mode) for name in names}
+
+
+def test_writers_never_touch_the_umask(tmp_path, monkeypatch):
+    # setting the umask to read it would give a file another thread creates
+    # meanwhile mode 0600; the kernel applies it to os.open's 0o666 instead
+    def fail(*args, **kwargs):
+        raise AssertionError("a writer called os.umask")
+    monkeypatch.setattr(os, "umask", fail)
+    d = random_hollow(np.random.default_rng(2), 4)
+    emb = Embedding(coords=d[:2], signature=np.array([1, -1]), axis_values=np.array([2.0, -1.0]),
+                    axis_indices=np.arange(2))
+    write_embedding(tmp_path / "e.txt", emb,
+                    StressReport(0.0, 0.0, None, None, None, 0.0, None, 0, 0))
+    write_matrix(tmp_path / "m.txt", d)
+    write_matrix(tmp_path / "m.bin", d, BINARY)
+    io.write_csv(tmp_path / "t.csv", ["a"], [[1]])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "e.txt", "e.txt.report.json", "m.bin", "m.txt", "t.csv"]

@@ -109,6 +109,31 @@ def test_benchmark_layer_names_match_the_package():
                    for name in names), f"no {module}.{start}* function"
 
 
+SOLVERS = ("double_center", "eig_sym")
+
+
+def _names_by_function(node, fn=None):
+    """(innermost enclosing function or None, name) of every name or attribute
+    used under node, whether called or passed on."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        yield fn, node.id if isinstance(node, ast.Name) else node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _names_by_function(child, fn)
+
+
+def test_every_eigensolve_goes_through_spectrum():
+    # one door: the command paths center and solve only inside embedding.spectrum,
+    # which checks the whole request in between; rmt's Wigner samples need no centering
+    refs = {(path.stem, fn, name) for path in Path(SRC, "neucmds").glob("*.py")
+            for fn, name in _names_by_function(ast.parse(path.read_text())) if name in SOLVERS}
+    assert {r for r in refs if r[0] in ("embedding", "landmark", "cli")} == {
+        ("embedding", "spectrum", "double_center"), ("embedding", "spectrum", "eig_sym")}
+    assert {r[:2] for r in refs if r[2] == "eig_sym"} == {("embedding", "spectrum"),
+                                                          ("rmt", "lab_table")}
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

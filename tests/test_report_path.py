@@ -1,7 +1,7 @@
 """The lean report path against the reference bodies it replaced.
 
-``report`` sums every field from strips of d_hat (``metrics.strip_report``)
-and builds no n x n array besides d; it must equal the whole-matrix
+``metrics.report`` sums every field from strips of d_hat and builds no
+n x n array besides d; it must equal the whole-matrix
 functions on ``reconstruct`` within 1e-12 relative on the sums, and exactly
 on the counts and on c1, c2, c3.  ``reconstruct``, ``stress`` and
 ``scaled_additive_error`` build at most one n x n array each.
@@ -321,14 +321,14 @@ def test_report_calls_every_layer_by_name(monkeypatch):
     # the strip kernel: no whole-matrix function runs, in either module
     d = random_hollow(np.random.default_rng(5), 12)
     dec = eig_sym(double_center(d))
-    counters = [count_calls(monkeypatch, embedding, ["reconstruct", "decompose", "strip_report"]),
+    counters = [count_calls(monkeypatch, embedding, ["reconstruct", "decompose", "report"]),
                 count_calls(monkeypatch, metrics, REPORT_LAYERS[1:])]
     emb = embed_from_decomposition(dec, 4, "neuc-plus")
     assert sum(counters, collections.Counter()) == {"decompose": 1}  # where dec is in hand
     for c in counters:
         c.clear()
-    report(d, emb)
-    assert sum(counters, collections.Counter()) == {"strip_report": 1}
+    embedding.report(d, emb)  # the name the tracer wraps
+    assert sum(counters, collections.Counter()) == {"report": 1}
 
 
 def ref_report(d, emb, dec):

@@ -125,6 +125,6 @@ def test_sweep_builds_no_d_hat(monkeypatch):
         raise AssertionError("sweep reached the entrywise path")
 
     for module, name in ((embedding, "report"), (embedding, "embed_from_decomposition"),
-                         (embedding, "reconstruct"), (metrics, "strip_report")):
+                         (embedding, "reconstruct"), (metrics, "report")):
         monkeypatch.setattr(module, name, entrywise)
     assert [[(e.k, e.method, e.report) for e in sweep(d, ks)] for d, ks in inputs] == want
