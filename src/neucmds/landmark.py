@@ -131,5 +131,6 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     rest = np.setdiff1d(np.arange(n), model.landmark_indices, assume_unique=True)
     # column j holds rest[j]'s dissimilarities to the landmarks (d is symmetric)
     deltas = d[np.ix_(model.landmark_indices, rest)]
-    coords[:, rest] = model.projection @ (deltas - model.mean_dissim[:, None])
+    deltas -= model.mean_dissim[:, None]  # the gather is a fresh copy: centre it in place
+    coords[:, rest] = model.projection @ deltas
     return replace(model.base, coords=coords)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .datasets import _rng
-from .linalg import _check_sigma, eig_sym, mirror_upper_inplace
+from .linalg import BLOCK, _check_sigma, eig_sym, mirror_upper_inplace
 from .selection import CMDS, NEUC, PLUS, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -101,33 +101,44 @@ def theory_error(n: int, sigma: float, c: float, mode: str) -> float:
     return (a + b * n) * n * n * sigma * sigma
 
 
-def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 0) -> np.ndarray:
+def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Symmetric matrix with i.i.d. upper-triangle entries of variance sigma^2.
 
     ``dist`` is "gaussian" or "rademacher" (values +-sigma).  The diagonal is
     drawn like any other entry.  Deterministic per seed (Philox stream; upper
-    triangle including the diagonal, row-major).
+    triangle including the diagonal, row-major, one draw call per strip of
+    ``BLOCK`` rows).
+    ``out``, a writable C-contiguous (n, n) float64 array, is overwritten
+    with the sample and returned; any other ``out`` is a ValueError before
+    anything is drawn.  Without ``out`` a new array is allocated.
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     sigma = _check_sigma(sigma)
     rng = _rng(seed)
-    try:  # the n x n result first: an impossible n fails before any index vector
-        m = np.empty((n, n))  # the mirror writes the lower triangle
-    except ValueError as exc:  # numpy's "array is too big", past any address space
-        raise MemoryError(f"Unable to allocate an array with shape ({n}, {n}) "
-                          f"and data type float64: {exc}") from None
-    upper = np.tri(n, dtype=bool).T  # diagonal included
-    count = n * (n + 1) // 2
-    if dist == GAUSSIAN:
-        vals = rng.normal(0.0, sigma, size=count)
-    elif dist == RADEMACHER:
-        vals = sigma * (2.0 * rng.integers(0, 2, size=count) - 1.0)
-    else:
+    if dist not in (GAUSSIAN, RADEMACHER):
         raise ValueError(f"dist must be 'gaussian' or 'rademacher', got {dist!r}")
-    m[upper] = vals  # boolean assignment fills row-major, like the draw order
-    del upper, vals
+    if out is None:
+        try:
+            m = np.empty((n, n))  # the mirror writes the lower triangle
+        except ValueError as exc:  # numpy's "array is too big", past any address space
+            raise MemoryError(f"Unable to allocate an array with shape ({n}, {n}) "
+                              f"and data type float64: {exc}") from None
+    elif (isinstance(out, np.ndarray) and out.shape == (n, n) and out.dtype == np.float64
+          and out.flags.c_contiguous and out.flags.writeable):
+        m = out
+    else:
+        raise ValueError(f"out must be a writable C-contiguous ({n}, {n}) float64 array")
+    for i0 in range(0, n, BLOCK):  # one draw per strip of rows: the same stream as one block
+        rows = range(i0, min(i0 + BLOCK, n))
+        size, at = sum(n - i for i in rows), 0
+        vals = (rng.normal(0.0, sigma, size=size) if dist == GAUSSIAN
+                else sigma * (2.0 * rng.integers(0, 2, size=size) - 1.0))
+        for i in rows:
+            m[i, i:] = vals[at:at + n - i]
+            at += n - i
     # the mirror adds an exact zero to each entry; the diagonal keeps a -0.0 draw
     diag = np.diagonal(m).copy()
     mirror_upper_inplace(m)
@@ -149,9 +160,9 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
         raise ValueError(f"trials must be at least 1, got {trials}")
     sigma = _check_sigma(sigma)
     theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
-    spectra = []
-    for trial in range(trials):
-        b = sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial)
+    spectra, b = [], None
+    for trial in range(trials):  # one n x n buffer holds every sample
+        b = sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial, out=b)
         spectra.append(eig_sym(b, vectors=False).eigenvalues)
     rows = []
     for c, r, expected in theory:

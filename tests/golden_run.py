@@ -1,10 +1,10 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 25 commands that succeed and 22 that fail with ``python -m neucmds.cli``
+Runs 26 commands that succeed and 22 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
-directory (43 files), and the exit code and stderr of every command.  Two
+directory (44 files), and the exit code and stderr of every command.  Two
 trees give the same output exactly when the CLI is byte-identical on this
 set, so a refactor is checked with
 
@@ -60,6 +60,9 @@ COMMANDS = [
     "landmark --input b.bin --k 2 --landmarks 10 --method cmds --seed 5 --output lm2.txt",
     "rmt --n 60 --c-list 0.1,0.3 --method cmds --seed 1 --trials 2 --output rc.csv",
     "rmt --n 60 --c-list 0.1,0.3 --method neuc --seed 1 --output rn.csv",
+    # one buffer reused by three trials that cross a strip boundary, Rademacher draws
+    "rmt --n 130 --c-list 0.1,0.5 --trials 3 --dist rademacher --sigma 2.5 --method cmds "
+    "--seed 2 --output rr.csv",
 ]
 
 # run after COMMANDS, once x-short.bin and x-magic.bin exist; none may leave an output file

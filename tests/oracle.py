@@ -6,7 +6,10 @@ inverse of :func:`neucmds.linalg.double_center` on centered Gram matrices.
 ``mirror_upper`` is the copying form of
 :func:`neucmds.linalg.mirror_upper_inplace`.  ``ref_decompose`` is the
 stress split summed over the dropped and the selected axes separately, the
-form :func:`neucmds.metrics.decompose` must match.
+form :func:`neucmds.metrics.decompose` must match.  ``ref_sample_wigner`` draws
+the upper triangle in one block and places it through a boolean mask, the
+sampler's original body; ``ref_lab_rows`` is the ``rmt`` command's table
+with a fresh ``ref_sample_wigner`` sample per trial.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from neucmds.linalg import as_square_matrix, check_symmetric, mirror_upper_inplace
+from neucmds import rmt
+from neucmds.linalg import as_square_matrix, check_symmetric, eig_sym, mirror_upper_inplace
 from neucmds.selection import (
     CMDS,
     NEUC,
@@ -123,3 +127,40 @@ def ref_decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
     v = (u * u) @ dl
     c3 = 2.0 * n * float(np.sum(v * v)) - c2 / 2.0
     return c1, c2, c3
+
+
+def ref_sample_wigner(n, sigma=1.0, dist=rmt.GAUSSIAN, seed=0) -> np.ndarray:
+    """The Wigner sample drawn as one block from ``rmt._rng(seed)`` (so a stub
+    generator patched there feeds both), placed row-major through an
+    upper-triangle mask and symmetrized by one transpose-add, the diagonal
+    restored from the draws."""
+    rng = rmt._rng(seed)
+    upper = np.tri(n, dtype=bool).T
+    count = n * (n + 1) // 2
+    if dist == rmt.GAUSSIAN:
+        vals = rng.normal(0.0, sigma, size=count)
+    else:
+        vals = sigma * (2.0 * rng.integers(0, 2, size=count) - 1.0)
+    m = np.zeros((n, n))
+    m[upper] = vals
+    out = m + m.T
+    np.fill_diagonal(out, np.diagonal(m))
+    return out
+
+
+def ref_lab_rows(n, sigma, c_values, trials, dist, seed, mode) -> list[list[float]]:
+    """``rmt.lab_table``'s rows, each trial sampled fresh by ``ref_sample_wigner``
+    while the previous sample is still bound."""
+    theory = [(c, rmt.solve_r(c, mode), rmt.theory_error(n, sigma, c, mode)) for c in c_values]
+    spectra = []
+    for trial in range(trials):
+        b = ref_sample_wigner(n, sigma, dist, seed + trial)
+        spectra.append(eig_sym(b, vectors=False).eigenvalues)
+    rows = []
+    for c, r, expected in theory:
+        k = max(1, int(round(c * n)))
+        empirical = float(np.mean([
+            rmt.empirical_error_from_eigenvalues(lam, k, mode) for lam in spectra
+        ]))
+        rows.append([c, r, expected, empirical, (empirical - expected) / expected])
+    return rows

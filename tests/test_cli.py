@@ -374,7 +374,7 @@ def test_eigensolver_failure_is_four(command, tmp_path, monkeypatch, capsys):
 
 def test_impossible_size_is_four(tmp_path, capsys):
     # the sampler's first request, the n x n sample, exceeds any address space
-    # and fails at once, before np.tri's index vectors
+    # and fails at once, before any draw
     out = tmp_path / "rmt.csv"
     assert main(["rmt", "--n", str(10**15), "--c-list", "0.3", "--output", str(out)]) == 4
     err = capsys.readouterr().err
@@ -396,8 +396,9 @@ with open("/proc/self/status") as fh:
 
 
 def test_unallocatable_sample_fails_before_the_index_vectors(tmp_path):
-    # at n = 1e8 the 71.1 PiB sample cannot be mapped; np.tri's two index
-    # vectors (763 MiB together) would be filled first if it ran before
+    # at n = 1e8 the 71.1 PiB sample cannot be mapped; the first strip's draws
+    # (95 GiB) or a boolean upper-triangle mask's index vectors (763 MiB)
+    # would be filled first if they ran before it
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", RMT_PEAK, str(tmp_path / "rmt.csv")],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))

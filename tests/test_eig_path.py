@@ -2,9 +2,9 @@
 
 ``eig_sym(b, vectors=False)`` computes the eigenvalues alone; they must agree
 with the full solve's to rounding, in the same order, and fail the same way.
-``sample_wigner`` fills its upper triangle through a boolean mask and
-symmetrizes with one transpose-add; ``ref_sample_wigner`` below is the body
-it replaced, and every sample must match it bitwise.
+``sample_wigner`` draws its upper triangle strip by strip into one n x n buffer
+and mirrors it in place; every sample must match ``oracle.ref_sample_wigner``,
+one block draw placed through a mask, bitwise.
 """
 
 import json
@@ -22,24 +22,9 @@ from neucmds.rmt import GAUSSIAN, RADEMACHER, sample_wigner
 from neucmds.selection import METHODS, select
 
 from conftest import random_hollow
-from oracle import full_axis_values, mirror_upper
+from oracle import full_axis_values, ref_sample_wigner
 
 SPECTRUM_RTOL = 1e-12  # scaled by max|lambda|
-
-
-# ---------------------------------------------------------------- reference
-
-def ref_sample_wigner(n, sigma=1.0, dist=GAUSSIAN, seed=0):
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    iu = np.triu_indices(n)
-    count = iu[0].shape[0]
-    if dist == GAUSSIAN:
-        vals = rng.normal(0.0, sigma, size=count)
-    else:
-        vals = sigma * (2.0 * rng.integers(0, 2, size=count) - 1.0)
-    m = np.zeros((n, n))
-    m[iu] = vals
-    return mirror_upper(m)
 
 
 def matrices():

@@ -141,6 +141,9 @@ def test_projection_matches_the_three_step_triangulation(method, seed):
     want = ref_triangulate_block(model, dec, d[np.ix_(rest, idx)])
     got = embed_landmark(d, m, 6, method, seed=seed).coords[:, rest]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the gather centred in place is bitwise the centred copy
+    plain = model.projection @ (d[np.ix_(idx, rest)] - model.mean_dissim[:, None])
+    assert got.tobytes() == plain.tobytes()
     for j in (0, m // 2, m - 1):  # one row alone, and a landmark's own row
         row = d[idx[j], idx]
         want_row = ref_triangulate_block(model, dec, row[None, :])[:, 0]

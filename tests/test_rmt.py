@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from neucmds.rmt import (
     theory_error,
     theory_error_coeffs,
 )
-from neucmds.linalg import eig_sym
+from neucmds.linalg import BLOCK, eig_sym
 from neucmds.selection import select
 from neucmds.rmt import _selected_fraction
+
+from oracle import ref_lab_rows, ref_sample_wigner
 
 
 class TestSolveR:
@@ -100,22 +104,6 @@ class TestSampleWigner:
             sample_wigner(10, 1.0, "uniform", seed=0)
 
 
-def ref_sample_wigner(n, sigma=1.0, dist=GAUSSIAN, seed=0):
-    """The sampler as it was before it mirrored its one n x n buffer in place."""
-    rng = rmt._rng(seed)
-    upper = np.tri(n, dtype=bool).T
-    count = n * (n + 1) // 2
-    if dist == GAUSSIAN:
-        vals = rng.normal(0.0, sigma, size=count)
-    else:
-        vals = sigma * (2.0 * rng.integers(0, 2, size=count) - 1.0)
-    m = np.zeros((n, n))
-    m[upper] = vals
-    out = m + m.T
-    np.fill_diagonal(out, np.diagonal(m))
-    return out
-
-
 @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
 @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 300])
 def test_sample_wigner_matches_the_reference_bytes(n, dist):
@@ -127,15 +115,62 @@ def test_sample_wigner_matches_the_reference_bytes(n, dist):
 
 def test_sample_wigner_keeps_the_sign_of_a_zero_draw(monkeypatch):
     # a -0.0 draw stays -0.0 on the diagonal and reads +0.0 off it, as in the reference
-    class SignedZeros:
+    class SignedZeros:  # a stream: every third draw is -0.0, counted across calls
+        drawn = 0
+
         def normal(self, loc, scale, size):
-            return np.where(np.arange(size) % 3 == 0, -0.0, 1.0)
+            position = np.arange(self.drawn, self.drawn + size)
+            self.drawn += size
+            return np.where(position % 3 == 0, -0.0, 1.0)
 
     monkeypatch.setattr(rmt, "_rng", lambda seed: SignedZeros())
     got, want = sample_wigner(7), ref_sample_wigner(7)
     assert got.tobytes() == want.tobytes()
     assert np.signbit(np.diagonal(got)).any()
     assert not np.signbit(got[~np.eye(7, dtype=bool)]).any()
+
+
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 300])
+def test_sample_wigner_overwrites_out(n, dist):
+    buf = np.full((n, n), np.nan)
+    got = sample_wigner(n, 2.5, dist, seed=n, out=buf)
+    assert got is buf
+    assert buf.tobytes() == sample_wigner(n, 2.5, dist, seed=n).tobytes()
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class NoDraws:
+    def normal(self, loc, scale, size):
+        raise AssertionError("drew before checking out")
+
+    integers = normal
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((5, 4)),
+    np.zeros((4, 4)),
+    np.zeros((5, 5), dtype=np.float32),
+    np.zeros((5, 5), dtype=np.int64),
+    np.zeros((5, 5)).tolist(),
+    np.zeros((5, 5), order="F"),
+    np.zeros((5, 10))[:, ::2],
+    np.broadcast_to(np.zeros(5), (5, 5)),
+    read_only(np.zeros((5, 5))),
+], ids=["rows", "square", "float32", "int64", "list", "fortran", "strided", "broadcast",
+        "read-only"])
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
+def test_sample_wigner_checks_out_before_drawing(out, dist, monkeypatch):
+    before = np.array(out, copy=True)
+    monkeypatch.setattr(rmt, "_rng", lambda seed: NoDraws())
+    with pytest.raises(ValueError) as err:
+        sample_wigner(5, 1.0, dist, out=out)
+    assert str(err.value) == "out must be a writable C-contiguous (5, 5) float64 array"
+    np.testing.assert_array_equal(out, before)
 
 
 def empirical_error(b, k, mode):
@@ -177,23 +212,6 @@ class TestEmpirical:
 
 # ---------------------------------------------------------------- lab table
 
-def ref_lab_rows(n, sigma, c_values, trials, dist, seed, mode):
-    """The body of the rmt command before rmt.lab_table held it."""
-    theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
-    spectra = []
-    for trial in range(trials):
-        b = sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial)
-        spectra.append(eig_sym(b, vectors=False).eigenvalues)
-    rows = []
-    for c, r, expected in theory:
-        k = max(1, int(round(c * n)))
-        empirical = float(np.mean([
-            empirical_error_from_eigenvalues(lam, k, mode) for lam in spectra
-        ]))
-        rows.append([c, r, expected, empirical, (empirical - expected) / expected])
-    return rows
-
-
 @pytest.mark.parametrize("mode, c_values", [
     ("cmds", [0.001, 0.1, 0.3, 0.5]),
     ("neuc", [0.001, 0.1, 0.5, 0.9]),
@@ -214,3 +232,61 @@ def test_sigma_must_be_positive_and_finite(sigma):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mode", ["cmds", "neuc"])
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 2])
+def test_lab_table_reusing_its_buffer_equals_fresh_samples(n, dist, mode):
+    # the shared buffer crosses a strip boundary at BLOCK + 2; every trial overwrites it
+    got = lab_table(n, [0.1, 0.4], mode, sigma=2.5, trials=3, dist=dist, seed=11)
+    want = ref_lab_rows(n, 2.5, [0.1, 0.4], 3, dist, 11, mode)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_lab_table_passes_each_sample_back_as_out(monkeypatch):
+    calls = []
+
+    def recording(*args, out=None, **kwargs):
+        calls.append(out)
+        return sample_wigner(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(rmt, "sample_wigner", recording)
+    lab_table(20, [0.3], "neuc", trials=3)
+    assert calls[0] is None
+    assert calls[1] is not None and calls[2] is calls[1]
+
+
+LAB_GUARD_N = 1000
+
+
+def lab_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate during fn(*args), after a
+    first untraced call has loaded everything it imports."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def lab_bound(n):
+    """One n x n sample plus four float strips of BLOCK rows: a strip's draws
+    and their Rademacher temporaries fit the strips; a second sample does not."""
+    bound = 8 * n * (n + 4 * BLOCK)
+    assert bound < 2 * 8 * n * n
+    return bound
+
+
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
+def test_lab_table_holds_one_sample(dist):
+    n = LAB_GUARD_N
+    assert lab_peak(lab_table, n, [0.1, 0.5], "neuc", 1.0, 2, dist, 3) < lab_bound(n)
+
+
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
+def test_the_sample_bound_fails_fresh_samples(dist):
+    n = LAB_GUARD_N
+    assert lab_peak(ref_lab_rows, n, 1.0, [0.1, 0.5], 2, dist, 3, "neuc") >= lab_bound(n)
