@@ -31,22 +31,17 @@ def _check_sigma(sigma) -> float:
     return sigma
 
 
-def _tiles_agree(m: np.ndarray, finite: bool) -> bool:
-    """Whether each ``BLOCK`` x ``BLOCK`` tile on or above m's diagonal equals
-    the transpose of its partner below (and, with ``finite``, is finite).
-    A NaN anywhere fails; no temporary is larger than one tile."""
-    n = m.shape[0]
-    for i0 in range(0, n, BLOCK):
-        for j0 in range(i0, n, BLOCK):
-            upper = m[i0:i0 + BLOCK, j0:j0 + BLOCK]
-            if finite and not np.isfinite(upper).all():
-                return False
-            if not (upper == m[j0:j0 + BLOCK, i0:i0 + BLOCK].T).all():
-                return False
-    return True
+def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
+    """Require exact (bitwise) symmetry; our constructors guarantee it.
 
-
-def _raise_asymmetric(m: np.ndarray, name: str):
+    Compares each strip of ``BLOCK`` rows from the diagonal on with the
+    matching column strip, so a symmetric m costs no n x n temporary; a NaN
+    anywhere fails.  Only a failing m is compared whole, to name its first
+    asymmetric entry in row-major order.
+    """
+    if all(np.array_equal(m[i0:i0 + BLOCK, i0:], m[i0:, i0:i0 + BLOCK].T)
+           for i0 in range(0, m.shape[0], BLOCK)):
+        return
     i, j = (int(v) for v in np.argwhere(m != m.T)[0])
     raise ValueError(
         f"{name} is not symmetric: entry ({i},{j})={float(m[i, j])} "
@@ -54,31 +49,13 @@ def _raise_asymmetric(m: np.ndarray, name: str):
     )
 
 
-def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
-    """Require exact (bitwise) symmetry; our constructors guarantee it.
-
-    Compares the tiles on and above the diagonal with their partners below,
-    so a symmetric m costs no n x n temporary; a NaN anywhere fails.  Only a
-    failing m is compared whole, to name its first asymmetric entry in
-    row-major order.
-    """
-    if not _tiles_agree(m, finite=False):
-        _raise_asymmetric(m, name)
-
-
 def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
-    """Validate a finite hollow symmetric matrix and return it as float64.
-
-    One pass over the tiles checks finiteness and symmetry together; only a
-    failing d is searched whole, first for a non-finite entry, then for an
-    asymmetric one, each named first in row-major order."""
+    """Validate a finite hollow symmetric matrix and return it as float64."""
     d = as_square_matrix(d, name)
-    if not _tiles_agree(d, finite=True):
-        bad = np.argwhere(~np.isfinite(d))
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
-        _raise_asymmetric(d, name)
+    if not all(np.isfinite(d[i0:i0 + BLOCK]).all() for i0 in range(0, d.shape[0], BLOCK)):
+        i, j = (int(v) for v in np.argwhere(~np.isfinite(d))[0])
+        raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
+    check_symmetric(d, name)
     diag = np.diagonal(d)
     if np.any(diag != 0.0):
         i = int(np.flatnonzero(diag != 0.0)[0])

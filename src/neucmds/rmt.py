@@ -101,17 +101,13 @@ def theory_error(n: int, sigma: float, c: float, mode: str) -> float:
     return (a + b * n) * n * n * sigma * sigma
 
 
-def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 0,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 0) -> np.ndarray:
     """Symmetric matrix with i.i.d. upper-triangle entries of variance sigma^2.
 
     ``dist`` is "gaussian" or "rademacher" (values +-sigma).  The diagonal is
     drawn like any other entry.  Deterministic per seed (Philox stream; upper
     triangle including the diagonal, row-major, one draw call per strip of
-    ``BLOCK`` rows).
-    ``out``, a writable C-contiguous (n, n) float64 array, is overwritten
-    with the sample and returned; any other ``out`` is a ValueError before
-    anything is drawn.  Without ``out`` a new array is allocated.
+    ``BLOCK`` rows, each row copied straight into the sample).
     """
     n = int(n)
     if n < 2:
@@ -120,17 +116,11 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
     rng = _rng(seed)
     if dist not in (GAUSSIAN, RADEMACHER):
         raise ValueError(f"dist must be 'gaussian' or 'rademacher', got {dist!r}")
-    if out is None:
-        try:
-            m = np.empty((n, n))  # the mirror writes the lower triangle
-        except ValueError as exc:  # numpy's "array is too big", past any address space
-            raise MemoryError(f"Unable to allocate an array with shape ({n}, {n}) "
-                              f"and data type float64: {exc}") from None
-    elif (isinstance(out, np.ndarray) and out.shape == (n, n) and out.dtype == np.float64
-          and out.flags.c_contiguous and out.flags.writeable):
-        m = out
-    else:
-        raise ValueError(f"out must be a writable C-contiguous ({n}, {n}) float64 array")
+    try:  # the n x n result first: an impossible n fails before any draw
+        m = np.empty((n, n))  # the mirror writes the lower triangle
+    except ValueError as exc:  # numpy's "array is too big", past any address space
+        raise MemoryError(f"Unable to allocate an array with shape ({n}, {n}) "
+                          f"and data type float64: {exc}") from None
     for i0 in range(0, n, BLOCK):  # one draw per strip of rows: the same stream as one block
         rows = range(i0, min(i0 + BLOCK, n))
         size, at = sum(n - i for i in rows), 0
@@ -160,10 +150,10 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
         raise ValueError(f"trials must be at least 1, got {trials}")
     sigma = _check_sigma(sigma)
     theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
-    spectra, b = [], None
-    for trial in range(trials):  # one n x n buffer holds every sample
-        b = sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial, out=b)
-        spectra.append(eig_sym(b, vectors=False).eigenvalues)
+    spectra = []
+    for trial in range(trials):  # no name holds a sample: each is freed before the next
+        spectra.append(eig_sym(sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial),
+                               vectors=False).eigenvalues)
     rows = []
     for c, r, expected in theory:
         k = max(1, int(round(c * n)))
