@@ -11,9 +11,11 @@ formatted and written ``TEXT_BLOCK_ROWS`` rows at a time, so a write holds
 one block of text, not the whole file.
 
 Text values are written with ``%.17g``, so a parsed value round-trips
-bitwise, and are parsed with the rules of Python's ``float``.  Both work
-one row at a time: a row is converted by one numpy call and formatted by one
-``%`` string; only a row that fails to convert is scanned token by token,
+bitwise, and are parsed with the rules of Python's ``float``.  A block of
+rows is formatted by whole-array numpy passes that give the bytes ``%``
+gives (``_g17``); a value those passes cannot prove exact goes through ``%``
+on its own.  Parsing works one row at a time: a row is converted by one
+numpy call; only a row that fails to convert is scanned token by token,
 to name the failing column.  Text matrix and point files are decoded and
 parsed line by line, so a read holds the result and one line.  Binary files
 are read into the result array directly and written from the array's own
@@ -23,6 +25,7 @@ buffer, with no second n*n copy; they are the format for large n.
 from __future__ import annotations
 
 import errno
+import functools
 import itertools
 import json
 import os
@@ -73,7 +76,7 @@ def _text_blocks(head, rows):
     """``format_rows(head, rows)`` as bytes, one block of rows at a time."""
     yield format_rows(head, []).encode()
     for start in range(0, len(rows), TEXT_BLOCK_ROWS):
-        yield format_rows([], rows[start:start + TEXT_BLOCK_ROWS]).encode()
+        yield _row_text(rows[start:start + TEXT_BLOCK_ROWS])
 
 
 def _json(obj) -> bytes:
@@ -83,9 +86,179 @@ def _json(obj) -> bytes:
 def format_rows(head, rows) -> str:
     """Header lines, then one line per row of 17-significant-digit values,
     so a parsed value round-trips bitwise."""
-    lines = list(head)
-    lines.extend(" ".join(["%.17g"] * len(row)) % tuple(row.tolist()) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in head) + _row_text(rows).decode() or "\n"
+
+
+def _row_text(rows) -> bytes:
+    """Each row's values in ``%.17g``, joined by spaces, each row ended by a
+    newline; an empty row is a bare newline."""
+    parts, run = [], []
+    for row in rows:
+        if len(row):
+            run.append(row)
+        else:
+            parts += [_run_text(run), b"\n"]
+            run = []
+    parts.append(_run_text(run))
+    return b"".join(parts)
+
+
+def _run_text(rows) -> bytes:
+    """``_row_text`` of non-empty rows, ``_CHUNK`` values to a kernel pass."""
+    if not rows:
+        return b""
+    x = np.concatenate(rows, dtype=np.float64)
+    sep = np.full(len(x), ord(" "), np.uint8)
+    sep[np.cumsum([len(row) for row in rows]) - 1] = ord("\n")
+    return b"".join(_g17(x[i:i + _CHUNK], sep[i:i + _CHUNK]) for i in range(0, len(x), _CHUNK))
+
+
+# ---------------------------------------------------------------- %.17g kernel
+#
+# ``_g17`` makes the 17 significant digits D of |x| as an integer: with E the
+# decimal exponent, D = round(|x| * 10**(16 - E)), the product taken as an
+# error-free Dekker (1971) split product against a (hi, lo) double-double for
+# the power of ten, so it is exact to ~1e-14 against the 0.5 a rounding needs.
+# It then lays each value out in 32 fixed bytes (four little-endian words:
+# sign and "0.000" prefix, 18 bytes of digits and point, exponent, separator)
+# with NUL in every unused byte, and deletes the NULs.
+
+_CHUNK = 1 << 14  # values per kernel pass, so its temporaries stay in cache
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_E_MIN, _E_MAX = -283, 283  # decimal exponents the tables cover
+_PROVEN = 1e-280, 1e280  # |x| the kernel formats: every product stays normal
+_TIE = 1e-6  # a rounding fraction this close to 1/2 goes through ``%``
+_WORD = np.uint64  # eight characters, the first in the low byte
+
+
+def _split(a):
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _tables():
+    """The kernel's read-only lookup tables, built from exact integers on the
+    first write.  Indexed by E - _E_MIN: the (hi, hh, hl, lo) double-double of
+    10**(16 - E) with hi's split, the point position and the least count of
+    digits kept in the ``%g`` layout of E, and its prefix and exponent words.
+    Then the four characters and the trailing-zero count of each 0..9999, and
+    the masks of the first m bytes of the 24-byte digit field, per word."""
+    pow10, layout, words = [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den  # int division rounds correctly, as does lo's below
+        hi_num, hi_den = hi.as_integer_ratio()
+        pow10.append((hi, *_split(hi), (num * hi_den - hi_num * den) / (den * hi_den)))
+        fixed = -4 <= e < 17  # %g's rule at precision 17
+        # (digits before the point, digits always shown): the whole integer part
+        # when fixed; one digit before an exponent; after a "0.000" prefix, which
+        # holds the point, all 17 and none, so the field shows no point
+        layout.append((e + 1, e + 1) if 0 <= e < 17 else (17, 0) if fixed else (1, 0))
+        prefix = "0." + "0" * (-e - 1) if fixed and e < 0 else ""
+        words.append((_word(prefix) << 8, 0 if fixed else _word("\0\0e%+03d" % e)))
+    n = np.arange(10000, dtype=np.uint16)
+    quad = np.stack([(n // 10 ** p % 10).astype(np.uint8) + ord("0") for p in (3, 2, 1, 0)], axis=1)
+    zeros = np.full(10000, 4, np.uint8)
+    for z in (4, 3, 2, 1):
+        zeros[n % 10 ** z != 0] = z - 1
+    masks = [[(1 << 8 * min(max(m - 8 * k, 0), 8)) - 1 for m in range(19)] for k in range(3)]
+    tables = (np.array(pow10).T.copy(), np.array(layout, np.intp).T.copy(),
+              np.array(words, _WORD).T.copy(), quad.view("<u4").ravel().astype(_WORD),
+              zeros, np.array(masks, _WORD))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _scaled(ax, e, pow10):
+    """floor(ax * 10**(16 - E)) as int64, and the fraction it drops, where e
+    indexes E in the tables."""
+    hi, hh, hl, lo = (np.take(p, e) for p in pow10)
+    ph = ax * hi
+    xh, xl = _split(ax)
+    t = (xl * hl - (((ph - xh * hh) - xl * hh) - xh * hl)) + ax * lo  # ax*10**p - ph
+    floor = np.floor(t)
+    return ph.astype(np.int64) + floor.astype(np.int64), t - floor
+
+
+def _percent(values) -> list:
+    """``b'%.17g' % v`` of each value: the values ``_g17`` cannot prove."""
+    return [b"%.17g" % v for v in values.tolist()]
+
+
+def _g17(x, sep) -> bytes:
+    """``b''.join(b'%.17g' % v + s for v, s in zip(x, sep))`` for a float64
+    array x and a uint8 array of separator bytes.  Values that are not
+    finite, are 0, lie outside ``_PROVEN``, or round within ``_TIE`` of a
+    tie go through ``_percent``."""
+    pow10, layout, words, quad, zeros, masks = _tables()
+    ax = np.abs(x)
+    ok = (ax >= _PROVEN[0]) & (ax <= _PROVEN[1])
+    ax[~ok] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.intp) - _E_MIN
+    d, frac = _scaled(ax, e, pow10)
+    off = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)  # log10 missed E by one
+    redo = np.flatnonzero(off)
+    e[redo] += off[redo]
+    d[redo], frac[redo] = _scaled(ax[redo], e[redo], pow10)
+    ok &= (np.abs(frac - 0.5) > _TIE) & (d >= 10 ** 16) & (d < 10 ** 17)
+    d += frac > 0.5
+    carry = d == 10 ** 17  # 9.99...95 rounds up to the next decade
+    d[carry] = 10 ** 16
+    e += carry
+
+    # D = a.b1b2c1c2: a leading digit, then four groups of four
+    hi = d // 10 ** 8
+    lo = (d - hi * 10 ** 8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    a = hi // 10 ** 8
+    b = hi - a * 10 ** 8
+    b1 = b // 10 ** 4
+    b2 = b - b1 * 10 ** 4
+    c1 = lo // 10 ** 4
+    c2 = lo - c1 * 10 ** 4
+    trailing = np.take(zeros, c2)
+    z = np.flatnonzero(c2 == 0)
+    for group in (c1, b2, b1):
+        trailing[z] += zeros[group[z]]
+        z = z[group[z] == 0]
+    wb = np.take(quad, b1) | np.take(quad, b2) << _WORD(32)  # digits 1-8
+    wc = np.take(quad, c1) | np.take(quad, c2) << _WORD(32)  # digits 9-16
+    a = a.astype(_WORD) + _WORD(ord("0"))
+
+    out = np.empty((4, len(x)), _WORD)
+    field = out[1:]  # digit i at byte i, for the digits before the point
+    field[0] = a | wb << _WORD(8)
+    field[1] = wb >> _WORD(56) | wc << _WORD(8)
+    field[2] = wc >> _WORD(56)
+    after = np.empty_like(field)  # digit i at byte i + 1, for those after it
+    after[0] = a << _WORD(8) | wb << _WORD(16)
+    after[1] = wb >> _WORD(48) | wc << _WORD(16)
+    after[2] = wc >> _WORD(48)
+    point = np.take(layout[0], e)
+    keep = np.maximum(17 - trailing, np.take(layout[1], e))  # digits shown
+    keep += keep > point  # and the point, when a digit follows it
+    for k in range(3):
+        upto = np.take(masks[k], point + 1)
+        after[k] &= ~upto
+        after[k] |= upto & _WORD(0x2E2E2E2E2E2E2E2E)  # "." at the point
+        field[k] ^= after[k]
+        field[k] &= np.take(masks[k], point)
+        field[k] ^= after[k]
+        field[k] &= np.take(masks[k], keep)
+    out[0] = np.take(words[0], e) | np.signbit(x).astype(_WORD) * _WORD(ord("-"))
+    out[3] |= np.take(words[1], e) | sep.astype(_WORD) << _WORD(56)
+    slow = np.flatnonzero(~ok)
+    if len(slow):
+        out[:3, slow] = np.array(_percent(x[slow]), "S24").view("<u8").reshape(-1, 3).T
+        out[3, slow] = sep[slow].astype(_WORD) << _WORD(56)
+    return out.T.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
 def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import _rng
 from .embedding import Embedding, embed_from_decomposition, spectrum
 from .linalg import as_square_matrix, check_dissimilarity
-from .selection import NEUC
+from .selection import NEUC, normalize_method
 
 # axes whose |axis value| falls below this fraction of the largest are
 # dropped from the model instead of divided by
@@ -75,9 +75,9 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
                   strategy: str = RANDOM, name: str = "dissimilarity matrix") -> LandmarkModel:
     """Embed m seeded landmarks with the requested method.
 
-    Requires k < m <= n.  Axes whose value vanishes (relatively) are excluded
-    from the model so triangulation never divides by zero.  ``name`` is what
-    validation errors call the input.
+    Requires m <= n and 1 <= k <= m - 1.  Axes whose value vanishes
+    (relatively) are excluded from the model so triangulation never divides
+    by zero.  ``name`` is what validation errors call the input.
     """
     d = check_dissimilarity(d, name)
     n = d.shape[0]
@@ -85,8 +85,9 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     k = int(k)
     if m > n:
         raise ValueError(f"cannot draw {m} landmarks from {n} points")
-    if m <= k:
-        raise ValueError(f"need more landmarks than axes: m={m}, k={k}")
+    method = normalize_method(method)  # the method before k, as ``spectrum`` checks a pair
+    if not 1 <= k <= m - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= m - 1 = {m - 1} for m={m} landmarks, got {k}")
     idx = _pick_landmarks(d, m, seed, strategy)
     sub = d[np.ix_(idx, idx)]
     dec, [(k, method)] = spectrum(sub, [(k, method)])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import _rng
 from .linalg import BLOCK, _check_sigma, eig_sym, mirror_upper_inplace
-from .selection import CMDS, NEUC, PLUS, normalize_method, select
+from .selection import CMDS, NEUC, PLUS, _check_k, _prefix, normalize_method, select
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -136,28 +136,38 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
     return m
 
 
-def empirical_error_from_eigenvalues(lam, k: int, mode: str) -> float:
-    """Dropped-eigenvalue error of a selection on an existing spectrum."""
-    return select(lam, int(k), _lab_mode(mode)).objective / 4.0
+def empirical_error_from_eigenvalues(lam, k, mode: str):
+    """Dropped-eigenvalue error of a selection on an existing spectrum at k;
+    for a sequence of ks, as for ``np.percentile``'s q, the list of errors at
+    each.  One selection, at the largest k: the smaller ks take prefixes of
+    its picks (``selection._prefix``), bitwise the selection at each k."""
+    mode = _lab_mode(mode)
+    ks = np.atleast_1d(k)
+    top = select(lam, max(ks, default=1), mode)
+    lam = np.asarray(lam, dtype=np.float64)  # as ``select`` checked it
+    errors = [_prefix(lam, top, _check_k(j, lam.size)).objective / 4.0 for j in ks]
+    return errors if np.ndim(k) else errors[0]
 
 
 def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
               dist: str = GAUSSIAN, seed: int = 0) -> list[list[float]]:
     """One row of ``LAB_COLUMNS`` per fraction c: theory against the mean error
     at k = max(1, round(c*n)) over ``trials`` Wigner matrices of seeds seed,
-    seed+1, ...  Every argument is checked before the first sample."""
+    seed+1, ...  Each trial selects once, at the largest k
+    (``empirical_error_from_eigenvalues`` of all the ks).  Every argument is
+    checked before the first sample."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     sigma = _check_sigma(sigma)
     theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
-    spectra = []
+    ks = [max(1, int(round(c * n))) for c, _, _ in theory]
+    errors = []  # per trial, the error at each k
     for trial in range(trials):  # no name holds a sample: each is freed before the next
-        spectra.append(eig_sym(sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial),
-                               vectors=False).eigenvalues)
+        errors.append(empirical_error_from_eigenvalues(
+            eig_sym(sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial),
+                    vectors=False).eigenvalues, ks, mode))
     rows = []
-    for c, r, expected in theory:
-        k = max(1, int(round(c * n)))
-        empirical = float(np.mean([empirical_error_from_eigenvalues(lam, k, mode)
-                                   for lam in spectra]))
+    for (c, r, expected), column in zip(theory, zip(*errors)):
+        empirical = float(np.mean(column))
         rows.append([c, r, expected, empirical, (empirical - expected) / expected])
     return rows

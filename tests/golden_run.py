@@ -1,10 +1,10 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 26 commands that succeed and 22 that fail with ``python -m neucmds.cli``
+Runs 27 commands that succeed and 22 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
-directory (44 files), and the exit code and stderr of every command.  Two
+directory (47 files), and the exit code and stderr of every command.  Two
 trees give the same output exactly when the CLI is byte-identical on this
 set, so a refactor is checked with
 
@@ -34,6 +34,7 @@ INPUTS = {
     "x-trail.txt": "2\n0 1\n1 0\nmore\n",
     "x-big.txt": "3\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n",
     "x-same.txt": "3 2\n1 2\n1 2\n1 2\n",
+    "x-fine.txt": "5\n0 1 1 2 1e-10\n1 0 2 1 1\n1 2 0 1 1\n2 1 1 0 2\n1e-10 1 1 2 0\n",
 }
 
 COMMANDS = [
@@ -53,6 +54,8 @@ COMMANDS = [
     "embed --input b.bin --k 4 --method neuc --output ebn.txt",  # a non-null avg_distortion
     "embed --input pk.txt --k 3 --output epk.txt",
     "embed --input big.txt --k 50 --method neuc-plus --output ebig.txt",
+    # text in e-XX notation, below 1e-4 and -0: cmds zero-fills the axes past the positives
+    "embed --input x-fine.txt --k 5 --method cmds --output efine.txt",
     "sweep --input d.txt --k-list 1:10:3 --output sw.csv",
     "sweep --input b.bin --format bin --k-list 2:8:2 --methods cmds,neuc --output swb.csv",
     "sweep --input pm.bin --k-list 1:5 --output swpm.csv",

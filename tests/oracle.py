@@ -150,7 +150,7 @@ def ref_sample_wigner(n, sigma=1.0, dist=rmt.GAUSSIAN, seed=0) -> np.ndarray:
 
 def ref_lab_rows(n, sigma, c_values, trials, dist, seed, mode) -> list[list[float]]:
     """``rmt.lab_table``'s rows, each trial sampled fresh by ``ref_sample_wigner``
-    while the previous sample is still bound."""
+    while the previous sample is still bound, and selected anew at each c."""
     theory = [(c, rmt.solve_r(c, mode), rmt.theory_error(n, sigma, c, mode)) for c in c_values]
     spectra = []
     for trial in range(trials):

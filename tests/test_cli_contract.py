@@ -11,8 +11,16 @@ line, nothing prints a traceback or a warning, and a failing command leaves
 no output file and no temp file.  An embedding and its report are written
 together or not at all, and a file that is no UTF-8 text is named in the
 decode error.
+
+``embed``, ``select``, ``sweep``, ``landmark`` and ``rmt`` each run at 1 and
+at 2 BLAS threads: picks, signatures and counts must be equal, and the
+numbers within the contract of each output (``embed``'s coordinates to
+1e-12 of their largest; the sweep's rows to 1e-10 relative above a floor of
+1e-12 ||d||^2, which also holds the selection's bound terms).
 """
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -174,17 +182,100 @@ np.savez(sys.argv[3], chosen=select(dec.eigenvalues, k, "neuc").chosen, coords=e
 def test_embed_agrees_across_blas_thread_counts(gen, n, k, tmp_path):
     inp = tmp_path / "d.bin"
     write_matrix(inp, gen(n, seed=3), BINARY)
-    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.npz"
-        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", EMBED, str(inp), str(k), str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
+        run_at(threads, "-c", EMBED, str(inp), str(k), str(out))
         runs.append(np.load(out))
     one, two = runs
     assert one["chosen"].tolist() == two["chosen"].tolist()
     x = one["coords"]
     assert np.max(np.abs(x - two["coords"])) <= 1e-12 * np.max(np.abs(x))
+
+
+def run_at(threads, *args):
+    """``python *args`` with the source tree on the path and BLAS at ``threads``."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def cli_at_both(tmp_path, argv, suffix):
+    """The output paths of one command run at 1 and then at 2 BLAS threads."""
+    outs = [tmp_path / f"t{threads}{suffix}" for threads in ("1", "2")]
+    for threads, out in zip(("1", "2"), outs):
+        run_at(threads, "-m", "neucmds.cli", *argv, "--output", str(out))
+    return outs
+
+
+# the sweep rows' contract against the direct report (tests/test_spectral_sweep.py)
+RTOL = 1e-10
+FLOOR = 1e-12
+
+
+def assert_close(a, b, floor=0.0, rtol=RTOL):
+    assert abs(a - b) <= max(rtol * abs(b), floor), (a, b)
+
+
+@pytest.fixture(scope="module")
+def simplex(tmp_path_factory):
+    """A binary simplex matrix and its floor, FLOOR ||d||^2."""
+    path = tmp_path_factory.mktemp("threads") / "d.bin"
+    d = gen_random_simplex(300, seed=3)
+    write_matrix(path, d, BINARY)
+    return str(path), FLOOR * float(np.vdot(d, d))
+
+
+def test_select_agrees_across_blas_thread_counts(simplex, tmp_path):
+    path, floor = simplex
+    one, two = (json.loads(out.read_text()) for out in
+                cli_at_both(tmp_path, ["select", "--input", path, "--k", "20"], ".json"))
+    for key in ("method", "k", "chosen", "r", "s"):
+        assert one[key] == two[key], key
+    for key in ("bound_c1", "bound_c2", "objective"):
+        assert_close(one[key], two[key], floor)
+
+
+def test_sweep_agrees_across_blas_thread_counts(simplex, tmp_path):
+    # the whole curve, three methods: every row within the sweep's contract
+    path, floor = simplex
+    one, two = (list(csv.DictReader(out.open())) for out in
+                cli_at_both(tmp_path, ["sweep", "--input", path, "--k-list", "1:300"], ".csv"))
+    assert len(one) == len(two) == 900
+    for a, b in zip(one, two):
+        for key in ("k", "method", "avg_distortion", "neg_dissim_count", "neg_axes_count"):
+            assert a[key] == b[key], key
+        for key in ("stress_sq", "c1", "c2", "c3"):
+            assert_close(float(a[key]), float(b[key]), floor)
+        for key in ("stress", "scaled_additive"):  # held as squares, as the contract is
+            assert_close(float(a[key]) ** 2, float(b[key]) ** 2, floor)
+
+
+def test_landmark_agrees_across_blas_thread_counts(tmp_path):
+    inp = tmp_path / "d.bin"
+    write_matrix(inp, gen_euclidean_ball(1000, seed=3), BINARY)
+    argv = ["landmark", "--input", str(inp), "--k", "20", "--landmarks", "300", "--seed", "1"]
+    outs = cli_at_both(tmp_path, argv, ".txt")
+    (head1, sig1, *body1), (head2, sig2, *body2) = (out.read_text().splitlines() for out in outs)
+    assert (head1, sig1) == (head2, sig2)
+    x1, x2 = (np.array(" ".join(body).split(), dtype=np.float64) for body in (body1, body2))
+    assert np.max(np.abs(x1 - x2)) <= 1e-12 * np.max(np.abs(x1))  # embed's contract
+    one, two = (json.loads(Path(f"{out}.report.json").read_text()) for out in outs)
+    for key, value in one.items():
+        if isinstance(value, float):
+            assert_close(value, two[key])
+        else:
+            assert value == two[key], key
+
+
+def test_rmt_agrees_across_blas_thread_counts(tmp_path):
+    argv = ["rmt", "--n", "300", "--c-list", "0.1,0.3,0.5", "--trials", "2", "--seed", "1"]
+    one, two = (list(csv.DictReader(out.open())) for out in cli_at_both(tmp_path, argv, ".csv"))
+    assert len(one) == len(two) == 3
+    for a, b in zip(one, two):
+        for key in ("c", "r", "theory"):  # no BLAS call makes these
+            assert a[key] == b[key], key
+        assert_close(float(a["empirical"]), float(b["empirical"]))
+        assert abs(float(a["rel_err"]) - float(b["rel_err"])) <= RTOL  # a relative error itself

@@ -1,10 +1,14 @@
-"""The row-at-a-time text formats and the single-buffer binary format
-against the reference bodies they replaced.
+"""The block-at-a-time text writes, the row-at-a-time text reads and the
+single-buffer binary format against the reference bodies they replaced.
 
-``format_rows`` formats each row with one ``%`` string and ``parse_table``
-converts each row with one numpy call; the reference functions below are
-the per-element versions they replaced.  Formatting must match byte for
-byte, parsing bitwise, and every malformed table must fail with the
+``format_rows`` formats a block of rows with the numpy ``%.17g`` kernel
+(``io._g17``), which hands the values it cannot prove to ``%`` one at a
+time, and ``parse_table`` converts each row with one numpy call; the
+reference functions below are the per-element versions they replaced.
+Formatting must match byte for byte, also on random bit patterns, every
+binary exponent, the neighbours of powers of 2 and 10, decade carries, exact
+ties and hypothesis floats, with each fallback taken where it must be;
+parsing must match bitwise, and every malformed table must fail with the
 reference's exact message.  The text writers send the file in blocks of
 rows; the file must be the reference text of the whole table.
 ``read_matrix`` decodes a text file line by line; it must split the lines
@@ -12,15 +16,19 @@ and fail exactly as a decode of the whole file does.  Both text readers
 decode UTF-8 whatever the locale.
 """
 
+import math
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neucmds import io
 from neucmds.embedding import Embedding
@@ -151,6 +159,124 @@ def test_format_rows_round_trips_bitwise():
     m[np.isnan(m)] = 0.0  # a parsed nan is the canonical one
     parsed = parse_table(format_rows(["30"], m))
     assert parsed.tobytes() == m.tobytes()
+
+
+# ---------------------------------------------------------------- formatting: the %.17g kernel
+
+def assert_percent_bytes(x):
+    """One row of x formats to ``%``'s text, across ``io._CHUNK`` boundaries."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    assert format_rows([], [x]) == ref_format_rows([], [x])
+
+
+@pytest.fixture
+def fallen(monkeypatch):
+    """The values the kernel hands to ``%`` one at a time, as a list."""
+    seen = []
+    percent = io._percent
+
+    def recording(values):
+        seen.extend(values.tolist())
+        return percent(values)
+
+    monkeypatch.setattr(io, "_percent", recording)
+    return seen
+
+
+def test_kernel_on_random_bit_patterns():
+    bits = np.random.default_rng(11).integers(0, 2**64, size=3 * io._CHUNK + 5, dtype=np.uint64)
+    assert_percent_bytes(bits.view(np.float64))
+
+
+def test_kernel_on_every_binary_exponent():
+    rng = np.random.default_rng(12)
+    exponent = np.repeat(np.arange(2048, dtype=np.uint64), 16)
+    mantissa = rng.integers(0, 2**52, size=exponent.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+    assert_percent_bytes((sign << 63 | exponent << 52 | mantissa).view(np.float64))
+
+
+def test_kernel_next_to_powers_of_two_and_ten():
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                             [10.0 ** e for e in range(-323, 309)]])
+    near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    x = np.concatenate(near)
+    assert_percent_bytes(np.concatenate([x, -x]))
+
+
+def test_kernel_carries_to_the_next_decade(fallen):
+    # 10.0**e a hair below 10**e: its 17 digits round up to 1 followed by zeros,
+    # one decade above the exponent of the value
+    carries = [v for e in range(-250, 250)
+               for v in (10.0 ** e, math.nextafter(10.0 ** e, 0.0))
+               if Fraction(v) < Fraction(10) ** e == Fraction("%.17g" % v)]
+    assert len(carries) >= 5
+    assert_percent_bytes(carries)
+    assert fallen == []
+
+
+def exact_ties():
+    """x = m / 2**(17 - E), m odd, x in [10**E, 10**(E+1)): exactly 18
+    significant digits, the last a 5, so its 17 digits are an exact tie."""
+    rng = np.random.default_rng(13)
+    ties = []
+    for e in range(16):
+        scale = 2 ** (17 - e)
+        m = rng.integers(10 ** e * scale, min(10 ** (e + 1) * scale, 2 ** 53), size=8) | 1
+        ties.extend((m / scale).tolist())
+    return ties
+
+
+def test_exact_ties_go_through_percent(fallen):
+    ties = exact_ties()
+    for v in ties:
+        e = math.floor(math.log10(v))
+        assert (Fraction(v) * 10 ** (16 - e)).denominator == 2  # an exact tie
+    assert_percent_bytes(ties)
+    assert fallen == ties
+
+
+NEAR_TIE = 4503599627990024 / 2**52  # |x * 10**16 mod 1 - 1/2| = 5.2e-8
+
+
+@pytest.mark.parametrize("v", [
+    np.inf, -np.inf, np.nan, 0.0, -0.0,                        # not finite, or 0
+    5e-324, 1e-300, -9.9e-281, 1.0000000000000001e281, 1e300,  # out of the tables' range
+    1.7976931348623157e308, 131073 / 131072, NEAR_TIE,        # the largest; a tie; a near tie
+], ids=repr)
+def test_each_fallback_branch(v, fallen):
+    ordinary = [0.1, -2.5, 1e-280, 1e280, 123456.789]
+    assert_percent_bytes([*ordinary, v, *ordinary])
+    assert fallen == [v] or (math.isnan(v) and len(fallen) == 1 and math.isnan(fallen[0]))
+
+
+def test_the_near_tie_is_near():
+    f = Fraction(NEAR_TIE) * 10 ** 16 % 1
+    assert f != Fraction(1, 2) and abs(f - Fraction(1, 2)) <= Fraction(1, 10 ** 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_kernel_on_hypothesis_floats(values):
+    assert_percent_bytes(values)
+
+
+def test_embedding_write_holds_one_block_of_text(tmp_path):
+    # the 51 rows of a 50 x 3000 embedding are one block: 3 MiB of text
+    rng = np.random.default_rng(14)
+    coords = rng.normal(size=(50, 3000))
+    axis_values = rng.normal(size=50)
+    emb = Embedding(coords=coords, signature=np.where(axis_values < 0.0, -1, 1),
+                    axis_values=axis_values, axis_indices=np.arange(50))
+    rep = StressReport(0.0, 0.0, None, None, None, 0.0, None, 0, 0)
+    write_embedding(tmp_path / "w.txt", emb, rep)  # the kernel's tables built, untraced
+    tracemalloc.start()
+    try:
+        write_embedding(tmp_path / "e.txt", emb, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 # ---------------------------------------------------------------- parsing: valid

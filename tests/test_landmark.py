@@ -182,8 +182,9 @@ class TestEmbedLandmark:
 @pytest.mark.parametrize("call, message", [
     (lambda d: embed(d, 0), "1 <= k <= 8, got 0"),
     (lambda d: embed(d, 9), "1 <= k <= 8, got 9"),
-    (lambda d: embed_landmark(d, 5, 0), "1 <= k <= 5, got 0"),
-], ids=["embed-k-0", "embed-k-above-n", "landmark-k-0"])
+    (lambda d: embed_landmark(d, 5, 0), "1 <= k <= m - 1 = 4 for m=5 landmarks, got 0"),
+    (lambda d: embed_landmark(d, 5, 5), "1 <= k <= m - 1 = 4 for m=5 landmarks, got 5"),
+], ids=["embed-k-0", "embed-k-above-n", "landmark-k-0", "landmark-k-m"])
 def test_bad_k_fails_before_the_eigensolve(call, message, monkeypatch, rng):
     def unreachable(*args, **kwargs):
         raise AssertionError("the eigensolve ran with a bad k")

@@ -201,6 +201,34 @@ def test_lab_table_equals_the_reference_loop(n, dist, mode):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("mode", ["cmds", "neuc"])
+def test_lab_table_selects_once_per_trial(mode, monkeypatch):
+    # one walk per trial at the largest k; the smaller ks are prefixes of it.
+    # The fractions come as an iterator: they are read once
+    ks = []
+    monkeypatch.setattr(rmt, "select", lambda lam, k, m: ks.append(k) or select(lam, k, m))
+    got = lab_table(80, iter([0.1, 0.45, 0.3]), mode, trials=3, seed=5)
+    assert ks == [36, 36, 36]
+    want = ref_lab_rows(80, 1.0, [0.1, 0.45, 0.3], 3, GAUSSIAN, 5, mode)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["cmds", "neuc"])
+def test_errors_at_many_ks_are_the_errors_at_each(mode):
+    lam = eig_sym(sample_wigner(90, seed=8), vectors=False).eigenvalues
+    ks = [9, 40, 1, 90, 40]
+    got = empirical_error_from_eigenvalues(lam, ks, mode)
+    assert got == [select(lam, k, mode).objective / 4.0 for k in ks]
+    assert got == [empirical_error_from_eigenvalues(lam, k, mode) for k in ks]
+    assert empirical_error_from_eigenvalues(lam, [], mode) == []
+    with pytest.raises(ValueError, match="^k must satisfy 1 <= k <= 90, got 0$"):
+        empirical_error_from_eigenvalues(lam, [5, 0], mode)
+
+
+def test_lab_table_with_no_fractions_is_empty():
+    assert lab_table(10, [], "neuc", trials=2) == []
+
+
 LAB_GUARD_N = 1000
 
 
