@@ -14,12 +14,16 @@ Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  A block of
 rows is formatted by whole-array numpy passes that give the bytes ``%``
 gives (``_g17``); a value those passes cannot prove exact goes through ``%``
-on its own.  Parsing works one row at a time: a row is converted by one
-numpy call; only a row that fails to convert is scanned token by token,
-to name the failing column.  Text matrix and point files are decoded and
-parsed line by line, so a read holds the result and one line.  Binary files
-are read into the result array directly and written from the array's own
-buffer, with no second n*n copy; they are the format for large n.
+on its own.  Parsing works one block of whole lines at a time, about
+``TEXT_BLOCK_CHARS`` of text or one longer line: a block is converted by one
+``np.loadtxt`` call, whose C tokenizer and conversion give ``str.split``'s
+tokens and ``float``'s values; a block it rejects (``1_0``, non-ASCII digits,
+a bad token or count) goes through the per-row path, which parses what
+``float`` accepts and names the first failing line and column.  Text matrix
+and point files are decoded line by line, so a read holds the result and one
+block.  Binary files are read into the result array directly and written
+from the array's own buffer, with no second n*n copy; they are the format
+for large n.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ TEXT = "text"
 BINARY = "bin"
 
 TEXT_BLOCK_ROWS = 128
+TEXT_BLOCK_CHARS = 1 << 13  # text per np.loadtxt call of a read, unless one line is longer
 
 
 def _write_files(*files) -> None:
@@ -265,10 +270,11 @@ def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
     """Parse a text table of floats below a header line of counts.
 
     ``text`` is a str or an iterable of its lines (``str.splitlines``), read
-    one at a time.  A square matrix has the header "n" and n rows of n values;
-    a point cloud (``square=False``) has the header "n d" and n rows of d
-    values.  Errors name the first line in error, and its column where there
-    is one.  Lines after the declared rows must be blank.
+    one block of lines at a time (``_parse_block``).  A square matrix has the
+    header "n" and n rows of n values; a point cloud (``square=False``) has
+    the header "n d" and n rows of d values.  Errors name the first line in
+    error, and its column where there is one.  Lines after the declared rows
+    must be blank.
     """
     lines = iter(text.splitlines() if isinstance(text, str) else text)
     first = next(lines, None)
@@ -289,30 +295,68 @@ def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
         if counts[-1] < 1:
             raise ValueError(f"{name}: line 1, column {j + 1}: count must be positive, got {tok}")
     n, d = (counts[0], counts[0]) if square else counts
-    rows = 0
+    out, block, start, size, rows = None, [], 0, 0, 0
     for rows, line in enumerate(itertools.islice(lines, n), 1):
-        parts = line.split()
-        if len(parts) != d:
-            raise ValueError(f"{name}: line {rows + 1}: expected {d} values, got {len(parts)}")
-        if rows == 1:  # allocate once a row has shown d values: a header alone may ask any size
+        if out is None:  # allocate once a row has shown d values: a header alone may ask any size
+            _split_row(line, 0, d, name)
             out = np.empty((n, d))
-        try:
-            out[rows - 1] = np.array(parts, dtype=np.float64)  # float() on each token
-        except ValueError:
-            for j, tok in enumerate(parts):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ValueError(
-                        f"{name}: line {rows + 1}, column {j + 1}: not a number: {tok!r}"
-                    ) from None
-            raise  # no token fails alone: keep numpy's error
+        if block and size + len(line) > TEXT_BLOCK_CHARS:
+            _parse_block(out, block, start, name)
+            block, start, size = [], rows - 1, 0
+        block.append(line)
+        size += len(line)
+        if not line or line.isspace():  # no values: np.loadtxt would skip the row, not fail it
+            _parse_rows(out, block, start, name)
+    if block:
+        _parse_block(out, block, start, name)
     if rows < n:
         raise ValueError(f"{name}: expected {n} rows, file has {rows}")
     for i, line in enumerate(lines, n + 2):
         if line.strip():
             raise ValueError(f"{name}: line {i}: unexpected content after the {n} rows")
     return out
+
+
+def _parse_block(out, block, start: int, name: str) -> None:
+    """Rows ``start:start + len(block)`` of out from a block of lines: one
+    ``np.loadtxt`` call, whose tokens and values are ``str.split``'s and
+    ``float``'s wherever it returns one row per line; ``_parse_rows`` where it
+    fails or does not."""
+    try:
+        values = np.loadtxt(block, ndmin=2, comments=None)
+        if values.shape == (len(block), out.shape[1]):
+            out[start:start + len(block)] = values
+            return
+    except ValueError:
+        pass
+    _parse_rows(out, block, start, name)
+
+
+def _parse_rows(out, block, start: int, name: str) -> None:
+    """``_parse_block`` one row at a time by ``float``'s rules, as ``np.array``
+    of each row's tokens; a row that fails is scanned token by token, to name
+    the first failing column."""
+    for i, line in enumerate(block, start):
+        parts = _split_row(line, i, out.shape[1], name)
+        try:
+            out[i] = np.array(parts, dtype=np.float64)  # float() on each token
+        except ValueError:
+            for j, tok in enumerate(parts):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise ValueError(
+                        f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
+                    ) from None
+            raise  # no token fails alone: keep numpy's error
+
+
+def _split_row(line: str, i: int, d: int, name: str) -> list:
+    """The tokens of row i (file line i + 2), which must number d."""
+    parts = line.split()
+    if len(parts) != d:
+        raise ValueError(f"{name}: line {i + 2}: expected {d} values, got {len(parts)}")
+    return parts
 
 
 def _read_table(fh, name: str, square: bool = True) -> np.ndarray:
@@ -360,6 +404,8 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         if version != BINARY_VERSION:
             raise ValueError(f"{path}: unsupported binary version {version}")
         (n,) = struct.unpack("<Q", head[5:])
+        if n == 0:
+            raise ValueError(f"{path}: count must be positive, got n=0")
         expected = _HEADER_BYTES + 8 * n * n
         size = os.fstat(fh.fileno()).st_size
         if size != expected:

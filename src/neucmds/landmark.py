@@ -75,7 +75,7 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
                   strategy: str = RANDOM, name: str = "dissimilarity matrix") -> LandmarkModel:
     """Embed m seeded landmarks with the requested method.
 
-    Requires m <= n and 1 <= k <= m - 1.  Axes whose value vanishes
+    Requires 2 <= m <= n and 1 <= k <= m - 1.  Axes whose value vanishes
     (relatively) are excluded from the model so triangulation never divides
     by zero.  ``name`` is what validation errors call the input.
     """
@@ -83,6 +83,8 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     n = d.shape[0]
     m = int(m)
     k = int(k)
+    if m < 2:
+        raise ValueError(f"the landmark count must be at least 2, got {m}")
     if m > n:
         raise ValueError(f"cannot draw {m} landmarks from {n} points")
     method = normalize_method(method)  # the method before k, as ``spectrum`` checks a pair

@@ -1,10 +1,10 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 27 commands that succeed and 22 that fail with ``python -m neucmds.cli``
+Runs 28 commands that succeed and 23 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
-directory (47 files), and the exit code and stderr of every command.  Two
+directory (51 files), and the exit code and stderr of every command.  Two
 trees give the same output exactly when the CLI is byte-identical on this
 set, so a refactor is checked with
 
@@ -35,6 +35,8 @@ INPUTS = {
     "x-big.txt": "3\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n",
     "x-same.txt": "3 2\n1 2\n1 2\n1 2\n",
     "x-fine.txt": "5\n0 1 1 2 1e-10\n1 0 2 1 1\n1 2 0 1 1\n2 1 1 0 2\n1e-10 1 1 2 0\n",
+    # a token np.loadtxt rejects, so the block takes the per-row path, and an NBSP separator
+    "x-fallback.txt": "3\n0 1_0 2\n10\xa00 3\n2 3 0\n",
 }
 
 COMMANDS = [
@@ -56,6 +58,7 @@ COMMANDS = [
     "embed --input big.txt --k 50 --method neuc-plus --output ebig.txt",
     # text in e-XX notation, below 1e-4 and -0: cmds zero-fills the axes past the positives
     "embed --input x-fine.txt --k 5 --method cmds --output efine.txt",
+    "embed --input x-fallback.txt --k 2 --output efb.txt",
     "sweep --input d.txt --k-list 1:10:3 --output sw.csv",
     "sweep --input b.bin --format bin --k-list 2:8:2 --methods cmds,neuc --output swb.csv",
     "sweep --input pm.bin --k-list 1:5 --output swpm.csv",
@@ -68,7 +71,8 @@ COMMANDS = [
     "--seed 2 --output rr.csv",
 ]
 
-# run after COMMANDS, once x-short.bin and x-magic.bin exist; none may leave an output file
+# run after COMMANDS, once x-short.bin, x-magic.bin and x-zero.bin exist;
+# none may leave an output file
 ERROR_COMMANDS = [
     "embed --input x-asym.txt --k 1 --output err.txt",
     "landmark --input x-asym.txt --k 1 --landmarks 2 --output err.txt",
@@ -80,6 +84,7 @@ ERROR_COMMANDS = [
     "embed --input x-big.txt --k 1 --output err.txt",
     "embed --input x-short.bin --k 1 --output err.txt",
     "embed --input x-magic.bin --k 1 --output err.txt",  # read as text: a decode error
+    "embed --input x-zero.bin --k 1 --output err.txt",  # a binary header with n = 0
     "embed --input d.txt --format bin --k 1 --output err.txt",
     "embed --input missing.txt --k 1 --output err.txt",
     "embed --input d.txt --k 0 --output err.txt",
@@ -100,7 +105,7 @@ def write_inputs(work: Path) -> None:
     rows = [" ".join("%.17g" % gen.gauss(0, 1) for _ in range(10)) for _ in range(30)]
     (work / "p.txt").write_text("30 10\n" + "".join(row + "\n" for row in rows))
     for name, text in INPUTS.items():
-        (work / name).write_text(text)
+        (work / name).write_bytes(text.encode())
 
 
 def golden_run(src: Path) -> list[str]:
@@ -120,6 +125,7 @@ def golden_run(src: Path) -> list[str]:
         whole = (work / "d.bin").read_bytes()
         (work / "x-short.bin").write_bytes(whole[:-1])
         (work / "x-magic.bin").write_bytes(b"XXXX" + whole[4:])
+        (work / "x-zero.bin").write_bytes(whole[:5] + bytes(8))
         for command in ERROR_COMMANDS:
             run(command)
         for path in work.iterdir():

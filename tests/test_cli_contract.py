@@ -33,7 +33,7 @@ import pytest
 import neucmds
 from neucmds.cli import main
 from neucmds.datasets import gen_euclidean_ball, gen_random_simplex
-from neucmds.io import BINARY, TEXT, write_matrix, write_points
+from neucmds.io import BINARY, BINARY_VERSION, MAGIC, TEXT, write_matrix, write_points
 
 BIG = str(10**15)
 EDGES = ["0", "-1", "nan", "inf", BIG]
@@ -158,6 +158,22 @@ def test_decode_error_names_the_input(argv, inputs, capsys):
         Path("magic.bin").read_bytes().decode()
     assert main([*argv, "--input", "magic.bin", "--output", "out"]) == 3
     assert capsys.readouterr().err == f"error: magic.bin: {info.value}\n"
+
+
+@pytest.mark.parametrize("argv", [["embed", "--k", "1"], ["select", "--k", "1"],
+                                  ["sweep", "--k-list", "1"],
+                                  ["landmark", "--k", "1", "--landmarks", "2"]],
+                         ids=["embed", "select", "sweep", "landmark"])
+@pytest.mark.parametrize("fmt", [[], ["--format", BINARY]], ids=["sniffed", "bin"])
+def test_binary_header_with_n_0_is_a_data_error(argv, fmt, inputs, capsys):
+    # a header alone is a whole file for n = 0: it must fail as a text "0" does
+    Path("zero.bin").write_bytes(MAGIC + bytes([BINARY_VERSION]) + bytes(8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--input", "zero.bin", *fmt, "--output", "out"]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: zero.bin: count must be positive, got n=0\n"
+    assert not Path("out").exists()
 
 
 # ---------------------------------------------------------------- BLAS threads

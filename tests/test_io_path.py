@@ -1,16 +1,19 @@
-"""The block-at-a-time text writes, the row-at-a-time text reads and the
-single-buffer binary format against the reference bodies they replaced.
+"""The block-at-a-time text writes and reads and the single-buffer binary
+format against the reference bodies they replaced.
 
 ``format_rows`` formats a block of rows with the numpy ``%.17g`` kernel
 (``io._g17``), which hands the values it cannot prove to ``%`` one at a
-time, and ``parse_table`` converts each row with one numpy call; the
-reference functions below are the per-element versions they replaced.
-Formatting must match byte for byte, also on random bit patterns, every
-binary exponent, the neighbours of powers of 2 and 10, decade carries, exact
-ties and hypothesis floats, with each fallback taken where it must be;
-parsing must match bitwise, and every malformed table must fail with the
-reference's exact message.  The text writers send the file in blocks of
-rows; the file must be the reference text of the whole table.
+time, and ``parse_table`` converts a block of lines with one ``np.loadtxt``
+call, which hands a block it rejects to the per-row path
+(``io._parse_rows``); the reference functions below are the per-element
+versions they replaced.  Formatting must match byte for byte, also on random
+bit patterns, every binary exponent, the neighbours of powers of 2 and 10,
+decade carries, exact ties and hypothesis floats, with each fallback taken
+where it must be; parsing must match bitwise, also on random bit patterns
+across block boundaries, with the per-row path taken exactly for the blocks
+``np.loadtxt`` rejects and no warning raised, and every malformed table must
+fail with the reference's exact message.  The text writers send the file in
+blocks of rows; the file must be the reference text of the whole table.
 ``read_matrix`` decodes a text file line by line; it must split the lines
 and fail exactly as a decode of the whole file does.  Both text readers
 decode UTF-8 whatever the locale.
@@ -22,6 +25,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -371,6 +375,11 @@ def test_bad_token_is_named(bad, column):
     "2\n0 x\ny 0\n",                    # the first bad row is reported
     "2\n0 1 x\x0c1 0\n",                # a form feed splits the row
     "2\n0 nan(1)\n1 0\n",
+    # no comment character, quote or delimiter to np.loadtxt: each is part of a token
+    "2\n0 1#\n1 0\n",
+    "3\n0 1 2 # a comment\n1 0 3\n2 3 0\n",
+    '2\n0 "1"\n1 0\n',
+    "2\n0,1\n1,0\n",
 ])
 def test_malformed_square(text):
     assert_same_error(text)
@@ -389,6 +398,147 @@ def test_malformed_square(text):
 ])
 def test_malformed_points(text):
     assert_same_error(text, square=False)
+
+
+# ---------------------------------------------------------------- parsing: blocks of lines
+
+def blocks_of(lines):
+    """The blocks ``parse_table`` hands to ``np.loadtxt``: runs of whole lines
+    of at most ``io.TEXT_BLOCK_CHARS`` characters, or one longer line."""
+    blocks, size = [], 0
+    for line in lines:
+        if not blocks or size + len(line) > io.TEXT_BLOCK_CHARS:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(line)
+        size += len(line)
+    return blocks
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The blocks ``np.loadtxt`` is called on and the blocks the per-row path
+    gets, as two lists of lists of lines."""
+    loaded, fallen = [], []
+    loadtxt, rows = np.loadtxt, io._parse_rows
+
+    def load(block, *args, **kwargs):
+        loaded.append(list(block))
+        return loadtxt(block, *args, **kwargs)
+
+    def per_row(out, block, start, name):
+        fallen.append(list(block))
+        return rows(out, block, start, name)
+
+    monkeypatch.setattr(np, "loadtxt", load)
+    monkeypatch.setattr(io, "_parse_rows", per_row)
+    return loaded, fallen
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2000, 1), (1500, 3), (150, 150), (400, 400)])
+def test_written_files_take_only_the_block_path(shape, paths, tmp_path):
+    n, d = shape
+    m = special_rows(np.random.default_rng(n + d), n, d)
+    m[np.isnan(m)] = 0.0  # a parsed nan is the canonical one
+    path = tmp_path / "t.txt"
+    if d == n:
+        write_matrix(path, m)
+        got = read_matrix(path)
+    else:
+        write_points(path, m)
+        got = read_points(path)
+    assert got.tobytes() == m.tobytes()
+    loaded, fallen = paths
+    assert loaded == blocks_of(path.read_text().splitlines()[1:])
+    assert fallen == []
+    assert len(loaded) > 1 or n <= 3
+
+
+@pytest.mark.parametrize("token, falls", [("1_0", True), ("١٢", True), ("١٠.٥", True),
+                                          ("\xa0", False)], ids=["underscore", "arabic-indic",
+                                                                 "arabic-indic-point", "nbsp"])
+def test_only_the_blocks_loadtxt_rejects_take_the_per_row_path(token, falls, paths):
+    # np.loadtxt rejects underscores and non-ASCII digits, which float() accepts;
+    # it splits on every character str.split splits on, NBSP included
+    rng = np.random.default_rng(9)
+    n, d = 900, 3
+    rows = [[repr(v) for v in row] for row in rng.normal(size=(n, d)).tolist()]
+    special = sorted(rng.choice(n, size=6, replace=False).tolist()) + [0, n - 1]
+    for i in special:
+        if token == "\xa0":
+            rows[i] = ["\xa0".join(rows[i])]
+        else:
+            rows[i][int(rng.integers(d))] = token
+    body = [" ".join(row) for row in rows]
+    text = "\n".join([f"{n} {d}", *body]) + "\n"
+    got = parse_table(text, square=False)
+    assert got.tobytes() == ref_parse_table(text, square=False).tobytes()
+    loaded, fallen = paths
+    blocks = blocks_of(body)
+    assert loaded == blocks
+    assert fallen == ([b for b in blocks if any(body[i] in b for i in special)] if falls else [])
+    assert 1 < len(fallen) < len(blocks) or not falls
+
+
+@pytest.mark.parametrize("text", [
+    "1\n0\n",
+    "1\n0\n\n \t\n\xa0\n",                   # trailing blank and whitespace-only lines
+    "3 1\n1\n2\n3\n\n\n",
+    "2 3\n1 2 3\n4 5 6",
+    "3\n0 1 2\n\n1 0 3\n2 3 0\n",             # a blank row inside the body
+    "3\n0 1 2\n \t\n1 0 3\n2 3 0\n",         # a whitespace-only row
+    "3\n\n0 1 2\n1 0 3\n",                     # a blank first row
+    "500 1\n" + "1\n" * 250 + "\n" * 250,      # a block's worth of blank rows
+    "400 2\n" + "1 2\n" * 399 + "\xa0\n",       # the last row whitespace-only
+    # a whitespace-only row that starts a block of its own
+    f"{io.TEXT_BLOCK_CHARS + 1} 1\n" + "1\n" * io.TEXT_BLOCK_CHARS + " \t\n",
+])
+def test_parse_raises_no_warning(text, tmp_path):
+    square = len(text.split("\n", 1)[0].split()) == 1
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    read = read_matrix if square else read_points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(lambda t: parse_table(t, name=str(path), square=square), text) == \
+            outcome(lambda t: ref_parse_table(t, name=str(path), square=square), text)
+        assert outcome(read, path) == outcome(lambda p: ref_parse_table(
+            p.read_text(encoding="utf-8"), name=str(p), square=square), path)
+
+
+@pytest.mark.parametrize("d, width", [(1, 2), (3, 4), (3, 1)])
+def test_a_block_of_wrong_width_rows_is_named(d, width):
+    # np.loadtxt parses a block of rows of one wrong width without an error,
+    # and one column would broadcast into d: the shape must catch it
+    tok = "0.12345678901234567"
+    good, wrong = " ".join([tok] * d), " ".join([tok] * width)
+    k = io.TEXT_BLOCK_CHARS // len(good)
+    rows = [good] * k + [wrong] * k
+    rows[0] = " " * (io.TEXT_BLOCK_CHARS - k * len(good)) + good  # the first block full
+    assert blocks_of(rows)[1][0] == wrong  # the wrong rows start the second block
+    assert_same_error("\n".join([f"{2 * k} {d}", *rows]) + "\n", square=False)
+
+
+BIT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, np.inf, -np.inf,
+                np.nan]
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(["points", "matrix", "column"]), size=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1), specials=st.floats(0.0, 0.5))
+def test_bit_patterns_round_trip_through_blocks(shape, size, seed, specials):
+    # short lines whose blocks break mid-file, long lines of one block each, d = 1
+    n, d = {"points": (200 + size, 3), "matrix": (100 + size, 100 + size),
+            "column": (1 + 5 * size, 1)}[shape]
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 2**64, size=(n, d), dtype=np.uint64).view(np.float64)
+    mask = rng.random((n, d)) < specials
+    m[mask] = rng.choice(BIT_SPECIALS, size=int(mask.sum()))
+    text = format_rows([str(n)] if d == n else [f"{n} {d}"], m)
+    got = parse_table(text, square=d == n)
+    assert got.tobytes() == ref_parse_table(text, square=d == n).tobytes()
+    m[np.isnan(m)] = np.nan  # a parsed nan is the canonical one
+    assert got.tobytes() == m.tobytes()
 
 
 # ---------------------------------------------------------------- text reader
@@ -485,9 +635,26 @@ def test_text_read_holds_the_result_and_one_line(tmp_path):
     finally:
         tracemalloc.stop()
     assert got.tobytes() == m.tobytes()
-    # the result, and one line at a time: decoded, split into a str per token
-    # and parsed; the file is 1.8 MiB, the longest line 7 KiB
+    # the result, and one block at a time, here one line: decoded and parsed by
+    # np.loadtxt into 4-byte characters; the file is 1.8 MiB, the longest line 7 KiB
     assert peak < m.nbytes + 16 * line
+
+
+def test_short_line_read_holds_the_result_and_one_block(tmp_path):
+    p = np.random.default_rng(15).normal(size=(20000, 3))
+    path = tmp_path / "p.txt"
+    write_points(path, p)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        got = read_points(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == p.tobytes()
+    # the result, and one block of about 120 lines: decoded, and parsed by
+    # np.loadtxt into 4-byte characters; the file is 1.2 MB
+    assert peak < p.nbytes + 8 * io.TEXT_BLOCK_CHARS < 1.5 * size + p.nbytes
 
 
 # Python's UTF-8 mode and locale coercion off: the locale decodes ASCII only
@@ -602,8 +769,10 @@ def test_binary_write_of_a_strided_view(tmp_path):
     (lambda b: b[:4] + b"\x02" + b[5:], "m.bin: unsupported binary version 2"),
     (lambda b: b[:5] + struct.pack("<Q", 2 ** 40) + b[13:],
      f"m.bin: expected {13 + 8 * 2 ** 80} bytes for n={2 ** 40}, got 813"),
+    (lambda b: b[:5] + bytes(8), "m.bin: count must be positive, got n=0"),
+    (lambda b: b[:5] + bytes(8) + b[13:], "m.bin: count must be positive, got n=0"),
 ], ids=["one-byte-short", "one-byte-long", "header-only", "short-header", "magic-only",
-        "version", "huge-n"])
+        "version", "huge-n", "n-0", "n-0-with-entries"])
 def test_malformed_binary(mutate, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_matrix("m.bin", random_hollow(np.random.default_rng(1), 10), BINARY)

@@ -192,3 +192,14 @@ def test_bad_k_fails_before_the_eigensolve(call, message, monkeypatch, rng):
     monkeypatch.setattr(embedding, "eig_sym", unreachable)
     with pytest.raises(ValueError, match=f"k must satisfy {message}$"):
         call(random_hollow(rng, 8))
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1])
+def test_landmark_count_below_2_is_named_first(m, monkeypatch, rng):
+    # no count below 2 can embed: the count fails before the method and k are read
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the eigensolve ran with a bad landmark count")
+
+    monkeypatch.setattr(embedding, "eig_sym", unreachable)
+    with pytest.raises(ValueError, match=f"^the landmark count must be at least 2, got {m}$"):
+        embed_landmark(random_hollow(rng, 8), m, 1, method="bogus")
