@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, double_center, eig_sym, sum_minus_twice
+from .linalg import SpectralDecomposition, _eig_lower, double_center, sum_minus_twice
 # report, the one report builder, is also importable from here, beside embed
 from .metrics import StressReport, decompose, report, spectral_reports
 from .selection import METHODS, NEUC, _check_k, normalize_method, select
@@ -71,7 +71,7 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
 def spectrum(d, grid, name: str = "dissimilarity matrix", vectors: bool = True):
     """The one way into the eigensolve.  Validate and double-center d, check each
     (k, method) pair of ``grid`` in turn, its method and then its k against the
-    order of d, and only then decompose (eigenvalues alone unless ``vectors``).
+    order of d, and only then solve its mirrored B (eigenvalues alone unless ``vectors``).
     ``grid`` is read once, so a bad pair fails before any later pair is drawn.
     Returns the decomposition and the checked grid, each k an int and each
     method normalized.  ``name`` is what validation errors call the input."""
@@ -80,7 +80,7 @@ def spectrum(d, grid, name: str = "dissimilarity matrix", vectors: bool = True):
     for k, method in grid:
         method = normalize_method(method)
         checked.append((_check_k(k, b.shape[0]), method))
-    return eig_sym(b, vectors), checked
+    return _eig_lower(b, vectors), checked
 
 
 def embed(d, k: int, method: str = NEUC, name: str = "dissimilarity matrix") -> Embedding:

@@ -143,8 +143,7 @@ def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
     (``np.linalg.eigvalsh``, about half the time of the full solve) and
     ``eigenvectors`` is None.  The commands that use the spectrum alone
     solve that way: ``select`` and ``rmt``; ``embed``, ``sweep`` and
-    ``landmark`` need the eigenvectors.  Both paths check symmetry the same
-    way and sort the same way.
+    ``landmark`` need the eigenvectors.  Checks symmetry, then ``_eig_lower``.
 
     Deterministic for a given input; the solver's ascending output is
     reversed, so ties come out in reverse solver order.
@@ -158,10 +157,12 @@ def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
     """
     b = as_square_matrix(b)
     check_symmetric(b)
-    if vectors:
-        lam, u = np.linalg.eigh(b)
-    else:
-        lam, u = np.linalg.eigvalsh(b), None
+    return _eig_lower(b, vectors)
+
+
+def _eig_lower(b: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
+    """The one solver call, unchecked; it reads b's lower triangle alone (``UPLO='L'``)."""
+    lam, u = np.linalg.eigh(b) if vectors else (np.linalg.eigvalsh(b), None)
     return SpectralDecomposition(
         eigenvalues=np.ascontiguousarray(lam[::-1]),
         eigenvectors=None if u is None else np.ascontiguousarray(u[:, ::-1]),

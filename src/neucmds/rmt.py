@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .datasets import _rng
-from .linalg import BLOCK, _check_sigma, eig_sym, mirror_upper_inplace
+from .linalg import BLOCK, _check_sigma, _eig_lower, mirror_upper_inplace
 from .selection import CMDS, NEUC, PLUS, _check_k, _prefix, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -101,38 +101,47 @@ def theory_error(n: int, sigma: float, c: float, mode: str) -> float:
     return (a + b * n) * n * n * sigma * sigma
 
 
-def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 0) -> np.ndarray:
-    """Symmetric matrix with i.i.d. upper-triangle entries of variance sigma^2.
-
-    ``dist`` is "gaussian" or "rademacher" (values +-sigma).  The diagonal is
-    drawn like any other entry.  Deterministic per seed (Philox stream; upper
-    triangle including the diagonal, row-major, one draw call per strip of
-    ``BLOCK`` rows, each row copied straight into the sample).
-    """
+def _wigner_buffer(n: int, sigma: float, seed: int, dist: str) -> np.ndarray:
+    """An uninitialized n x n buffer, after checking n, sigma, seed and dist in order."""
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    sigma = _check_sigma(sigma)
-    rng = _rng(seed)
+    _check_sigma(sigma)
+    _rng(seed)
     if dist not in (GAUSSIAN, RADEMACHER):
         raise ValueError(f"dist must be 'gaussian' or 'rademacher', got {dist!r}")
-    try:  # the n x n result first: an impossible n fails before any draw
-        m = np.empty((n, n))  # the mirror writes the lower triangle
+    try:  # an impossible n fails before any draw
+        return np.empty((n, n))
     except ValueError as exc:  # numpy's "array is too big", past any address space
         raise MemoryError(f"Unable to allocate an array with shape ({n}, {n}) "
                           f"and data type float64: {exc}") from None
-    for i0 in range(0, n, BLOCK):  # one draw per strip of rows: the same stream as one block
+
+
+def _draw_upper(m: np.ndarray, rng, sigma: float, dist: str) -> None:
+    """Draw m's upper triangle with its diagonal, row-major, one draw call per strip of
+    ``BLOCK`` rows (one block's stream); off the diagonal ``+ 0``, as the mirror writes."""
+    n = len(m)
+    for i0 in range(0, n, BLOCK):
         rows = range(i0, min(i0 + BLOCK, n))
         size, at = sum(n - i for i in rows), 0
         vals = (rng.normal(0.0, sigma, size=size) if dist == GAUSSIAN
                 else sigma * (2.0 * rng.integers(0, 2, size=size) - 1.0))
         for i in rows:
-            m[i, i:] = vals[at:at + n - i]
+            m[i, i] = vals[at]
+            np.add(vals[at + 1:at + n - i], 0.0, out=m[i, i + 1:])
             at += n - i
-    # the mirror adds an exact zero to each entry; the diagonal keeps a -0.0 draw
+
+
+def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 0) -> np.ndarray:
+    """Symmetric matrix with i.i.d. upper-triangle entries of variance sigma^2.
+
+    ``dist`` is "gaussian" or "rademacher" (values +-sigma).  Deterministic per
+    seed: ``_draw_upper``'s Philox strips, mirrored; the diagonal keeps a -0.0.
+    """
+    m = _wigner_buffer(n, sigma, seed, dist)
+    _draw_upper(m, _rng(seed), _check_sigma(sigma), dist)
     diag = np.diagonal(m).copy()
-    mirror_upper_inplace(m)
-    np.fill_diagonal(m, diag)
+    np.fill_diagonal(mirror_upper_inplace(m), diag)
     return m
 
 
@@ -155,17 +164,19 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
     at k = max(1, round(c*n)) over ``trials`` Wigner matrices of seeds seed,
     seed+1, ...  Each trial selects once, at the largest k
     (``empirical_error_from_eigenvalues`` of all the ks).  Every argument is
-    checked before the first sample."""
+    checked before the first sample.  One n x n buffer serves every trial: its upper
+    triangle, drawn as ``sample_wigner`` draws it, is solved alone (as ``m.T``)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     sigma = _check_sigma(sigma)
     theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
     ks = [max(1, int(round(c * n))) for c, _, _ in theory]
+    m = _wigner_buffer(n, sigma, seed, dist)
     errors = []  # per trial, the error at each k
-    for trial in range(trials):  # no name holds a sample: each is freed before the next
+    for trial in range(trials):
+        _draw_upper(m, _rng(seed + trial), sigma, dist)
         errors.append(empirical_error_from_eigenvalues(
-            eig_sym(sample_wigner(n, sigma=sigma, dist=dist, seed=seed + trial),
-                    vectors=False).eigenvalues, ks, mode))
+            _eig_lower(m.T, vectors=False).eigenvalues, ks, mode))
     rows = []
     for (c, r, expected), column in zip(theory, zip(*errors)):
         empirical = float(np.mean(column))

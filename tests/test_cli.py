@@ -318,7 +318,7 @@ class TestExitCodes:
 
         def fail(*args, **kwargs):
             raise AssertionError("sampled before checking --c-list and --method")
-        monkeypatch.setattr(rmt, "sample_wigner", fail)
+        monkeypatch.setattr(rmt, "_draw_upper", fail)
         out = tmp_path / "rmt.csv"
         assert main(["rmt", "--n", "20", "--c-list", c, "--method", method,
                      "--output", str(out)]) == 3
@@ -342,7 +342,7 @@ class TestExitCodes:
 
         def fail(*args, **kwargs):
             raise AssertionError("read or solved before checking the list argument")
-        for module, name in ((cli, "read_matrix"), (embedding, "eig_sym"), (rmt, "sample_wigner")):
+        for module, name in ((cli, "read_matrix"), (embedding, "_eig_lower"), (rmt, "_draw_upper")):
             monkeypatch.setattr(module, name, fail)
         out = tmp_path / "out.csv"
         rest = (["--input", str(tmp_path / "d.txt"), "--k-list", "1:3"] if argv[0] == "sweep"
@@ -359,7 +359,7 @@ def test_eigensolver_failure_is_four(command, tmp_path, monkeypatch, capsys):
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    monkeypatch.setattr(rmt if command == "rmt" else embedding, "eig_sym", fail)
+    monkeypatch.setattr(rmt if command == "rmt" else embedding, "_eig_lower", fail)
     if command == "rmt":
         argv = ["rmt", "--n", "20", "--c-list", "0.3"]
     else:
@@ -418,7 +418,7 @@ def test_non_finite_sigma_is_three_before_sampling(command, sigma, tmp_path, mon
 
     def fail(*args, **kwargs):
         raise AssertionError("sampled with a non-finite sigma")
-    monkeypatch.setattr(rmt, "sample_wigner", fail)
+    monkeypatch.setattr(rmt, "_draw_upper", fail)
     monkeypatch.setattr(datasets, "_rng", fail)
     if command == "rmt":
         argv = ["rmt", "--n", "20", "--c-list", "0.3"]
@@ -486,7 +486,7 @@ def test_k_is_checked_before_the_eigensolve(argv, k, tmp_path, monkeypatch, caps
 
     def fail(*args, **kwargs):
         raise AssertionError("solved before checking k")
-    monkeypatch.setattr(embedding, "eig_sym", fail)
+    monkeypatch.setattr(embedding, "_eig_lower", fail)
     inp = tmp_path / "d.txt"
     write_matrix(inp, gen_random_simplex(9, seed=2), TEXT)
     assert main([*argv, "--input", str(inp), "--output", str(tmp_path / "out")]) == 3

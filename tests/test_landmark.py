@@ -189,7 +189,7 @@ def test_bad_k_fails_before_the_eigensolve(call, message, monkeypatch, rng):
     def unreachable(*args, **kwargs):
         raise AssertionError("the eigensolve ran with a bad k")
 
-    monkeypatch.setattr(embedding, "eig_sym", unreachable)
+    monkeypatch.setattr(embedding, "_eig_lower", unreachable)
     with pytest.raises(ValueError, match=f"k must satisfy {message}$"):
         call(random_hollow(rng, 8))
 
@@ -200,6 +200,6 @@ def test_landmark_count_below_2_is_named_first(m, monkeypatch, rng):
     def unreachable(*args, **kwargs):
         raise AssertionError("the eigensolve ran with a bad landmark count")
 
-    monkeypatch.setattr(embedding, "eig_sym", unreachable)
+    monkeypatch.setattr(embedding, "_eig_lower", unreachable)
     with pytest.raises(ValueError, match=f"^the landmark count must be at least 2, got {m}$"):
         embed_landmark(random_hollow(rng, 8), m, 1, method="bogus")

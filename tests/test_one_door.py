@@ -34,8 +34,8 @@ def no_solve(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the eigensolve ran with a bad request")
     for module in (cli, embedding, landmark, linalg):  # every name it could be called by
-        if hasattr(module, "eig_sym"):
-            monkeypatch.setattr(module, "eig_sym", unreachable)
+        if hasattr(module, "_eig_lower"):  # the solver call behind eig_sym and spectrum
+            monkeypatch.setattr(module, "_eig_lower", unreachable)
 
 
 def asymmetric(rng):

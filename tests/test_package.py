@@ -109,7 +109,7 @@ def test_benchmark_layer_names_match_the_package():
                    for name in names), f"no {module}.{start}* function"
 
 
-SOLVERS = ("double_center", "eig_sym")
+SOLVERS = ("double_center", "eig_sym", "_eig_lower")
 
 
 def _names_by_function(node, fn=None):
@@ -125,13 +125,16 @@ def _names_by_function(node, fn=None):
 
 def test_every_eigensolve_goes_through_spectrum():
     # one door: the command paths center and solve only inside embedding.spectrum,
-    # which checks the whole request in between; rmt's Wigner samples need no centering
+    # which checks the whole request in between; rmt's Wigner samples need no centering.
+    # The solver call itself, linalg._eig_lower, serves eig_sym and these two callers
     refs = {(path.stem, fn, name) for path in Path(SRC, "neucmds").glob("*.py")
             for fn, name in _names_by_function(ast.parse(path.read_text())) if name in SOLVERS}
     assert {r for r in refs if r[0] in ("embedding", "landmark", "cli")} == {
-        ("embedding", "spectrum", "double_center"), ("embedding", "spectrum", "eig_sym")}
-    assert {r[:2] for r in refs if r[2] == "eig_sym"} == {("embedding", "spectrum"),
-                                                          ("rmt", "lab_table")}
+        ("embedding", "spectrum", "double_center"), ("embedding", "spectrum", "_eig_lower")}
+    assert {r[:2] for r in refs if r[2] == "_eig_lower" and r[0] != "linalg"} == {
+        ("embedding", "spectrum"), ("rmt", "lab_table")}
+    assert {r for r in refs if r[0] == "linalg"} == {("linalg", "eig_sym", "_eig_lower")}
+    assert not [r for r in refs if r[2] == "eig_sym"]  # no package code checks twice
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -15,7 +15,7 @@ from neucmds.rmt import (
     theory_error,
     theory_error_coeffs,
 )
-from neucmds.linalg import BLOCK, eig_sym
+from neucmds.linalg import BLOCK, _eig_lower, eig_sym
 from neucmds.selection import select
 from neucmds.rmt import _selected_fraction
 
@@ -113,21 +113,114 @@ def test_sample_wigner_matches_the_reference_bytes(n, dist):
         assert got.flags.c_contiguous
 
 
+class SignedZeros:  # a stream: every third draw is -0.0, counted across calls
+    drawn = 0
+
+    def normal(self, loc, scale, size):
+        position = np.arange(self.drawn, self.drawn + size)
+        self.drawn += size
+        return np.where(position % 3 == 0, -0.0, 1.0)
+
+
 def test_sample_wigner_keeps_the_sign_of_a_zero_draw(monkeypatch):
     # a -0.0 draw stays -0.0 on the diagonal and reads +0.0 off it, as in the reference
-    class SignedZeros:  # a stream: every third draw is -0.0, counted across calls
-        drawn = 0
-
-        def normal(self, loc, scale, size):
-            position = np.arange(self.drawn, self.drawn + size)
-            self.drawn += size
-            return np.where(position % 3 == 0, -0.0, 1.0)
-
     monkeypatch.setattr(rmt, "_rng", lambda seed: SignedZeros())
     got, want = sample_wigner(7), ref_sample_wigner(7)
     assert got.tobytes() == want.tobytes()
     assert np.signbit(np.diagonal(got)).any()
     assert not np.signbit(got[~np.eye(7, dtype=bool)]).any()
+
+
+def drawn_triangle(n, sigma, dist, seed):
+    """``rmt._draw_upper`` into a NaN-filled buffer, as ``lab_table`` draws a trial."""
+    m = np.full((n, n), np.nan)
+    rmt._draw_upper(m, rmt._rng(seed), sigma, dist)
+    return m
+
+
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER])
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK + 2, 300])
+def test_the_triangle_solve_is_the_mirrored_solve(n, dist):
+    # the drawn triangle holds the mirrored sample's upper bits and nothing below
+    # them; solved as its transpose it gives eig_sym's eigenvalues bitwise
+    m, full = drawn_triangle(n, 1.5, dist, 9), sample_wigner(n, 1.5, dist, seed=9)
+    upper, lower = np.triu_indices(n), np.tril_indices(n, -1)
+    assert m[upper].tobytes() == full[upper].tobytes()
+    assert np.isnan(m[lower]).all()
+    for vectors in (False, True):
+        got, want = _eig_lower(m.T, vectors), eig_sym(full, vectors)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        if vectors:
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+
+def test_the_drawn_triangle_keeps_the_mirrored_signs_of_zero(monkeypatch):
+    # -0.0 stays on the diagonal and reads +0.0 above it, as in the mirrored sample
+    monkeypatch.setattr(rmt, "_rng", lambda seed: SignedZeros())
+    m, full = drawn_triangle(7, 1.0, GAUSSIAN, 0), sample_wigner(7)
+    upper = np.triu_indices(7)
+    assert m[upper].tobytes() == full[upper].tobytes()
+    assert np.signbit(np.diagonal(m)).any()
+    assert not np.signbit(m[np.triu_indices(7, 1)]).any()
+    got = lab_table(BLOCK + 2, [0.1, 0.5], "neuc", trials=2)
+    want = ref_lab_rows(BLOCK + 2, 1.0, [0.1, 0.5], 2, GAUSSIAN, 0, "neuc")
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_lab_table_allocates_one_square_buffer(monkeypatch):
+    # every trial redraws one n x n buffer: a sample per trial would be three
+    n, made = 300, []
+    for name in ("empty", "zeros", "ones", "full", "empty_like", "zeros_like", "array"):
+        def counting(*args, _make=getattr(np, name), **kwargs):
+            out = _make(*args, **kwargs)
+            if isinstance(out, np.ndarray) and out.shape == (n, n):
+                made.append(out.dtype)
+            return out
+        monkeypatch.setattr(np, name, counting)
+    lab_table(n, [0.1, 0.5], "neuc", trials=3, seed=2)
+    assert made == [np.float64]
+
+
+BIG = 10**15  # an n x n buffer past any address space
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lab_table(1, [0.7], "cmds", -1.0, 0, "u", -1), "trials must be at least 1, got 0"),
+    (lambda: lab_table(1, [0.7], "cmds", -1.0, 1, "u", -1),
+     "sigma must be positive and finite, got -1.0"),
+    (lambda: lab_table(BIG, [0.7], "cmds", 1.0, 1, "u", -1),
+     "cmds selected fraction must be in (0, 0.5], got 0.7"),
+    (lambda: lab_table(1, [0.3], "neuc", 1.0, 1, "u", -1), "need n >= 2, got 1"),
+    (lambda: lab_table(BIG, [0.3], "neuc", 1.0, 1, "u", -1),
+     "seed must be a non-negative integer, got -1"),
+    (lambda: lab_table(BIG, [0.3], "neuc", 1.0, 1, "u", 0),
+     "dist must be 'gaussian' or 'rademacher', got 'u'"),
+    (lambda: sample_wigner(1, -1.0, "u", -1), "need n >= 2, got 1"),
+    (lambda: sample_wigner(BIG, -1.0, "u", -1), "sigma must be positive and finite, got -1.0"),
+    (lambda: sample_wigner(BIG, 1.0, "u", -1), "seed must be a non-negative integer, got -1"),
+    (lambda: sample_wigner(BIG, 1.0, "u", 0), "dist must be 'gaussian' or 'rademacher', got 'u'"),
+], ids=["trials", "sigma", "c", "n", "seed", "dist",
+        "sample-n", "sample-sigma", "sample-seed", "sample-dist"])
+def test_the_checks_run_in_order_before_the_buffer(call, message, monkeypatch):
+    # each case is bad from its own check on: the first bad argument is named, and
+    # the n x n buffer (impossible at BIG) and the draws come after every check
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before every argument was checked")
+    monkeypatch.setattr(rmt, "_draw_upper", unreachable)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call", [lambda: lab_table(BIG, [0.3], "neuc"),
+                                  lambda: sample_wigner(BIG)], ids=["lab_table", "sample_wigner"])
+def test_an_impossible_buffer_is_a_memory_error_before_any_draw(call, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before allocating the buffer")
+    monkeypatch.setattr(rmt, "_draw_upper", unreachable)
+    with pytest.raises(MemoryError, match=r"^Unable to allocate an array with shape "
+                                          rf"\({BIG}, {BIG}\) and data type float64: "):
+        call()
 
 
 def empirical_error(b, k, mode):
