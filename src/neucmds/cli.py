@@ -36,7 +36,7 @@ from .io import (
 )
 from .landmark import embed_landmark
 from .metrics import StressReport
-from .selection import METHODS, NEUC, normalize_method, select
+from .selection import CMDS, METHODS, NEUC, normalize_method, select
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -154,10 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=[TEXT, BINARY], default=TEXT,
                        help="output matrix format (default text)")
 
-    def common(p, method=True, seed=True):
+    def common(p, methods=METHODS, seed=True):
         p.add_argument("--output", required=True, help="output path")
-        if method:
-            p.add_argument("--method", choices=list(METHODS), default=NEUC)
+        if methods:
+            p.add_argument("--method", choices=list(methods), default=NEUC)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["simplex", "balls"], required=True)
     p.add_argument("--n", type=int, required=True)
     matrix_output(p)
-    common(p, method=False)
+    common(p, methods=())
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perturb", help="dissimilarities from a perturbed point cloud")
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise scale (default: max distance / 500)")
     p.add_argument("--keep-prob", type=float, default=0.5, dest="keep_prob")
     matrix_output(p)
-    common(p, method=False)
+    common(p, methods=())
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("sweep", help="stress reports over a k grid")
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True, dest="k_list", help="a:b:step (inclusive)")
     p.add_argument("--methods", default=",".join(METHODS),
                    help="comma-separated methods (default all)")
-    common(p, method=False, seed=False)
+    common(p, methods=(), seed=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rmt", help="random-matrix theory vs empirics grid")
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--dist", choices=[rmtlab.GAUSSIAN, rmtlab.RADEMACHER],
                    default=rmtlab.GAUSSIAN)
-    common(p)
+    common(p, methods=(CMDS, NEUC))
     p.set_defaults(func=cmd_rmt)
 
     p = sub.add_parser("landmark", help="landmark-accelerated embedding")
@@ -223,7 +223,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with np.errstate(over="raise", invalid="raise"):  # no inf or nan reaches an output
+            args.func(args)
     # LinAlgError subclasses ValueError, so the numerical handler comes first
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BLOCK, _check_sigma, mirror_upper_inplace, sum_minus_twice
+from .linalg import BLOCK, _check_sigma, _integral, mirror_upper_inplace, sum_minus_twice
 
 
 def _rng(seed: int) -> np.random.Generator:  # every seeded draw of the package
-    if int(seed) < 0:
+    if not (_integral(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(int(seed)))
+
+
+def _check_n(n: int) -> int:  # the order of every generated matrix
+    if not (_integral(n) and n >= 2):
+        raise ValueError(f"need n >= 2, got {n}")
+    return int(n)
 
 
 def _as_points(points) -> np.ndarray:
@@ -59,9 +65,7 @@ def gen_random_simplex(n: int, seed: int = 0) -> np.ndarray:
 
     Draw order: one uniform block of shape (n, n-1), row-major.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_n(n)
     rng = _rng(seed)
     n_plus = -(-n // 10)  # ceil
     mid = n - n_plus - 1
@@ -109,9 +113,7 @@ def gen_euclidean_ball(n: int, seed: int = 0) -> np.ndarray:
     Draw order: centers (n, 10) row-major, then n branch selectors, then n
     radius candidates.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_n(n)
     rng = _rng(seed)
     centers = rng.uniform(0.0, 100.0, size=(n, 10))
     branch = rng.uniform(size=n)
@@ -134,9 +136,9 @@ def perturb_knn(points, k_nn: int) -> np.ndarray:
 
     p = _as_points(points)
     n = p.shape[0]
-    k_nn = int(k_nn)
-    if not 1 <= k_nn <= n - 1:
+    if not (_integral(k_nn) and 1 <= k_nn <= n - 1):
         raise ValueError(f"k_nn must be in [1, {n - 1}], got {k_nn}")
+    k_nn = int(k_nn)
     dist = _distances(p)
     np.fill_diagonal(dist, np.inf)
     nbrs = np.argsort(dist, axis=1, kind="stable")[:, :k_nn]
@@ -196,8 +198,8 @@ def perturb_missing(points, keep_prob: float, seed: int = 0) -> np.ndarray:
     m = (_rng(seed).uniform(size=p.shape) < keep_prob).astype(np.float64)
     shared = m @ m.T  # exact counts while d < 2**53
     np.fill_diagonal(shared, 1.0)
-    if not shared.all():
-        i, j = (int(v) for v in np.argwhere(shared == 0.0)[0])
+    i, j = divmod(int(shared.argmin()), shared.shape[0])  # the first 0: counts are >= 0
+    if shared[i, j] == 0.0:
         raise ValueError(f"points {i} and {j} share no surviving coordinate")
     del shared
     pm = p * m

@@ -18,12 +18,11 @@ on its own.  Parsing works one block of whole lines at a time, about
 ``TEXT_BLOCK_CHARS`` of text or one longer line: a block is converted by one
 ``np.loadtxt`` call, whose C tokenizer and conversion give ``str.split``'s
 tokens and ``float``'s values; a block it rejects (``1_0``, non-ASCII digits,
-a bad token or count) goes through the per-row path, which parses what
-``float`` accepts and names the first failing line and column.  Text matrix
-and point files are decoded line by line, so a read holds the result and one
-block.  Binary files are read into the result array directly and written
-from the array's own buffer, with no second n*n copy; they are the format
-for large n.
+a bad token or count) is converted by ``float`` one token at a time, which
+names the first failing line and column.  Text matrix and point files are
+decoded line by line, so a read holds the result and one block.  Binary
+files are read into the result array directly and written from the array's
+own buffer, with no second n*n copy; they are the format for large n.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def _text_blocks(head, rows):
 
 
 def _json(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
 
 def format_rows(head, rows) -> str:
@@ -333,22 +332,16 @@ def _parse_block(out, block, start: int, name: str) -> None:
 
 
 def _parse_rows(out, block, start: int, name: str) -> None:
-    """``_parse_block`` one row at a time by ``float``'s rules, as ``np.array``
-    of each row's tokens; a row that fails is scanned token by token, to name
-    the first failing column."""
+    """``_parse_block`` one token at a time by ``float``'s rules, naming the
+    first line and column that fail."""
     for i, line in enumerate(block, start):
-        parts = _split_row(line, i, out.shape[1], name)
-        try:
-            out[i] = np.array(parts, dtype=np.float64)  # float() on each token
-        except ValueError:
-            for j, tok in enumerate(parts):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ValueError(
-                        f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
-                    ) from None
-            raise  # no token fails alone: keep numpy's error
+        for j, tok in enumerate(_split_row(line, i, out.shape[1], name)):
+            try:
+                out[i, j] = float(tok)
+            except ValueError:
+                raise ValueError(
+                    f"{name}: line {i + 2}, column {j + 1}: not a number: {tok!r}"
+                ) from None
 
 
 def _split_row(line: str, i: int, d: int, name: str) -> list:

@@ -8,6 +8,7 @@ diagonal ("hollow") and may contain negative entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,18 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _integral(v) -> bool:
+    """Whether v is an integer: 2, 2.0 and numpy integers are; 2.5 and "2" are not."""
+    return int(v) == v
+
+
+def _check_finite(what: str, *sums) -> None:
+    """Require every sum to be finite: BLAS sums and Python's float arithmetic
+    overflow to inf where numpy's error state cannot see it."""
+    if not all(map(math.isfinite, sums)):
+        raise FloatingPointError(f"{what} overflowed; rescale the input")
+
+
 def _check_sigma(sigma) -> float:
     sigma = float(sigma)
     if not 0.0 < sigma < np.inf:
@@ -35,31 +48,33 @@ def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
     """Require exact (bitwise) symmetry; our constructors guarantee it.
 
     Compares each strip of ``BLOCK`` rows from the diagonal on with the
-    matching column strip, so a symmetric m costs no n x n temporary; a NaN
-    anywhere fails.  Only a failing m is compared whole, to name its first
-    asymmetric entry in row-major order.
+    matching column strip, so no call builds an n x n temporary; a NaN
+    anywhere fails.  The first failing strip names m's first asymmetric entry
+    in row-major order, which lies on or above the diagonal.
     """
-    if all(np.array_equal(m[i0:i0 + BLOCK, i0:], m[i0:, i0:i0 + BLOCK].T)
-           for i0 in range(0, m.shape[0], BLOCK)):
-        return
-    i, j = (int(v) for v in np.argwhere(m != m.T)[0])
-    raise ValueError(
-        f"{name} is not symmetric: entry ({i},{j})={float(m[i, j])} "
-        f"but ({j},{i})={float(m[j, i])}"
-    )
+    for i0 in range(0, m.shape[0], BLOCK):
+        same = m[i0:i0 + BLOCK, i0:] == m[i0:, i0:i0 + BLOCK].T
+        if not same.all():
+            i, j = (i0 + int(v) for v in divmod(int(same.argmin()), same.shape[1]))
+            raise ValueError(
+                f"{name} is not symmetric: entry ({i},{j})={float(m[i, j])} "
+                f"but ({j},{i})={float(m[j, i])}"
+            )
 
 
 def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
     """Validate a finite hollow symmetric matrix and return it as float64."""
     d = as_square_matrix(d, name)
-    if not all(np.isfinite(d[i0:i0 + BLOCK]).all() for i0 in range(0, d.shape[0], BLOCK)):
-        i, j = (int(v) for v in np.argwhere(~np.isfinite(d))[0])
-        raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
+    for i0 in range(0, d.shape[0], BLOCK):
+        finite = np.isfinite(d[i0:i0 + BLOCK])
+        if not finite.all():
+            i, j = divmod(i0 * d.shape[1] + int(finite.argmin()), d.shape[1])
+            raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
     check_symmetric(d, name)
-    diag = np.diagonal(d)
-    if np.any(diag != 0.0):
-        i = int(np.flatnonzero(diag != 0.0)[0])
-        raise ValueError(f"{name} is not hollow: diagonal entry {i} is {float(diag[i])}")
+    bad = np.flatnonzero(np.diagonal(d))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name} is not hollow: diagonal entry {i} is {float(d[i, i])}")
     return d
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import BLOCK
+from .linalg import BLOCK, _check_finite
 from .selection import PLUS, _check_k, _prefix, select
 
 
@@ -185,8 +185,10 @@ def _spectral_row(lam, sel, sums) -> StressReport:
     ssq = max(2.0 * n * zz + 2.0 * sz * sz + c1 - 8.0 * zh, 0.0)
     along = 2.0 * n * y_z + 2.0 * sy * sz - 4.0 * yh - 4.0 * zg + 4.0 * float(t @ dl[sel.chosen])
     resid = max(ssq - along * along / hat, 0.0) if hat > 0.0 else ssq
+    c3 = 2.0 * n * zz - c2 / 2.0
+    _check_finite("the report's sums", ssq, hat, resid, c1, c2, c3)
     return StressReport(stress_sq=ssq, stress=math.sqrt(ssq), c1=c1, c2=c2,
-                        c3=2.0 * n * zz - c2 / 2.0, scaled_additive=math.sqrt(resid),
+                        c3=c3, scaled_additive=math.sqrt(resid),
                         avg_distortion=None, neg_dissim_count=None,
                         neg_axes_count=int(np.count_nonzero(t < 0.0)))
 
@@ -329,6 +331,7 @@ def report(d, emb) -> StressReport:
         for dp, hat in _upper_strips(d, x, emb.signature, bufs):
             hat *= t
             resid += float(np.vdot(np.subtract(dp, hat, out=hat), hat))
+    _check_finite("the report's sums", hh, 2.0 * ssq, 2.0 * resid, *(emb.split or ()))
     c1, c2, c3 = emb.split or (None, None, None)
     return StressReport(stress_sq=2.0 * ssq, stress=math.sqrt(2.0 * ssq), c1=c1, c2=c2, c3=c3,
                         scaled_additive=math.sqrt(2.0 * resid),

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .datasets import _rng
-from .linalg import BLOCK, _check_sigma, _eig_lower, mirror_upper_inplace
+from .datasets import _check_n, _rng
+from .linalg import BLOCK, _check_sigma, _eig_lower, _integral, mirror_upper_inplace
 from .selection import CMDS, NEUC, PLUS, _check_k, _prefix, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -103,9 +103,7 @@ def theory_error(n: int, sigma: float, c: float, mode: str) -> float:
 
 def _wigner_buffer(n: int, sigma: float, seed: int, dist: str) -> np.ndarray:
     """An uninitialized n x n buffer, after checking n, sigma, seed and dist in order."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_n(n)
     _check_sigma(sigma)
     _rng(seed)
     if dist not in (GAUSSIAN, RADEMACHER):
@@ -166,14 +164,14 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
     (``empirical_error_from_eigenvalues`` of all the ks).  Every argument is
     checked before the first sample.  One n x n buffer serves every trial: its upper
     triangle, drawn as ``sample_wigner`` draws it, is solved alone (as ``m.T``)."""
-    if trials < 1:
+    if not (_integral(trials) and trials >= 1):
         raise ValueError(f"trials must be at least 1, got {trials}")
     sigma = _check_sigma(sigma)
     theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
     ks = [max(1, int(round(c * n))) for c, _, _ in theory]
     m = _wigner_buffer(n, sigma, seed, dist)
     errors = []  # per trial, the error at each k
-    for trial in range(trials):
+    for trial in range(int(trials)):
         _draw_upper(m, _rng(seed + trial), sigma, dist)
         errors.append(empirical_error_from_eigenvalues(
             _eig_lower(m.T, vectors=False).eigenvalues, ks, mode))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_finite, _integral
+
 CMDS = "cmds"
 NEUC = "neuc"
 PLUS = "neuc-plus"
@@ -95,10 +97,9 @@ def _check_lambda(lam) -> np.ndarray:
 
 
 def _check_k(k: int, n: int) -> int:
-    k = int(k)
-    if not 1 <= k <= n:
+    if not (_integral(k) and 1 <= k <= n):
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    return k
+    return int(k)
 
 
 def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
@@ -115,6 +116,7 @@ def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
     s1 = float(np.sum(dropped))
     c1 = 4.0 * float(np.sum(dropped * dropped))
     c2 = 4.0 * s1 * s1
+    _check_finite("the selection's bound", c1, c2)
     values = lam[chosen]
     r = int(np.sum(values >= 0.0))
     if mode == PLUS:

@@ -1,10 +1,11 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 28 commands that succeed and 23 that fail with ``python -m neucmds.cli``
+Runs 28 commands that succeed and 25 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src``, in a new empty directory, with one
 BLAS thread (results are not bitwise identical across thread counts).  It
 then prints one sorted line per record: the sha256 of every file left in the
-directory (51 files), and the exit code and stderr of every command.  Two
+directory (52 files), and the exit code and stderr of every command (105
+records in all).  Two
 trees give the same output exactly when the CLI is byte-identical on this
 set, so a refactor is checked with
 
@@ -37,6 +38,9 @@ INPUTS = {
     "x-fine.txt": "5\n0 1 1 2 1e-10\n1 0 2 1 1\n1 2 0 1 1\n2 1 1 0 2\n1e-10 1 1 2 0\n",
     # a token np.loadtxt rejects, so the block takes the per-row path, and an NBSP separator
     "x-fallback.txt": "3\n0 1_0 2\n10\xa00 3\n2 3 0\n",
+    # finite, hollow and symmetric, but the squared eigenvalues overflow
+    "x-huge.txt": "8\n" + "".join(" ".join("0" if i == j else "1e160" for j in range(8)) + "\n"
+                                  for i in range(8)),
 }
 
 COMMANDS = [
@@ -97,6 +101,8 @@ ERROR_COMMANDS = [
     "embed --input d.txt --k 1 --output nodir/err.txt",
     "perturb --input x-same.txt --kind noise --output err.txt",
     "generate --kind simplex --n 5 --seed -1 --output err.txt",
+    "embed --input x-huge.txt --k 1 --output err.txt",  # a numerical error: exit 4
+    "rmt --n 20 --c-list 0.3 --method neuc-plus --output err.txt",  # rmt offers cmds and neuc
 ]
 
 

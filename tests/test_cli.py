@@ -308,11 +308,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: trials must be at least 1, got {trials}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("method, c, message", [
-        ("cmds", "0.7", "cmds selected fraction must be in (0, 0.5], got 0.7"),
-        ("neuc-plus", "0.3", "mode must be 'cmds' or 'neuc'"),
-    ])
-    def test_rmt_rejects_c_and_mode_before_sampling(self, method, c, message, tmp_path,
+    @pytest.mark.parametrize("method, c, code, message", [
+        ("cmds", "0.7", 3, "error: cmds selected fraction must be in (0, 0.5], got 0.7\n"),
+        # rmt offers cmds and neuc alone, so argparse rejects neuc-plus as a usage error
+        ("neuc-plus", "0.3", 2, "neucmds rmt: error: argument --method: invalid choice: "
+                                "'neuc-plus' (choose from 'cmds', 'neuc')\n"),
+    ], ids=["cmds-0.7-cmds selected fraction", "neuc-plus-0.3-mode must be cmds or neuc"])
+    def test_rmt_rejects_c_and_mode_before_sampling(self, method, c, code, message, tmp_path,
                                                     monkeypatch, capsys):
         from neucmds import rmt
 
@@ -320,9 +322,14 @@ class TestExitCodes:
             raise AssertionError("sampled before checking --c-list and --method")
         monkeypatch.setattr(rmt, "_draw_upper", fail)
         out = tmp_path / "rmt.csv"
-        assert main(["rmt", "--n", "20", "--c-list", c, "--method", method,
-                     "--output", str(out)]) == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        try:
+            status = main(["rmt", "--n", "20", "--c-list", c, "--method", method,
+                           "--output", str(out)])
+        except SystemExit as exc:  # argparse's usage error
+            status = exc.code
+        assert status == code
+        err = capsys.readouterr().err
+        assert err == message if code == 3 else err.endswith(message)  # after argparse's usage
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [

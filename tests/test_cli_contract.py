@@ -3,7 +3,9 @@ determinism across BLAS thread counts.
 
 Every command runs in-process on argv drawn from domain edges: 0, -1, nan,
 inf, 10**15, empty and repeated list tokens, a truncated binary file, a file
-with the wrong magic, and an output in a missing directory.  Sizes are tiny,
+with the wrong magic, an output in a missing directory, and a finite hollow
+symmetric input near 1e160 whose squared eigenvalues overflow, which is a
+numerical error (exit 4) with no output.  Sizes are tiny,
 or 10**15 so that the first allocation fails at once; ``--trials`` never
 takes the large value, since ``rmt`` would go on sampling.  Whatever the
 argv, the exit code is 0, 2, 3 or 4, exits 3 and 4 print exactly one stderr
@@ -40,6 +42,13 @@ EDGES = ["0", "-1", "nan", "inf", BIG]
 MATRIX = ["--input", "d.txt"]
 POINTS = ["--input", "p.txt"]
 RMT = ["--n", "10", "--c-list", "0.3"]
+HUGE = ["--input", "huge.txt"]
+OVERFLOWS = [
+    ["embed", *HUGE, "--k", "2"],
+    ["select", *HUGE, "--k", "2"],
+    ["sweep", *HUGE, "--k-list", "1:3"],
+    ["landmark", *HUGE, "--k", "2", "--landmarks", "5"],
+]
 
 
 def edge_cases():
@@ -77,6 +86,7 @@ def edge_cases():
             yield ["sweep", "--input", name, *fmt, "--k-list", "1:3"]
             yield ["landmark", "--input", name, *fmt, "--k", "2", "--landmarks", "5"]
         yield ["perturb", "--input", name, "--kind", "knn"]
+    yield from OVERFLOWS
 
 
 VALID = [
@@ -99,6 +109,9 @@ def inputs(tmp_path, monkeypatch):
     d = gen_random_simplex(8, seed=1)
     write_matrix("d.txt", d, TEXT)
     write_matrix("d.bin", d, BINARY)
+    huge = 1e160 * (2.0 + np.abs(d))
+    np.fill_diagonal(huge, 0.0)
+    write_matrix("huge.txt", huge, TEXT)
     whole = Path("d.bin").read_bytes()
     Path("short.bin").write_bytes(whole[:-3])
     Path("magic.bin").write_bytes(b"XXXX" + whole[4:])
@@ -125,6 +138,12 @@ def test_cli_contract(argv, inputs, capsys):
     if code != 0:
         assert left == []
     assert not [name for name in left if name.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWS, ids=[argv[0] for argv in OVERFLOWS])
+def test_overflow_is_a_numerical_error(argv, inputs, capsys):
+    assert main([*argv, "--output", "out"]) == 4
+    assert capsys.readouterr().err.startswith("numerical error: ")
 
 
 # ---------------------------------------------------------------- write and read failures

@@ -11,7 +11,7 @@ from neucmds.datasets import (
     perturb_missing,
     perturb_noise,
 )
-from neucmds.embedding import embed_from_decomposition, reconstruct, report
+from neucmds.embedding import embed, embed_from_decomposition, reconstruct, report, sweep
 from neucmds.landmark import embed_landmark
 from neucmds.linalg import SpectralDecomposition, double_center, eig_sym
 from neucmds.metrics import (
@@ -255,3 +255,21 @@ def test_report_round_trips_to_json(rng):
     assert rep.stress_sq == pytest.approx(stress(d, reconstruct(emb)), rel=1e-12, abs=0)
     loaded = json.loads(json.dumps(landmark_rep.to_dict()))
     assert loaded["c1"] is None and loaded["c2"] is None and loaded["c3"] is None
+
+
+# BLAS dot products and Python float arithmetic overflow to inf where numpy's error
+# state cannot see it: d = 1e153 (J - I) at n = 100 keeps every squared eigenvalue
+# finite, but ||d||^2 ~ 1e310 and the dropped sum of squares at k = 1 ~ 2.4e309
+HUGE = np.full((100, 100), 1e153) - np.diag(np.full(100, 1e153))
+OVERFLOWS = {
+    "report": (lambda: report(HUGE, embed(HUGE, 99, CMDS)), "the report's sums"),
+    "sweep row": (lambda: sweep(HUGE, [99], [CMDS]), "the report's sums"),
+    "selection": (lambda: embed(HUGE, 1, NEUC), "the selection's bound"),
+}
+
+
+@pytest.mark.parametrize("call, what", OVERFLOWS.values(), ids=list(OVERFLOWS))
+def test_a_sum_that_overflows_unseen_is_a_floating_point_error(call, what):
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as info:
+        call()
+    assert str(info.value) == f"{what} overflowed; rescale the input"

@@ -5,13 +5,14 @@ solve through ``embedding.spectrum``: validate and double-center the matrix,
 then check each (k, method) pair of the request, its method before its k,
 then solve.  A bad request never reaches ``eig_sym``, a bad matrix is
 reported before a bad request, and a request is read once, up to its first
-bad pair.
+bad pair.  A count or a seed is taken only when it equals its int: 2.0 and
+numpy integers pass, 2.5 and "3" fail with the argument's own message.
 """
 
 import numpy as np
 import pytest
 
-from neucmds import cli, embedding, landmark, linalg
+from neucmds import cli, datasets, embedding, landmark, linalg, rmt, selection
 from neucmds.cli import main
 from neucmds.embedding import embed, sweep
 from neucmds.io import write_matrix
@@ -100,3 +101,36 @@ def test_sweep_reads_each_argument_once(rng):
     rows = sweep(d, iter([1, 2]), iter(METHODS))
     assert [(e.k, e.method) for e in rows] == [(k, m) for k in (1, 2) for m in METHODS]
     assert all(type(e.k) is int for e in sweep(d, [np.int64(1), 2.0]))
+
+
+FRACTIONAL = {
+    "embed k": (lambda d: embed(d, 2.5), f"k must satisfy 1 <= k <= {N}, got 2.5"),
+    "_check_k str": (lambda d: selection._check_k("3", N), f"k must satisfy 1 <= k <= {N}, got 3"),
+    "sample_wigner n": (lambda d: rmt.sample_wigner(2.7), "need n >= 2, got 2.7"),
+    "lab_table trials": (lambda d: rmt.lab_table(10, [0.3], "neuc", trials=1.5),
+                         "trials must be at least 1, got 1.5"),
+    "gen_random_simplex n": (lambda d: datasets.gen_random_simplex(4.5), "need n >= 2, got 4.5"),
+    "gen_euclidean_ball n": (lambda d: datasets.gen_euclidean_ball(4.5), "need n >= 2, got 4.5"),
+    "fit_landmarks m": (lambda d: landmark.fit_landmarks(d, 5.9, 2),
+                        "the landmark count must be at least 2, got 5.9"),
+    "fit_landmarks k": (lambda d: landmark.fit_landmarks(d, 5, 2.5),
+                        "k must satisfy 1 <= k <= m - 1 = 4 for m=5 landmarks, got 2.5"),
+    "perturb_knn k_nn": (lambda d: datasets.perturb_knn(d[:, :2], 1.5),
+                         f"k_nn must be in [1, {N - 1}], got 1.5"),
+    "_rng seed": (lambda d: datasets._rng(1.9), "seed must be a non-negative integer, got 1.9"),
+}
+
+
+@pytest.mark.parametrize("call, message", FRACTIONAL.values(), ids=list(FRACTIONAL))
+def test_counts_and_seeds_must_be_integers(call, message, rng):
+    with pytest.raises(ValueError) as info:
+        call(random_hollow(rng, N))
+    assert str(info.value) == message
+
+
+def test_integral_floats_and_numpy_integers_are_counts(rng):
+    d = random_hollow(rng, N)
+    assert embed(d, 2.0).k == 2
+    assert landmark.fit_landmarks(d, np.int64(5), 2.0, seed=np.uint8(1)).m == 5
+    assert rmt.sample_wigner(np.int32(3), seed=2.0).shape == (3, 3)
+    assert len(rmt.lab_table(10, [0.3], "neuc", trials=2.0)) == 1

@@ -13,7 +13,8 @@ straightforward versions; those public functions must match them bitwise, on
 symmetric, asymmetric and negative inputs alike.  The ``whole_*`` functions
 are the whole-matrix bodies the strip versions replaced: the checks must
 give their messages, and a memory guard must hold for the strip versions
-and fail for them.
+and fail for them.  A failing check names its failure from the strip that
+finds it, so it stays below one n x n bool as a passing one does.
 """
 
 import collections
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from neucmds import embedding, landmark, linalg, metrics
+from neucmds.datasets import perturb_missing
 from neucmds.embedding import Embedding, embed_from_decomposition, reconstruct, report
 from neucmds.linalg import BLOCK, check_dissimilarity, check_symmetric, double_center, eig_sym
 from neucmds.metrics import (
@@ -668,3 +670,52 @@ def test_strip_functions_stay_within_their_memory_bound(case):
 def test_the_memory_bound_fails_the_whole_matrix_bodies(case):
     _, whole_fn, args, bound = guard_case(case)
     assert traced_peak(whole_fn, *args) >= bound
+
+
+# a failing check names its first failure from the strip that finds it, with no
+# whole-array failure scan: below one n x n bool where the parent's scans held several
+def failing_peak(fn, *args):
+    """(peak traced bytes, message) of fn(*args), which must raise ValueError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1], str(info.value)
+    finally:
+        tracemalloc.stop()
+
+
+def failing_case(case):
+    """(check, the whole-matrix body it must match, its input) at n = GUARD_N."""
+    n = GUARD_N
+    if case == "asymmetric":
+        m = np.random.default_rng(n).normal(size=(n, n))
+        np.fill_diagonal(m, 0.0)
+        return check_symmetric, whole_check_symmetric, m
+    return check_dissimilarity, whole_check_dissimilarity, np.full((n, n), np.nan)
+
+
+@pytest.mark.parametrize("case", ["asymmetric", "NaN-filled"])
+def test_failing_checks_stay_within_their_memory_bound(case):
+    check, whole, m = failing_case(case)
+    want = symmetry_message(whole, m)
+    peak, message = failing_peak(check, m)
+    assert message == want
+    assert peak < GUARD_N * GUARD_N
+
+
+def test_perturb_missing_names_the_first_pair_among_many():
+    # two coordinates kept with probability 0.3: most pairs share none; the shared
+    # counts stay the one n x n array, with no mask or index list of the failures
+    n, keep_prob, seed = GUARD_N, 0.3, 1
+    p = np.random.default_rng(n).normal(size=(n, 2))
+    mask = (np.random.Generator(np.random.Philox(seed)).uniform(size=p.shape)
+            < keep_prob).astype(np.float64)
+    shared = mask @ mask.T
+    np.fill_diagonal(shared, 1.0)
+    pairs = np.argwhere(shared == 0.0)
+    assert len(pairs) > n * n // 2
+    i, j = pairs[0]
+    peak, message = failing_peak(perturb_missing, p, keep_prob, seed)
+    assert message == f"points {i} and {j} share no surviving coordinate"
+    assert peak < 9 * n * n  # the float counts and one n x n bool
