@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BLOCK, _check_sigma, _integral, mirror_upper_inplace, sum_minus_twice
+from .linalg import BLOCK, _check_sigma, _require_integer, mirror_upper_inplace, sum_minus_twice
 
 
 def _rng(seed: int) -> np.random.Generator:  # every seeded draw of the package
-    if not (_integral(seed) and seed >= 0):
+    _require_integer(seed, "seed")
+    if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def _check_n(n: int) -> int:  # the order of every generated matrix
-    if not (_integral(n) and n >= 2):
+    _require_integer(n, "n")
+    if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return int(n)
 
@@ -136,7 +138,8 @@ def perturb_knn(points, k_nn: int) -> np.ndarray:
 
     p = _as_points(points)
     n = p.shape[0]
-    if not (_integral(k_nn) and 1 <= k_nn <= n - 1):
+    _require_integer(k_nn, "k_nn")
+    if not 1 <= k_nn <= n - 1:
         raise ValueError(f"k_nn must be in [1, {n - 1}], got {k_nn}")
     k_nn = int(k_nn)
     dist = _distances(p)

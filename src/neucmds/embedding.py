@@ -57,14 +57,14 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     order = np.lexsort((sel.chosen, -np.abs(sel.values)))
     axis_values = sel.values[order]
     axis_indices = sel.chosen[order]
-    # one C-order gather: the layout of coords sets the reconstruct GEMM's rounding
-    vecs = np.take(dec.eigenvectors, axis_indices, axis=1)
+    # one gather of eigenvector rows, C-ordered for either eigenvector layout:
+    # the layout of coords sets the reconstruct GEMM's rounding
+    vecs = dec.eigenvectors.T[axis_indices]
     # reproducible output: largest-magnitude entry of every eigenvector positive
-    cols = np.arange(vecs.shape[1])
-    flip = vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0
-    vecs[:, flip] *= -1.0
+    flip = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)] < 0.0
+    vecs[flip] *= -1.0
     signature = np.where(axis_values < 0.0, -1, 1).astype(np.int64)
-    coords = np.sqrt(np.abs(axis_values))[:, None] * vecs.T
+    coords = np.sqrt(np.abs(axis_values))[:, None] * vecs
     return Embedding(coords, signature, axis_values, axis_indices, split)
 
 

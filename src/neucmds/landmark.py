@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import _rng
 from .embedding import Embedding, embed_from_decomposition, spectrum
-from .linalg import _integral, as_square_matrix, check_dissimilarity
+from .linalg import _require_integer, as_square_matrix, check_dissimilarity
 from .selection import NEUC, normalize_method
 
 # axes whose |axis value| falls below this fraction of the largest are
@@ -81,13 +81,15 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     """
     d = check_dissimilarity(d, name)
     n = d.shape[0]
-    if not (_integral(m) and m >= 2):
+    _require_integer(m, "the landmark count")
+    if m < 2:
         raise ValueError(f"the landmark count must be at least 2, got {m}")
     m = int(m)
     if m > n:
         raise ValueError(f"cannot draw {m} landmarks from {n} points")
     method = normalize_method(method)  # the method before k, as ``spectrum`` checks a pair
-    if not (_integral(k) and 1 <= k <= m - 1):
+    _require_integer(k, "k")
+    if not 1 <= k <= m - 1:
         raise ValueError(f"k must satisfy 1 <= k <= m - 1 = {m - 1} for m={m} landmarks, got {k}")
     idx = _pick_landmarks(d, m, seed, strategy)
     sub = d[np.ix_(idx, idx)]

@@ -25,9 +25,15 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _integral(v) -> bool:
-    """Whether v is an integer: 2, 2.0 and numpy integers are; 2.5 and "2" are not."""
-    return int(v) == v
+def _require_integer(v, what: str) -> None:
+    """Require v to be an integer: 2, 2.0 and numpy integers are; 2.5, "2" and nan are not.
+    The range is the caller's to check, with v as it came."""
+    try:
+        integral = int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 def _check_finite(what: str, *sums) -> None:
@@ -106,7 +112,10 @@ class SpectralDecomposition:
     """Eigenvalues sorted descending with paired orthonormal eigenvectors.
 
     Column ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``.
-    ``eigenvectors`` is None for a values-only solve.
+    ``eigenvectors`` is None for a values-only solve.  A solve stores it in
+    Fortran order, LAPACK's, so ``eigenvectors.T`` holds one eigenvector per
+    contiguous row, the rows that coordinates and the stress sums gather; a
+    C-ordered array (as built by hand) serves too, only slower.
     """
 
     eigenvalues: np.ndarray
@@ -180,5 +189,5 @@ def _eig_lower(b: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
     lam, u = np.linalg.eigh(b) if vectors else (np.linalg.eigvalsh(b), None)
     return SpectralDecomposition(
         eigenvalues=np.ascontiguousarray(lam[::-1]),
-        eigenvectors=None if u is None else np.ascontiguousarray(u[:, ::-1]),
+        eigenvectors=None if u is None else np.asfortranarray(u[:, ::-1]),
     )

@@ -63,7 +63,7 @@ def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
     (descending) and eigenvectors ``u`` (one per column; None raises
     ``ValueError``) of the centered Gram matrix.  With dl = lam - lam_tilde,
     c1 = 4 ||dl||^2, c2 = 4 (sum dl)^2 and c3 = 2n ||z||^2 - c2 / 2 for
-    z = (U o U) dl, the one-column call of ``spectral_reports``' strip product.
+    z = (U o U) dl, the one-column call of ``_add_axes``, the sums of ``spectral_reports``.
     """
     if u is None:
         raise ValueError("the decomposition was computed without eigenvectors")
@@ -76,8 +76,9 @@ def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
 
     dl = lam - lam_tilde
     c1, c2 = _dropped_terms(dl)
-    z = _strip_sums(u, [dl])[0][0]
-    return c1, c2, 2.0 * n * float(z @ z) - c2 / 2.0
+    z = np.zeros((1, n))
+    _add_axes(z, u.T, np.arange(n), dl)
+    return c1, c2, 2.0 * n * float(z[0] @ z[0]) - c2 / 2.0
 
 
 def _dropped_terms(dl) -> tuple[float, float]:
@@ -87,28 +88,22 @@ def _dropped_terms(dl) -> tuple[float, float]:
     return c1, 4.0 * total * total
 
 
-def _span(n: int) -> int:
-    """Rows of U per strip, or columns per gather, of ``_strip_sums`` and the walk."""
-    return min(BLOCK, max(1, n // 16))
-
-
-def _strip_sums(u, weights, ones=None) -> list[np.ndarray]:
-    """For each weight array w (n, or n x p) of ``weights``: (U o U) w, and with
-    the axis sums ``ones`` = 1^T U also U (ones o w), on a new first axis; a
-    strip of ``_span`` rows of U at a time, with no n x n temporary."""
-    n = u.shape[0]
-    rows = _span(n)
-    scaled = [None if ones is None else ones[:, None] * w for w in weights]
-    sums = [np.empty((1 if ones is None else 2, *w.shape)) for w in weights]
-    buf = np.empty(rows * n)
-    for i0 in range(0, n, rows):
-        strip = u[i0:i0 + rows]
-        square = np.square(strip, out=buf[:strip.size].reshape(strip.shape))
-        for w, sw, out in zip(weights, scaled, sums):
-            np.matmul(square, w, out=out[0, i0:i0 + rows])
-            if sw is not None:
-                np.matmul(strip, sw, out=out[1, i0:i0 + rows])
-    return sums
+def _add_axes(sums, vt, axes, w, ones=None) -> None:
+    """Add w^T (V o V) to ``sums[0]`` and, with the axis sums ``ones`` = 1^T U,
+    (ones o w)^T V to ``sums[1]``, for the eigenvectors V = ``vt[axes]`` (one per
+    row of vt = U^T) and their weights w (one entry or row per axis).  The rows
+    are gathered into one buffer, min(BLOCK, n / 16) at a time, so no call holds
+    an n x n array."""
+    n = vt.shape[1]
+    rows = min(BLOCK, max(1, n // 16))
+    buf = np.empty((min(rows, len(axes)), n))
+    for a0 in range(0, len(axes), rows):
+        picks, wb = axes[a0:a0 + rows], w[a0:a0 + rows]
+        # "clip" writes straight into buf, where the default mode buffers its out
+        v = np.take(vt, picks, axis=0, out=buf[:len(picks)], mode="clip")
+        if ones is not None:
+            sums[1] += (ones[picks, None] * wb).T @ v
+        sums[0] += wb.T @ np.square(v, out=v)
 
 
 def spectral_reports(dec, grid) -> list[StressReport]:
@@ -130,9 +125,9 @@ def spectral_reports(dec, grid) -> list[StressReport]:
     with ``scaled_additive_error``'s rule for a zero d_hat (||d_hat||^2 <= 0),
     and c1, c2 ``decompose``'s, bitwise.  Each method selects once, at its
     largest k, whose prefixes are the smaller ks' picks (``selection._prefix``).
-    One strip pass over U (``_strip_sums``) gives each method's head at that k
-    and its tail over the other axes; the walk down the ks moves each block of
-    picks from the head to the tail.  No row builds an n x n array.
+    One pass over every eigenvector (``_add_axes``) gives each method's head at
+    that k and its tail over the other axes; the walk down the ks moves the picks
+    between two ks from the head to the tail.  No row builds an n x n array.
     """
     lam, u, n = dec.eigenvalues, dec.eigenvectors, dec.n
     if u is None:
@@ -149,36 +144,33 @@ def spectral_reports(dec, grid) -> list[StressReport]:
         w[top.chosen, 1] = top.mode == PLUS
         w[:, 2] = lam - w[:, 0]
         walks.append((rows, top, w))
-    ones = u.sum(axis=0)
+    vt, ones = u.T, u.sum(axis=0)
     reports: list[StressReport] = [None] * len(grid)
-    for (rows, top, w), s in zip(walks, _strip_sums(u, [w for *_, w in walks], ones)):
+    for rows, top, w in walks:
+        sums = np.zeros((2, 3, n))
+        _add_axes(sums, vt, np.arange(n), w, ones)
         # a pick leaving the head for the tail: -w0 and -w1 on the head, +w0 on the tail
         move = w[top.chosen][:, [0, 1, 0]] * [-1.0, -1.0, 1.0]
-        scaled = ones[top.chosen, None] * move
-        span, done = _span(n), top.k
+        done = top.k
         for k, i in rows:
-            for c0 in range(k, done, span):
-                picks = slice(c0, min(c0 + span, done))
-                v = np.take(u, top.chosen[picks], axis=1)
-                s[1] += v @ scaled[picks]
-                s[0] += np.square(v, out=v) @ move[picks]
+            _add_axes(sums, vt, top.chosen[k:done], move[k:done], ones)
             done = k
-            reports[i] = _spectral_row(lam, _prefix(lam, top, k), s)
+            reports[i] = _spectral_row(lam, _prefix(lam, top, k), sums)
     return reports
 
 
 def _spectral_row(lam, sel, sums) -> StressReport:
     """The report of ``sel`` by the formulas of ``spectral_reports``, from the
-    2 x n x 3 sums ((U o U) w and U (ones o w)) of its walk's weights w."""
+    2 x 3 x n sums (w^T (U o U)^T and (ones o w)^T U^T) of its walk's weights w."""
     n, t = lam.size, sel.values
     dl = lam.copy()
     dl[sel.chosen] -= t
     c1, c2 = _dropped_terms(dl)
     # [y z] and [g h]; neuc-plus shifts each pick's value and difference by _result's s1 / (1 + k)
     shift = float(np.sum(np.delete(lam, sel.chosen))) / (1.0 + sel.k) if sel.mode == PLUS else 0.0
-    yz, gh = sums @ np.array([[1.0, 0.0], [shift, -shift], [0.0, 1.0]])
-    (yy, y_z), (_, zz) = (yz.T @ yz).tolist()
-    (yg, yh), (zg, zh) = (yz.T @ gh).tolist()
+    yz, gh = np.array([[1.0, shift, 0.0], [0.0, -shift, 1.0]]) @ sums
+    (yy, y_z), (_, zz) = (yz @ yz.T).tolist()
+    (yg, yh), (zg, zh) = (yz @ gh.T).tolist()
     sy, sz = float(np.sum(t)), float(np.sum(dl))  # sum y and sum z: each u_j has unit norm
     hat = 2.0 * n * yy + 2.0 * sy * sy + 4.0 * float(t @ t) - 8.0 * yg
     # stress_sq and the residual are squared norms: only rounding takes them below 0

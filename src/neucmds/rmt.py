@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .datasets import _check_n, _rng
-from .linalg import BLOCK, _check_sigma, _eig_lower, _integral, mirror_upper_inplace
+from .linalg import BLOCK, _check_sigma, _eig_lower, _require_integer, mirror_upper_inplace
 from .selection import CMDS, NEUC, PLUS, _check_k, _prefix, normalize_method, select
 
 GAUSSIAN = "gaussian"
@@ -164,7 +164,8 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
     (``empirical_error_from_eigenvalues`` of all the ks).  Every argument is
     checked before the first sample.  One n x n buffer serves every trial: its upper
     triangle, drawn as ``sample_wigner`` draws it, is solved alone (as ``m.T``)."""
-    if not (_integral(trials) and trials >= 1):
+    _require_integer(trials, "trials")
+    if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     sigma = _check_sigma(sigma)
     theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]

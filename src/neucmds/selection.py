@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_finite, _integral
+from .linalg import _check_finite, _require_integer
 
 CMDS = "cmds"
 NEUC = "neuc"
@@ -97,7 +97,8 @@ def _check_lambda(lam) -> np.ndarray:
 
 
 def _check_k(k: int, n: int) -> int:
-    if not (_integral(k) and 1 <= k <= n):
+    _require_integer(k, "k")
+    if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     return int(k)
 

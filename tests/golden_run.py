@@ -1,17 +1,19 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
 Runs 28 commands that succeed and 25 that fail with ``python -m neucmds.cli``
-from the source tree given by ``--src``, in a new empty directory, with one
-BLAS thread (results are not bitwise identical across thread counts).  It
-then prints one sorted line per record: the sha256 of every file left in the
-directory (52 files), and the exit code and stderr of every command (105
-records in all).  Two
-trees give the same output exactly when the CLI is byte-identical on this
-set, so a refactor is checked with
+from the source tree given by ``--src`` (by default the one beside this
+script), in a new empty directory, with one BLAS thread (results are not
+bitwise identical across thread counts).  It then prints one sorted line per
+record: the sha256 of every file left in the directory (52 files), and the
+exit code and stderr of every command (105 records in all).  Two trees give
+the same output exactly when the CLI is byte-identical on this set.  A
+refactor is checked with
 
-    python3 tests/golden_run.py --src <parent>/src > parent.txt
-    python3 tests/golden_run.py --src src > change.txt
-    diff parent.txt change.txt
+    python3 tests/golden_run.py --parent <parent>/src
+
+which runs both trees and prints only the records that differ, each as a
+``parent:`` and a ``change:`` line (``-`` for a record the tree lacks), and
+exits 1 if any record differs.
 
 The name has no ``test_`` prefix, so pytest does not collect it.  The empty
 directory is made under ``$TMPDIR``.
@@ -114,16 +116,17 @@ def write_inputs(work: Path) -> None:
         (work / name).write_bytes(text.encode())
 
 
-def golden_run(src: Path) -> list[str]:
+def golden_run(src: Path) -> dict[str, str]:
+    """Each record of the tree ``src``, by name: a command, or a file."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    records = []
+    records = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
 
         def run(command: str) -> None:
             proc = subprocess.run([sys.executable, "-m", "neucmds.cli", *command.split()],
                                   cwd=work, env=env, capture_output=True, text=True)
-            records.append(f"run {command} -> exit {proc.returncode} stderr {proc.stderr!r}")
+            records[f"run {command}"] = f"-> exit {proc.returncode} stderr {proc.stderr!r}"
 
         write_inputs(work)
         for command in COMMANDS:
@@ -135,18 +138,30 @@ def golden_run(src: Path) -> list[str]:
         for command in ERROR_COMMANDS:
             run(command)
         for path in work.iterdir():
-            records.append(f"file {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
-    return sorted(records)
+            records[f"file {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return records
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, type=Path,
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="the src directory of the tree to run")
+    parser.add_argument("--parent", type=Path,
+                        help="the src directory of a parent tree: print only the records "
+                             "that differ from it, and exit 1 if any does")
     args = parser.parse_args(argv)
-    for line in golden_run(args.src.resolve()):
-        print(line)
-    return 0
+    change = golden_run(args.src.resolve())
+    if args.parent is None:
+        for name in sorted(change):
+            print(name, change[name])
+        return 0
+    parent = golden_run(args.parent.resolve())
+    differ = sorted(name for name in parent.keys() | change.keys()
+                    if parent.get(name) != change.get(name))
+    for name in differ:
+        print(f"parent: {name} {parent.get(name, '-')}")
+        print(f"change: {name} {change.get(name, '-')}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ stress split summed over the dropped and the selected axes separately, the
 form :func:`neucmds.metrics.decompose` must match.  ``ref_sample_wigner`` draws
 the upper triangle in one block and places it through a boolean mask, the
 sampler's original body; ``ref_lab_rows`` is the ``rmt`` command's table
-with a fresh ``ref_sample_wigner`` sample per trial.
+with a fresh ``ref_sample_wigner`` sample per trial.  ``ref_coords`` and
+``ref_axis_sums`` are the column path that coordinates and the stress sums
+took before both gathered eigenvector rows: columns of U taken and flipped,
+and the products (U o U) w and U (ones o w) over strips of points.
 """
 
 from __future__ import annotations
@@ -127,6 +130,29 @@ def ref_decompose(lam, u, w, lam_tilde) -> tuple[float, float, float]:
     v = (u * u) @ dl
     c3 = 2.0 * n * float(np.sum(v * v)) - c2 / 2.0
     return c1, c2, c3
+
+
+def ref_coords(u, axis_values, axis_indices) -> np.ndarray:
+    """Coordinates from the columns ``axis_indices`` of U, each flipped so that its
+    largest-magnitude entry is positive and scaled by sqrt|axis value|, k x n."""
+    vecs = np.take(u, axis_indices, axis=1)
+    cols = np.arange(vecs.shape[1])
+    flip = vecs[np.argmax(np.abs(vecs), axis=0), cols] < 0.0
+    vecs[:, flip] *= -1.0
+    return np.sqrt(np.abs(axis_values))[:, None] * vecs.T
+
+
+def ref_axis_sums(u, w, ones) -> tuple[np.ndarray, np.ndarray]:
+    """(U o U) w and U (ones o w), n x p for the n x p weights w, a strip of 16
+    points of U at a time."""
+    u = np.asarray(u, dtype=np.float64)
+    scaled = ones[:, None] * w
+    square, plain = np.empty((u.shape[0], w.shape[1])), np.empty((u.shape[0], w.shape[1]))
+    for i0 in range(0, u.shape[0], 16):
+        strip = u[i0:i0 + 16]
+        square[i0:i0 + 16] = (strip * strip) @ w
+        plain[i0:i0 + 16] = strip @ scaled
+    return square, plain
 
 
 def ref_sample_wigner(n, sigma=1.0, dist=rmt.GAUSSIAN, seed=0) -> np.ndarray:

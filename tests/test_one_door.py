@@ -6,7 +6,8 @@ then check each (k, method) pair of the request, its method before its k,
 then solve.  A bad request never reaches ``eig_sym``, a bad matrix is
 reported before a bad request, and a request is read once, up to its first
 bad pair.  A count or a seed is taken only when it equals its int: 2.0 and
-numpy integers pass, 2.5 and "3" fail with the argument's own message.
+numpy integers pass; 2.5, "3" and nan fail with "<name> must be an integer,
+got <repr>", while an integer out of range keeps the argument's own message.
 """
 
 import numpy as np
@@ -104,25 +105,49 @@ def test_sweep_reads_each_argument_once(rng):
 
 
 FRACTIONAL = {
-    "embed k": (lambda d: embed(d, 2.5), f"k must satisfy 1 <= k <= {N}, got 2.5"),
-    "_check_k str": (lambda d: selection._check_k("3", N), f"k must satisfy 1 <= k <= {N}, got 3"),
-    "sample_wigner n": (lambda d: rmt.sample_wigner(2.7), "need n >= 2, got 2.7"),
+    "embed k": (lambda d: embed(d, 2.5), "k must be an integer, got 2.5"),
+    "_check_k str": (lambda d: selection._check_k("3", N), "k must be an integer, got '3'"),
+    "_check_k nan": (lambda d: selection._check_k(np.nan, N), "k must be an integer, got nan"),
+    "_check_k inf": (lambda d: selection._check_k(np.inf, N), "k must be an integer, got inf"),
+    "_check_k None": (lambda d: selection._check_k(None, N), "k must be an integer, got None"),
+    "sample_wigner n": (lambda d: rmt.sample_wigner(2.7), "n must be an integer, got 2.7"),
     "lab_table trials": (lambda d: rmt.lab_table(10, [0.3], "neuc", trials=1.5),
-                         "trials must be at least 1, got 1.5"),
-    "gen_random_simplex n": (lambda d: datasets.gen_random_simplex(4.5), "need n >= 2, got 4.5"),
-    "gen_euclidean_ball n": (lambda d: datasets.gen_euclidean_ball(4.5), "need n >= 2, got 4.5"),
+                         "trials must be an integer, got 1.5"),
+    "gen_random_simplex n": (lambda d: datasets.gen_random_simplex(4.5),
+                             "n must be an integer, got 4.5"),
+    "gen_euclidean_ball n": (lambda d: datasets.gen_euclidean_ball(4.5),
+                             "n must be an integer, got 4.5"),
+    "gen_euclidean_ball numpy n": (lambda d: datasets.gen_euclidean_ball(np.float64(4.5)),
+                                   f"n must be an integer, got {np.float64(4.5)!r}"),
     "fit_landmarks m": (lambda d: landmark.fit_landmarks(d, 5.9, 2),
-                        "the landmark count must be at least 2, got 5.9"),
+                        "the landmark count must be an integer, got 5.9"),
     "fit_landmarks k": (lambda d: landmark.fit_landmarks(d, 5, 2.5),
-                        "k must satisfy 1 <= k <= m - 1 = 4 for m=5 landmarks, got 2.5"),
+                        "k must be an integer, got 2.5"),
     "perturb_knn k_nn": (lambda d: datasets.perturb_knn(d[:, :2], 1.5),
-                         f"k_nn must be in [1, {N - 1}], got 1.5"),
-    "_rng seed": (lambda d: datasets._rng(1.9), "seed must be a non-negative integer, got 1.9"),
+                         "k_nn must be an integer, got 1.5"),
+    "_rng seed": (lambda d: datasets._rng(1.9), "seed must be an integer, got 1.9"),
 }
 
 
 @pytest.mark.parametrize("call, message", FRACTIONAL.values(), ids=list(FRACTIONAL))
 def test_counts_and_seeds_must_be_integers(call, message, rng):
+    with pytest.raises(ValueError) as info:
+        call(random_hollow(rng, N))
+    assert str(info.value) == message
+
+
+OUT_OF_RANGE = {
+    "embed k": (lambda d: embed(d, 0.0), f"k must satisfy 1 <= k <= {N}, got 0.0"),
+    "sample_wigner n": (lambda d: rmt.sample_wigner(1.0), "need n >= 2, got 1.0"),
+    "fit_landmarks m": (lambda d: landmark.fit_landmarks(d, np.int64(1), 1),
+                        "the landmark count must be at least 2, got 1"),
+    "_rng seed": (lambda d: datasets._rng(-2.0), "seed must be a non-negative integer, got -2.0"),
+}
+
+
+@pytest.mark.parametrize("call, message", OUT_OF_RANGE.values(), ids=list(OUT_OF_RANGE))
+def test_integers_out_of_range_keep_the_range_message(call, message, rng):
+    # only a value that is not an integer takes the integer message
     with pytest.raises(ValueError) as info:
         call(random_hollow(rng, N))
     assert str(info.value) == message
