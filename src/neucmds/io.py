@@ -6,9 +6,9 @@ little-endian float64 row-major).  Point clouds are text only: first line
 "n d", then n rows of d floats.  Text tables allow only blank lines after
 the declared rows.  Embeddings and their reports, JSON and CSV are written
 only, each file to a temp file renamed into place, so a failure leaves no
-partial output, nor an embedding without its report.  Text files are
-formatted and written ``TEXT_BLOCK_ROWS`` rows at a time, so a write holds
-one block of text, not the whole file.
+partial output, nor an embedding without its report.  Every text file
+comes from one generator, ``_text_blocks``, ``TEXT_BLOCK_ROWS`` rows at a
+time, so a write holds one block of text, not the whole file.
 
 Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  A block of
@@ -77,10 +77,22 @@ def _write_files(*files) -> None:
 
 
 def _text_blocks(head, rows):
-    """``format_rows(head, rows)`` as bytes, one block of rows at a time."""
-    yield format_rows(head, []).encode()
+    """Header lines, then one line per row of ``%.17g`` values joined by spaces,
+    as bytes, ``TEXT_BLOCK_ROWS`` rows at a time.  In a block, a run of empty rows
+    is bare newlines, a run of others one array, ``_CHUNK`` values a kernel pass."""
+    yield "".join(f"{line}\n" for line in head).encode()
     for start in range(0, len(rows), TEXT_BLOCK_ROWS):
-        yield _row_text(rows[start:start + TEXT_BLOCK_ROWS])
+        for filled, run in itertools.groupby(rows[start:start + TEXT_BLOCK_ROWS],
+                                             lambda row: len(row) > 0):
+            run = list(run)
+            if not filled:
+                yield b"\n" * len(run)
+                continue
+            x = np.concatenate(run, dtype=np.float64)
+            sep = np.full(len(x), ord(" "), np.uint8)
+            sep[np.cumsum([len(row) for row in run]) - 1] = ord("\n")
+            for i in range(0, len(x), _CHUNK):
+                yield _g17(x[i:i + _CHUNK], sep[i:i + _CHUNK])
 
 
 def _json(obj) -> bytes:
@@ -90,31 +102,7 @@ def _json(obj) -> bytes:
 def format_rows(head, rows) -> str:
     """Header lines, then one line per row of 17-significant-digit values,
     so a parsed value round-trips bitwise."""
-    return "".join(f"{line}\n" for line in head) + _row_text(rows).decode() or "\n"
-
-
-def _row_text(rows) -> bytes:
-    """Each row's values in ``%.17g``, joined by spaces, each row ended by a
-    newline; an empty row is a bare newline."""
-    parts, run = [], []
-    for row in rows:
-        if len(row):
-            run.append(row)
-        else:
-            parts += [_run_text(run), b"\n"]
-            run = []
-    parts.append(_run_text(run))
-    return b"".join(parts)
-
-
-def _run_text(rows) -> bytes:
-    """``_row_text`` of non-empty rows, ``_CHUNK`` values to a kernel pass."""
-    if not rows:
-        return b""
-    x = np.concatenate(rows, dtype=np.float64)
-    sep = np.full(len(x), ord(" "), np.uint8)
-    sep[np.cumsum([len(row) for row in rows]) - 1] = ord("\n")
-    return b"".join(_g17(x[i:i + _CHUNK], sep[i:i + _CHUNK]) for i in range(0, len(x), _CHUNK))
+    return b"".join(_text_blocks(head, rows)).decode() or "\n"
 
 
 # ---------------------------------------------------------------- %.17g kernel
@@ -373,6 +361,8 @@ def _read_table(fh, name: str, square: bool = True) -> np.ndarray:
 
 def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
     m = np.ascontiguousarray(m, dtype=np.float64)
+    if not m.size:  # a header count of 0, which the readers refuse
+        raise ValueError(f"{path}: count must be positive, got shape {m.shape}")
     if fmt == TEXT:
         _write_files((path, _text_blocks([str(m.shape[0])], m)))
     elif fmt == BINARY:
@@ -412,6 +402,8 @@ def read_points(path) -> np.ndarray:
 
 
 def write_points(path, p: np.ndarray) -> None:
+    if not p.size:  # a header count of 0, which the readers refuse
+        raise ValueError(f"{path}: count must be positive, got shape {p.shape}")
     _write_files((path, _text_blocks([f"{p.shape[0]} {p.shape[1]}"], p)))
 
 

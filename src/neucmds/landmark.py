@@ -22,9 +22,6 @@ from .selection import NEUC, normalize_method
 # dropped from the model instead of divided by
 AXIS_DROP_REL_TOL = 1e-12
 
-RANDOM = "random"
-MAXMIN = "maxmin"
-
 
 @dataclass(frozen=True)
 class LandmarkModel:
@@ -50,30 +47,9 @@ class LandmarkModel:
         return int(self.base.coords.shape[0])
 
 
-def _pick_landmarks(d: np.ndarray, m: int, seed: int, strategy: str) -> np.ndarray:
-    n = d.shape[0]
-    rng = _rng(seed)
-    if strategy == RANDOM:
-        idx = rng.choice(n, size=m, replace=False)
-    elif strategy == MAXMIN:
-        # farthest-point: seed one landmark, then repeatedly take the point
-        # with the largest minimum dissimilarity to the current set
-        idx = np.empty(m, dtype=np.intp)
-        idx[0] = rng.integers(n)
-        best = d[idx[0]].copy()
-        best[idx[0]] = -np.inf
-        for t in range(1, m):
-            idx[t] = int(np.argmax(best))
-            best = np.minimum(best, d[idx[t]])
-            best[idx[t]] = -np.inf
-    else:
-        raise ValueError(f"unknown landmark strategy {strategy!r}")
-    return np.sort(np.asarray(idx, dtype=np.intp))
-
-
 def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
-                  strategy: str = RANDOM, name: str = "dissimilarity matrix") -> LandmarkModel:
-    """Embed m seeded landmarks with the requested method.
+                  name: str = "dissimilarity matrix") -> LandmarkModel:
+    """Embed m landmarks, drawn uniformly by ``seed``, with the requested method.
 
     Requires 2 <= m <= n and 1 <= k <= m - 1.  Axes whose value vanishes
     (relatively) are excluded from the model so triangulation never divides
@@ -91,7 +67,7 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     _require_integer(k, "k")
     if not 1 <= k <= m - 1:
         raise ValueError(f"k must satisfy 1 <= k <= m - 1 = {m - 1} for m={m} landmarks, got {k}")
-    idx = _pick_landmarks(d, m, seed, strategy)
+    idx = np.sort(_rng(seed).choice(n, size=m, replace=False))
     sub = d[np.ix_(idx, idx)]
     dec, [(k, method)] = spectrum(sub, [(k, method)])
     emb = embed_from_decomposition(dec, k, method)
@@ -121,14 +97,14 @@ def triangulate(model: LandmarkModel, delta) -> np.ndarray:
 
 
 def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
-                   strategy: str = RANDOM, name: str = "dissimilarity matrix") -> Embedding:
+                   name: str = "dissimilarity matrix") -> Embedding:
     """Fit landmarks, then triangulate every non-landmark point.
 
     Returns an embedding over all n points carrying the landmark signature;
     its axis indices refer to the landmark submatrix spectrum.
     """
     d = as_square_matrix(d, name)  # fit_landmarks validates it
-    model = fit_landmarks(d, m, k, method=method, seed=seed, strategy=strategy, name=name)
+    model = fit_landmarks(d, m, k, method=method, seed=seed, name=name)
     n = d.shape[0]
     coords = np.empty((model.k, n), dtype=np.float64)
     coords[:, model.landmark_indices] = model.base.coords

@@ -13,7 +13,14 @@ refactor is checked with
 
 which runs both trees and prints only the records that differ, each as a
 ``parent:`` and a ``change:`` line (``-`` for a record the tree lacks), and
-exits 1 if any record differs.
+exits 1 if any record differs.  The code no command runs is listed with
+
+    python3 tests/golden_run.py --unreached
+
+which runs the same commands in process through ``cli.main``, under a
+``sys.setprofile`` hook, and prints each function defined in the tree's
+``neucmds/*.py`` that none of them enters, one ``module.qualname`` a line
+(class bodies and comprehensions left out), then exits 0.
 
 The name has no ``test_`` prefix, so pytest does not collect it.  The empty
 directory is made under ``$TMPDIR``.
@@ -22,12 +29,15 @@ directory is made under ``$TMPDIR``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import inspect
 import os
 import random
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 INPUTS = {
@@ -116,6 +126,19 @@ def write_inputs(work: Path) -> None:
         (work / name).write_bytes(text.encode())
 
 
+def run_set(work: Path, run) -> None:
+    """Write the inputs to ``work``, then pass each command of the set to ``run``."""
+    write_inputs(work)
+    for command in COMMANDS:
+        run(command)
+    whole = (work / "d.bin").read_bytes()
+    (work / "x-short.bin").write_bytes(whole[:-1])
+    (work / "x-magic.bin").write_bytes(b"XXXX" + whole[4:])
+    (work / "x-zero.bin").write_bytes(whole[:5] + bytes(8))
+    for command in ERROR_COMMANDS:
+        run(command)
+
+
 def golden_run(src: Path) -> dict[str, str]:
     """Each record of the tree ``src``, by name: a command, or a file."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -128,18 +151,59 @@ def golden_run(src: Path) -> dict[str, str]:
                                   cwd=work, env=env, capture_output=True, text=True)
             records[f"run {command}"] = f"-> exit {proc.returncode} stderr {proc.stderr!r}"
 
-        write_inputs(work)
-        for command in COMMANDS:
-            run(command)
-        whole = (work / "d.bin").read_bytes()
-        (work / "x-short.bin").write_bytes(whole[:-1])
-        (work / "x-magic.bin").write_bytes(b"XXXX" + whole[4:])
-        (work / "x-zero.bin").write_bytes(whole[:5] + bytes(8))
-        for command in ERROR_COMMANDS:
-            run(command)
+        run_set(work, run)
         for path in work.iterdir():
             records[f"file {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return records
+
+
+COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def unreached(src: Path) -> list[str]:
+    """Each function defined in ``src``'s ``neucmds/*.py`` that no command of
+    the set enters, as ``module.qualname``, in file and line order.  The
+    commands run in this process through ``cli.main``, under a
+    ``sys.setprofile`` hook set before the package is imported, which notes
+    the code of every Python frame entered.  Class bodies and
+    comprehensions are not listed."""
+    entered = set()
+
+    def note(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.path.insert(0, str(src))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
+            contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
+        os.chdir(tmp)
+        sys.setprofile(note)
+        try:
+            from neucmds import cli
+
+            def run(command: str) -> None:
+                try:
+                    cli.main(command.split())
+                except SystemExit:  # a usage error, exit 2
+                    pass
+
+            run_set(Path(tmp), run)
+        finally:
+            sys.setprofile(None)
+            os.chdir(cwd)
+    reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}
+    missed = []
+    for path in sorted((src / "neucmds").glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            if (code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in COMPREHENSIONS
+                    and (str(path), code.co_firstlineno, code.co_name) not in reached):
+                qualname = getattr(code, "co_qualname", code.co_name)
+                missed.append((path.name, code.co_firstlineno, f"{path.stem}.{qualname}"))
+    return [name for *_, name in sorted(missed)]
 
 
 def main(argv=None) -> int:
@@ -149,7 +213,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path,
                         help="the src directory of a parent tree: print only the records "
                              "that differ from it, and exit 1 if any does")
+    parser.add_argument("--unreached", action="store_true",
+                        help="run the commands in process and print each function of the "
+                             "tree's neucmds/*.py that none enters")
     args = parser.parse_args(argv)
+    if args.unreached:
+        for name in unreached(args.src.resolve()):
+            print(name)
+        return 0
     change = golden_run(args.src.resolve())
     if args.parent is None:
         for name in sorted(change):

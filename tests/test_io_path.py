@@ -1,26 +1,31 @@
 """The block-at-a-time text writes and reads and the single-buffer binary
 format against the reference bodies they replaced.
 
-``format_rows`` formats a block of rows with the numpy ``%.17g`` kernel
-(``io._g17``), which hands the values it cannot prove to ``%`` one at a
-time, and ``parse_table`` converts a block of lines with one ``np.loadtxt``
-call, which hands a block it rejects to the per-row path
-(``io._parse_rows``); the reference functions below are the per-element
-versions they replaced.  Formatting must match byte for byte, also on random
-bit patterns, every binary exponent, the neighbours of powers of 2 and 10,
-decade carries, exact ties and hypothesis floats, with each fallback taken
-where it must be; parsing must match bitwise, also on random bit patterns
-across block boundaries, with the per-row path taken exactly for the blocks
+``format_rows`` joins the text of ``io._text_blocks``, the one generator
+every text writer sends: its header lines, then each block's rows, a run
+of non-empty rows formatted by the numpy ``%.17g`` kernel (``io._g17``),
+which hands the values it cannot prove to ``%`` one at a time.
+``parse_table`` converts a block of lines with one ``np.loadtxt`` call,
+which hands a block it rejects to the per-row path (``io._parse_rows``).
+The reference functions below are the per-element versions they replaced.
+
+Formatting must match byte for byte, also on random bit patterns, every
+binary exponent, the neighbours of powers of 2 and 10, decade carries,
+exact ties and hypothesis floats, with each fallback taken where it must
+be; parsing must match bitwise, also on random bit patterns across block
+boundaries, with the per-row path taken exactly for the blocks
 ``np.loadtxt`` rejects and no warning raised, and every malformed table must
 fail with the reference's exact message.  The text writers send the file in
-blocks of rows; the file must be the reference text of the whole table.
-``read_matrix`` decodes a text file line by line; it must split the lines
-and fail exactly as a decode of the whole file does.  Both text readers
-decode UTF-8 whatever the locale.
+blocks of rows; the file must be the reference text of the whole table.  A
+writer refuses a table with a count of 0, as its reader would, before it
+opens a temp file.  ``read_matrix`` decodes a text file line by line; it
+must split the lines and fail exactly as a decode of the whole file does.
+Both text readers decode UTF-8 whatever the locale.
 """
 
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -137,8 +142,9 @@ def test_format_rows_every_special_value():
     [np.empty(0)],                    # the axis-value row of a k=0 embedding
     [np.empty(0), *np.empty((0, 5))],  # ... and its zero coordinate rows
     [np.empty(0), np.array([1.5]), np.empty(0)],
+    [*np.empty((3, 0)), np.array([1.5, -2.0]), np.array([3.0]), *np.empty((2, 0))],
     [],
-], ids=["axis-row", "k0-embedding", "mixed", "no-rows"])
+], ids=["axis-row", "k0-embedding", "mixed", "runs", "no-rows"])
 def test_format_rows_empty_rows(rows):
     head = ["5 0", ""]
     assert format_rows(head, rows) == ref_format_rows(head, rows)
@@ -737,6 +743,25 @@ def test_failed_text_write_leaves_the_old_file(tmp_path):
         write_points(path, p)
     assert [q.name for q in tmp_path.iterdir()] == ["p.txt"]
     assert path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("write, table", [
+    (write_matrix, np.empty((0, 0))),
+    (lambda path, m: write_matrix(path, m, BINARY), np.empty((0, 0))),
+    (write_matrix, np.empty((3, 0))),
+    (write_points, np.empty((0, 3))),
+    (write_points, np.empty((3, 0))),
+], ids=["matrix-text-n0", "matrix-bin-n0", "matrix-no-columns", "points-n0", "points-d0"])
+def test_writers_refuse_a_count_their_readers_refuse(write, table, tmp_path, monkeypatch):
+    # a header count of 0 fails every reader, so it fails the writer before a temp file
+    def unreachable(*files):
+        raise AssertionError("a temp file was opened for a table with a count of 0")
+
+    monkeypatch.setattr(io, "_write_files", unreachable)
+    path = tmp_path / "t"
+    message = f"{path}: count must be positive, got shape {table.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write(path, table)
 
 
 # ---------------------------------------------------------------- binary

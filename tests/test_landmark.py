@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from neucmds import embedding
-from neucmds.datasets import gen_euclidean_ball, gen_random_simplex
 from neucmds.embedding import embed, reconstruct
-from neucmds.landmark import MAXMIN, embed_landmark, fit_landmarks, triangulate
+from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
 from neucmds.linalg import double_center, eig_sym
 from neucmds.selection import CMDS, NEUC, PLUS
 
@@ -45,30 +42,15 @@ class TestFit:
         with pytest.raises(ValueError, match="landmarks"):
             fit_landmarks(d, 11, 2, NEUC)
 
-    def test_maxmin_strategy_deterministic(self, rng):
-        d = random_hollow(rng, 25)
-        a = fit_landmarks(d, 8, 3, NEUC, seed=5, strategy="maxmin")
-        b = fit_landmarks(d, 8, 3, NEUC, seed=5, strategy="maxmin")
-        np.testing.assert_array_equal(a.landmark_indices, b.landmark_indices)
 
-
-@settings(max_examples=60, deadline=None)
-@given(gen=st.sampled_from([gen_euclidean_ball, gen_random_simplex]), n=st.integers(3, 30),
-       gen_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_maxmin_picks_a_well_defined_set_on_negative_dissimilarities(gen, n, gen_seed, seed,
-                                                                     data):
-    # overlapping balls and simplex gaps give negative entries, which the
-    # farthest-point walk compares like any others
-    d = gen(n, seed=gen_seed)
-    assume((d < 0.0).any())
-    m = data.draw(st.integers(2, n), label="m")
-    k = data.draw(st.integers(1, m - 1), label="k")
-    idx = fit_landmarks(d, m, k, seed=seed, strategy=MAXMIN).landmark_indices
-    assert idx.tolist() == sorted(set(idx.tolist())) and len(idx) == m
-    assert 0 <= idx[0] and idx[-1] < n
-    again = fit_landmarks(d, m, k, seed=seed, strategy=MAXMIN).landmark_indices
-    assert again.tolist() == idx.tolist()
-    assert np.isfinite(embed_landmark(d, m, k, seed=seed, strategy=MAXMIN).coords).all()
+@pytest.mark.parametrize("n, m, seed", [(2, 2, 0), (9, 9, 4), (30, 10, 11), (500, 37, 2**40)])
+def test_landmarks_are_the_sorted_philox_draw(n, m, seed):
+    # the package's one seeded landmark draw: m of n without replacement, sorted
+    d = random_hollow(np.random.default_rng(n), n)
+    got = fit_landmarks(d, m, 1, NEUC, seed=seed).landmark_indices
+    want = np.sort(np.random.Generator(np.random.Philox(seed)).choice(n, m, replace=False))
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
 
 
 class TestTriangulate:
