@@ -81,21 +81,9 @@ def gen_random_simplex(n: int, seed: int = 0) -> np.ndarray:
     return signed_sq_dissimilarity(points, n_plus)
 
 
-def ball_dissimilarity(centers, radii) -> np.ndarray:
-    """Signed squared gap d*|d| for d = |c_i - c_j| - r_i - r_j.
-
-    Overlapping balls give negative entries; zero radii reduce to squared
-    Euclidean distances of the centers.
-    """
-    centers = _as_points(centers)
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.shape != (centers.shape[0],):
-        raise ValueError("need one radius per center")
-    return _signed_sq_gap(_distances(centers), radii)
-
-
 def _signed_sq_gap(cdist: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """ball_dissimilarity built over the center distances cdist, in place."""
+    """Signed squared gap g*|g| for g = cdist_ij - r_i - r_j, written over the
+    center distances cdist: negative where balls overlap."""
     for i0 in range(0, cdist.shape[0], BLOCK):
         gap = cdist[i0:i0 + BLOCK, i0:]
         gap -= radii[i0:i0 + BLOCK, None]

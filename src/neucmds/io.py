@@ -99,12 +99,6 @@ def _json(obj) -> bytes:
     return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
 
-def format_rows(head, rows) -> str:
-    """Header lines, then one line per row of 17-significant-digit values,
-    so a parsed value round-trips bitwise."""
-    return b"".join(_text_blocks(head, rows)).decode() or "\n"
-
-
 # ---------------------------------------------------------------- %.17g kernel
 #
 # ``_g17`` makes the 17 significant digits D of |x| as an integer: with E the
@@ -359,10 +353,18 @@ def _read_table(fh, name: str, square: bool = True) -> np.ndarray:
         raise
 
 
+def _check_shape(path, a, square: bool) -> None:
+    """Refuse a table its reader refuses, before any file is made."""
+    if not a.size:  # a header count of 0
+        raise ValueError(f"{path}: count must be positive, got shape {a.shape}")
+    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+        want = "an n x n matrix" if square else "a 2-d (n, d) point cloud"
+        raise ValueError(f"{path}: expected {want}, got shape {a.shape}")
+
+
 def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
     m = np.ascontiguousarray(m, dtype=np.float64)
-    if not m.size:  # a header count of 0, which the readers refuse
-        raise ValueError(f"{path}: count must be positive, got shape {m.shape}")
+    _check_shape(path, m, square=True)
     if fmt == TEXT:
         _write_files((path, _text_blocks([str(m.shape[0])], m)))
     elif fmt == BINARY:
@@ -374,6 +376,8 @@ def write_matrix(path, m: np.ndarray, fmt: str = TEXT) -> None:
 
 def read_matrix(path, fmt: str | None = None) -> np.ndarray:
     """Read a matrix file; sniffs the binary magic when fmt is None."""
+    if fmt not in (None, TEXT, BINARY):
+        raise ValueError(f"unknown matrix format {fmt!r}")
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
         is_binary = head[:4] == MAGIC
@@ -402,8 +406,9 @@ def read_points(path) -> np.ndarray:
 
 
 def write_points(path, p: np.ndarray) -> None:
-    if not p.size:  # a header count of 0, which the readers refuse
-        raise ValueError(f"{path}: count must be positive, got shape {p.shape}")
+    """First line "n d", then the n rows of the n x d array p, as ``read_points``
+    reads them back bitwise."""
+    _check_shape(path, p, square=False)
     _write_files((path, _text_blocks([f"{p.shape[0]} {p.shape[1]}"], p)))
 
 

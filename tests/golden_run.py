@@ -1,11 +1,11 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 28 commands that succeed and 25 that fail with ``python -m neucmds.cli``
+Runs 29 commands that succeed and 25 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src`` (by default the one beside this
 script), in a new empty directory, with one BLAS thread (results are not
 bitwise identical across thread counts).  It then prints one sorted line per
-record: the sha256 of every file left in the directory (52 files), and the
-exit code and stderr of every command (105 records in all).  Two trees give
+record: the sha256 of every file left in the directory (55 files), and the
+exit code and stderr of every command (109 records in all).  Two trees give
 the same output exactly when the CLI is byte-identical on this set.  A
 refactor is checked with
 
@@ -18,9 +18,12 @@ exits 1 if any record differs.  The code no command runs is listed with
     python3 tests/golden_run.py --unreached
 
 which runs the same commands in process through ``cli.main``, under a
-``sys.setprofile`` hook, and prints each function defined in the tree's
-``neucmds/*.py`` that none of them enters, one ``module.qualname`` a line
-(class bodies and comprehensions left out), then exits 0.
+``sys.setprofile`` hook, and lists each function defined in the tree's
+``neucmds/*.py`` that none of them enters, as ``module.qualname`` (class
+bodies and comprehensions left out).  ``KEPT`` names the functions that stay
+although no command enters them, each with its reason.  The command prints
+each listed function outside ``KEPT``, one a line, then each entry of
+``KEPT`` that a command does enter, and exits 1 if it printed anything.
 
 The name has no ``test_`` prefix, so pytest does not collect it.  The empty
 directory is made under ``$TMPDIR``.
@@ -53,6 +56,8 @@ INPUTS = {
     # finite, hollow and symmetric, but the squared eigenvalues overflow
     "x-huge.txt": "8\n" + "".join(" ".join("0" if i == j else "1e160" for j in range(8)) + "\n"
                                   for i in range(8)),
+    # no eigenvalue on either side: a k=0 landmark embedding of bare newline rows
+    "x-zero4.txt": "4\n" + "0 0 0 0\n" * 4,
 }
 
 COMMANDS = [
@@ -80,6 +85,7 @@ COMMANDS = [
     "sweep --input pm.bin --k-list 1:5 --output swpm.csv",
     "landmark --input d.txt --k 3 --landmarks 12 --seed 2 --output lm1.txt",
     "landmark --input b.bin --k 2 --landmarks 10 --method cmds --seed 5 --output lm2.txt",
+    "landmark --input x-zero4.txt --k 1 --landmarks 3 --output lm0.txt",
     "rmt --n 60 --c-list 0.1,0.3 --method cmds --seed 1 --trials 2 --output rc.csv",
     "rmt --n 60 --c-list 0.1,0.3 --method neuc --seed 1 --output rn.csv",
     # one buffer reused by three trials that cross a strip boundary, Rademacher draws
@@ -159,6 +165,27 @@ def golden_run(src: Path) -> dict[str, str]:
 
 COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>"}
 
+# each function of the package that no command of the set enters, and why it
+# stays; --unreached, and a tier-1 test, fail on any other
+TRACED = "named by perfbench/tracer.py; a whole-matrix reference of metrics.report"
+KEPT = {
+    "embedding.reconstruct": "named by perfbench/tracer.py; d-hat, the report path's reference",
+    "embedding.reconstruct.<locals>.<lambda>": "the row sums of reconstruct",
+    "io.write_points": "documented API: the point-cloud writer",
+    "landmark.LandmarkModel.m": "documented API: the number of landmarks",
+    "landmark.triangulate": "documented API: the out-of-sample point",
+    "linalg.eig_sym": "named by perfbench/tracer.py; documented API: the checked symmetric solve",
+    "metrics._pair": "the input check of the whole-matrix metrics",
+    "metrics.stress": TRACED,
+    "metrics.scaled_additive_error": TRACED,
+    "metrics._qualifying": "the pair mask of avg_geometric_distortion",
+    "metrics.avg_geometric_distortion": TRACED,
+    "metrics.negativity_stats": TRACED,
+    "rmt.semicircle_mass": "the semicircle law that acceptance 7 checks",
+    "rmt.semicircle_mass.<locals>.antideriv": "the integral inside semicircle_mass",
+    "rmt.sample_wigner": "named by perfbench/tracer.py; the reference of lab_table's draw",
+}
+
 
 def unreached(src: Path) -> list[str]:
     """Each function defined in ``src``'s ``neucmds/*.py`` that no command of
@@ -215,12 +242,18 @@ def main(argv=None) -> int:
                              "that differ from it, and exit 1 if any does")
     parser.add_argument("--unreached", action="store_true",
                         help="run the commands in process and print each function of the "
-                             "tree's neucmds/*.py that none enters")
+                             "tree's neucmds/*.py that none enters, outside KEPT, and each "
+                             "entry of KEPT that one enters; exit 1 if any is printed")
     args = parser.parse_args(argv)
     if args.unreached:
-        for name in unreached(args.src.resolve()):
-            print(name)
-        return 0
+        names = unreached(args.src.resolve())
+        for name in names:
+            if name not in KEPT:
+                print(name)
+        for name in KEPT:
+            if name not in names:
+                print(f"{name} (in KEPT, but a command enters it)")
+        return 1 if set(names) ^ KEPT.keys() else 0
     change = golden_run(args.src.resolve())
     if args.parent is None:
         for name in sorted(change):

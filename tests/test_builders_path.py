@@ -15,7 +15,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from neucmds.datasets import (
-    ball_dissimilarity,
+    _distances,
+    _signed_sq_gap,
     gen_euclidean_ball,
     gen_random_simplex,
     pairwise_sq,
@@ -161,7 +162,8 @@ class TestInPlaceEquivalence:
         centers = rng.uniform(0.0, 10.0, size=(n, 3))
         radii = rng.uniform(0.0, 4.0, size=n)  # many overlaps: negative gaps
         radii[::3] = 0.0
-        assert_same(ball_dissimilarity(centers, radii), ref_ball_dissimilarity(centers, radii))
+        assert_same(_signed_sq_gap(_distances(centers), radii),
+                    ref_ball_dissimilarity(centers, radii))
 
     def test_gen_euclidean_ball(self, n, seed):
         assert_same(gen_euclidean_ball(n, seed=seed), ref_gen_euclidean_ball(n, seed))

@@ -218,6 +218,18 @@ class TestCommands:
         assert report["stress_sq"] > 0
         assert out.read_text().splitlines()[0] == "60 6"
 
+    def test_landmark_with_no_axes_writes_empty_rows(self, tmp_path):
+        # an all-zero d has no eigenvalue on either side: k = 0, and every row is empty
+        inp = tmp_path / "z.txt"
+        write_matrix(inp, np.zeros((4, 4)), TEXT)
+        out = tmp_path / "lm.txt"
+        proc = run_cli("landmark", "--input", inp, "--k", 1, "--landmarks", 3, "--output", out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_bytes() == b"4 0\n\n\n"
+        report = json.loads((tmp_path / "lm.txt.report.json").read_text())
+        assert report["stress_sq"] == 0.0
+        assert [report[key] for key in ("c1", "c2", "c3", "avg_distortion")] == [None] * 4
+
 
 class TestExitCodes:
     def test_usage_error_is_two(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from neucmds.datasets import (
-    ball_dissimilarity,
+    _distances,
+    _signed_sq_gap,
     gen_euclidean_ball,
     gen_random_simplex,
     pairwise_sq,
@@ -61,14 +62,14 @@ class TestGenerators:
     def test_ball_zero_radii_is_euclidean(self):
         rng = np.random.default_rng(0)
         centers = rng.uniform(0, 100, size=(15, 10))
-        d = ball_dissimilarity(centers, np.zeros(15))
+        d = _signed_sq_gap(_distances(centers), np.zeros(15))
         np.testing.assert_allclose(d, pairwise_sq(centers), rtol=1e-12)
         lam = eig_sym(double_center(d)).eigenvalues
         assert lam.min() >= -1e-7 * max(1.0, lam.max())
 
     def test_overlapping_balls_negative_entry(self):
         centers = np.array([[0.0, 0.0], [1.0, 0.0]])
-        d = ball_dissimilarity(centers, np.array([1.0, 1.0]))
+        d = _signed_sq_gap(_distances(centers), np.array([1.0, 1.0]))
         assert d[0, 1] == -1.0  # gap -1 squared with sign
 
 

@@ -1,10 +1,10 @@
 """The block-at-a-time text writes and reads and the single-buffer binary
 format against the reference bodies they replaced.
 
-``format_rows`` joins the text of ``io._text_blocks``, the one generator
-every text writer sends: its header lines, then each block's rows, a run
-of non-empty rows formatted by the numpy ``%.17g`` kernel (``io._g17``),
-which hands the values it cannot prove to ``%`` one at a time.
+``io._text_blocks`` is the one generator every text writer sends: its
+header lines, then each block's rows, a run of non-empty rows formatted by
+the numpy ``%.17g`` kernel (``io._g17``), which hands the values it cannot
+prove to ``%`` one at a time.  The formatting tests join its output.
 ``parse_table`` converts a block of lines with one ``np.loadtxt`` call,
 which hands a block it rejects to the per-row path (``io._parse_rows``).
 The reference functions below are the per-element versions they replaced.
@@ -17,9 +17,11 @@ boundaries, with the per-row path taken exactly for the blocks
 ``np.loadtxt`` rejects and no warning raised, and every malformed table must
 fail with the reference's exact message.  The text writers send the file in
 blocks of rows; the file must be the reference text of the whole table.  A
-writer refuses a table with a count of 0, as its reader would, before it
-opens a temp file.  ``read_matrix`` decodes a text file line by line; it
-must split the lines and fail exactly as a decode of the whole file does.
+writer refuses a table its reader would refuse (a count of 0, a matrix that
+is not n x n, points that are not 2-d) before it opens a temp file, and
+``read_matrix`` refuses an unknown format before it opens the file.
+``read_matrix`` decodes a text file line by line; it must split the lines
+and fail exactly as a decode of the whole file does.
 Both text readers decode UTF-8 whatever the locale.
 """
 
@@ -44,7 +46,6 @@ from neucmds.embedding import Embedding
 from neucmds.io import (
     BINARY,
     MAGIC,
-    format_rows,
     parse_table,
     read_matrix,
     read_points,
@@ -111,6 +112,12 @@ def ref_binary(m):
 
 # ---------------------------------------------------------------- formatting
 
+def text_of(head, rows):
+    """The text of a table as every text writer sends it: ``io._text_blocks``
+    joined and decoded."""
+    return b"".join(io._text_blocks(head, rows)).decode()
+
+
 SPECIAL = np.array([
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e308, -1e308,
     1.7976931348623157e308, -1.7976931348623157e308, np.nan, np.inf, -np.inf,
@@ -130,12 +137,12 @@ def special_rows(rng, n, d):
 def test_format_rows_matches_reference(n, d):
     rows = special_rows(np.random.default_rng(n * 1000 + d), n, d)
     head = [f"{n} {d}"]
-    assert format_rows(head, rows) == ref_format_rows(head, rows)
+    assert text_of(head, rows) == ref_format_rows(head, rows)
 
 
 def test_format_rows_every_special_value():
     rows = [SPECIAL, SPECIAL[::-1], SPECIAL[:1]]
-    assert format_rows(["x"], rows) == ref_format_rows(["x"], rows)
+    assert text_of(["x"], rows) == ref_format_rows(["x"], rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -147,7 +154,7 @@ def test_format_rows_every_special_value():
 ], ids=["axis-row", "k0-embedding", "mixed", "runs", "no-rows"])
 def test_format_rows_empty_rows(rows):
     head = ["5 0", ""]
-    assert format_rows(head, rows) == ref_format_rows(head, rows)
+    assert text_of(head, rows) == ref_format_rows(head, rows)
 
 
 def test_format_rows_embedding_rows():
@@ -156,18 +163,18 @@ def test_format_rows_embedding_rows():
     axis_values = rng.normal(size=4)
     coords = special_rows(rng, 4, 30)
     rows = [axis_values, *coords]
-    assert format_rows(["30 4", "1 -1 1 -1"], rows) == ref_format_rows(["30 4", "1 -1 1 -1"], rows)
+    assert text_of(["30 4", "1 -1 1 -1"], rows) == ref_format_rows(["30 4", "1 -1 1 -1"], rows)
 
 
 def test_format_rows_one_column_points():
     p = special_rows(np.random.default_rng(4), 25, 1)
-    assert format_rows(["25 1"], p) == ref_format_rows(["25 1"], p)
+    assert text_of(["25 1"], p) == ref_format_rows(["25 1"], p)
 
 
 def test_format_rows_round_trips_bitwise():
     m = special_rows(np.random.default_rng(5), 30, 30)
     m[np.isnan(m)] = 0.0  # a parsed nan is the canonical one
-    parsed = parse_table(format_rows(["30"], m))
+    parsed = parse_table(text_of(["30"], m))
     assert parsed.tobytes() == m.tobytes()
 
 
@@ -176,7 +183,7 @@ def test_format_rows_round_trips_bitwise():
 def assert_percent_bytes(x):
     """One row of x formats to ``%``'s text, across ``io._CHUNK`` boundaries."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    assert format_rows([], [x]) == ref_format_rows([], [x])
+    assert text_of([], [x]) == ref_format_rows([], [x])
 
 
 @pytest.fixture
@@ -540,7 +547,7 @@ def test_bit_patterns_round_trip_through_blocks(shape, size, seed, specials):
     m = rng.integers(0, 2**64, size=(n, d), dtype=np.uint64).view(np.float64)
     mask = rng.random((n, d)) < specials
     m[mask] = rng.choice(BIT_SPECIALS, size=int(mask.sum()))
-    text = format_rows([str(n)] if d == n else [f"{n} {d}"], m)
+    text = text_of([str(n)] if d == n else [f"{n} {d}"], m)
     got = parse_table(text, square=d == n)
     assert got.tobytes() == ref_parse_table(text, square=d == n).tobytes()
     m[np.isnan(m)] = np.nan  # a parsed nan is the canonical one
@@ -745,23 +752,48 @@ def test_failed_text_write_leaves_the_old_file(tmp_path):
     assert path.read_bytes() == b"old"
 
 
-@pytest.mark.parametrize("write, table", [
-    (write_matrix, np.empty((0, 0))),
-    (lambda path, m: write_matrix(path, m, BINARY), np.empty((0, 0))),
-    (write_matrix, np.empty((3, 0))),
-    (write_points, np.empty((0, 3))),
-    (write_points, np.empty((3, 0))),
-], ids=["matrix-text-n0", "matrix-bin-n0", "matrix-no-columns", "points-n0", "points-d0"])
-def test_writers_refuse_a_count_their_readers_refuse(write, table, tmp_path, monkeypatch):
-    # a header count of 0 fails every reader, so it fails the writer before a temp file
+def write_bin(path, m):
+    write_matrix(path, m, BINARY)
+
+
+COUNT = "count must be positive, got shape {}"
+SQUARE = "expected an n x n matrix, got shape {}"
+TWO_D = "expected a 2-d (n, d) point cloud, got shape {}"
+
+
+@pytest.mark.parametrize("write, table, message", [
+    (write_matrix, np.empty((0, 0)), COUNT),
+    (write_bin, np.empty((0, 0)), COUNT),
+    (write_matrix, np.empty((3, 0)), COUNT),
+    (write_points, np.empty((0, 3)), COUNT),
+    (write_points, np.empty((3, 0)), COUNT),
+    (write_matrix, np.zeros((2, 3)), SQUARE),
+    (write_bin, np.zeros((2, 3)), SQUARE),
+    (write_matrix, np.zeros(4), SQUARE),
+    (write_bin, np.zeros((2, 2, 2)), SQUARE),
+    (write_points, np.zeros(4), TWO_D),
+    (write_points, np.zeros((2, 2, 2)), TWO_D),
+], ids=["matrix-text-n0", "matrix-bin-n0", "matrix-no-columns", "points-n0", "points-d0",
+        "matrix-text-2x3", "matrix-bin-2x3", "matrix-1d", "matrix-bin-3d", "points-1d",
+        "points-3d"])
+def test_writers_refuse_a_count_their_readers_refuse(write, table, message, tmp_path,
+                                                     monkeypatch):
+    # a header count of 0, a 2 x 3 matrix and a table that is not 2-d each fail their
+    # reader or have no header, so they fail the writer before a temp file
     def unreachable(*files):
-        raise AssertionError("a temp file was opened for a table with a count of 0")
+        raise AssertionError("a temp file was opened for a table its reader refuses")
 
     monkeypatch.setattr(io, "_write_files", unreachable)
     path = tmp_path / "t"
-    message = f"{path}: count must be positive, got shape {table.shape}"
+    message = f"{path}: {message.format(table.shape)}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write(path, table)
+
+
+def test_read_matrix_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "m.txt"  # no such file: the format is refused before the open
+    with pytest.raises(ValueError, match="^unknown matrix format 'bogus'$"):
+        read_matrix(path, "bogus")
 
 
 # ---------------------------------------------------------------- binary

@@ -3,12 +3,14 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import golden_run
 import neucmds
 
 # the child process imports the same package as the tests, installed or not
@@ -107,6 +109,24 @@ def test_benchmark_layer_names_match_the_package():
         names = vars(importlib.import_module(f"neucmds.{module}"))
         assert any(name.startswith(start) and _traced_function(module, name)
                    for name in names), f"no {module}.{start}* function"
+
+
+UNREACHED_CHECK = """
+import json, sys
+from pathlib import Path
+import golden_run
+print(json.dumps(golden_run.unreached(Path(sys.argv[1]))))
+"""
+
+
+def test_only_the_kept_functions_go_unreached():
+    # a function that no golden-run command enters stays only with a reason in KEPT,
+    # and an entry of KEPT that a command enters leaves the list.  A fresh process:
+    # here a cached function (io._tables) may already have run in another test
+    proc = subprocess.run([sys.executable, "-c", UNREACHED_CHECK, SRC],
+                          cwd=Path(golden_run.__file__).parent, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(set(json.loads(proc.stdout)) ^ golden_run.KEPT.keys()) == []
 
 
 SOLVERS = ("double_center", "eig_sym", "_eig_lower")
