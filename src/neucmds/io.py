@@ -20,7 +20,13 @@ on its own.  Parsing works one block of whole lines at a time, about
 tokens and ``float``'s values; a block it rejects (``1_0``, non-ASCII digits,
 a bad token or count) is converted by ``float`` one token at a time, which
 names the first failing line and column.  Text matrix and point files are
-decoded line by line, so a read holds the result and one block.  Binary
+decoded line by line, so a read holds the result and one block.  A text file
+above ``PARALLEL_BYTES`` is parsed by two processes (``_read_halves``) on
+Linux, with two CPUs in the affinity mask, before Python 3.12: a forked child
+parses the second half of the body into a shared anonymous map that backs the
+result, holding its half of the result, one block and the pages of this
+process it writes.  Any failure there, and any other case, reads the file
+in this process alone, so results and errors are the serial read's.  Binary
 files are read into the result array directly and written from the array's
 own buffer, with no second n*n copy; they are the format for large n.
 """
@@ -31,8 +37,11 @@ import errno
 import functools
 import itertools
 import json
+import mmap
 import os
+import signal
 import struct
+import sys
 
 import numpy as np
 
@@ -45,6 +54,8 @@ BINARY = "bin"
 
 TEXT_BLOCK_ROWS = 128
 TEXT_BLOCK_CHARS = 1 << 13  # text per np.loadtxt call of a read, unless one line is longer
+PARALLEL_BYTES = 3 << 19  # a larger text table is parsed by two processes (_read_halves)
+_COUNT_BYTES = 1 << 16  # bytes per read while counting the newlines before the split
 
 
 def _write_files(*files) -> None:
@@ -258,7 +269,17 @@ def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
     must be blank.
     """
     lines = iter(text.splitlines() if isinstance(text, str) else text)
-    first = next(lines, None)
+    n, d = _parse_head(next(lines, None), name, square)
+    first = list(itertools.islice(lines, 1))
+    if first:  # allocate once a row has shown d values: a header alone may ask any size
+        _split_row(first[0], 0, d, name)
+    return _parse_tail(np.empty((n, d)) if first else None, itertools.chain(first, lines), 0,
+                       n, name)
+
+
+def _parse_head(first, name: str, square: bool) -> tuple:
+    """The counts (n, d) of a table's first line, ``first``, which is None in an
+    empty file."""
     if first is None:
         raise ValueError(f"{name}: line 1: empty file")
     expected = "the matrix order" if square else "'n d'"
@@ -275,21 +296,29 @@ def parse_table(text, name: str = "matrix", square: bool = True) -> np.ndarray:
             ) from None
         if counts[-1] < 1:
             raise ValueError(f"{name}: line 1, column {j + 1}: count must be positive, got {tok}")
-    n, d = (counts[0], counts[0]) if square else counts
-    out, block, start, size, rows = None, [], 0, 0, 0
-    for rows, line in enumerate(itertools.islice(lines, n), 1):
-        if out is None:  # allocate once a row has shown d values: a header alone may ask any size
-            _split_row(line, 0, d, name)
-            out = np.empty((n, d))
+    return (counts[0], counts[0]) if square else tuple(counts)
+
+
+def _parse_span(out, lines, start: int, stop: int, name: str) -> int:
+    """Rows ``start:stop`` of out from as many lines, a block at a time; the
+    row the lines reached."""
+    block, first, size, rows = [], start, 0, start
+    for rows, line in enumerate(itertools.islice(lines, stop - start), start + 1):
         if block and size + len(line) > TEXT_BLOCK_CHARS:
-            _parse_block(out, block, start, name)
-            block, start, size = [], rows - 1, 0
+            _parse_block(out, block, first, name)
+            block, first, size = [], rows - 1, 0
         block.append(line)
         size += len(line)
         if not line or line.isspace():  # no values: np.loadtxt would skip the row, not fail it
-            _parse_rows(out, block, start, name)
+            _parse_rows(out, block, first, name)
     if block:
-        _parse_block(out, block, start, name)
+        _parse_block(out, block, first, name)
+    return rows
+
+
+def _parse_tail(out, lines, start: int, n: int, name: str):
+    """Rows ``start:n`` of out from lines, which must then hold only blank lines."""
+    rows = _parse_span(out, lines, start, n, name)
     if rows < n:
         raise ValueError(f"{name}: expected {n} rows, file has {rows}")
     for i, line in enumerate(lines, n + 2):
@@ -334,12 +363,28 @@ def _split_row(line: str, i: int, d: int, name: str) -> list:
     return parts
 
 
+def _decoded(raws):
+    """The lines of raw lines, each decoded as UTF-8 and split as ``str.splitlines`` splits."""
+    return (line for raw in raws for line in raw.decode().splitlines())
+
+
 def _read_table(fh, name: str, square: bool = True) -> np.ndarray:
     """``parse_table`` of a binary handle's lines, each decoded as UTF-8 as it is
     read.  A decode error anywhere in the file is the error, as the whole-file
-    decode it raises gives it, with the file offset."""
+    decode it raises gives it, with the file offset.  A file above
+    ``PARALLEL_BYTES`` is read by ``_read_halves`` where a second CPU is there
+    to run it, and again serially where that fails in any way, so the result
+    or error is always the serial read's."""
+    size = os.fstat(fh.fileno()).st_size
+    if size > PARALLEL_BYTES and _second_process_can_run():
+        try:
+            out = _read_halves(fh, size, name, square)
+        except (ValueError, OSError):
+            out = None
+        if out is not None:
+            return out
     fh.seek(0)
-    lines = (p for raw in fh for p in raw.decode().splitlines())
+    lines = _decoded(fh)
     try:
         try:
             return parse_table(lines, name=name, square=square)
@@ -351,6 +396,69 @@ def _read_table(fh, name: str, square: bool = True) -> np.ndarray:
         fh.seek(0)
         fh.read().decode()
         raise
+
+
+def _second_process_can_run() -> bool:
+    """Whether ``_read_halves`` may fork: on Linux, with two CPUs in this
+    process's affinity mask, and before Python 3.12, which warns when a
+    process with threads (OpenBLAS starts some) forks."""
+    return (sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _read_halves(fh, size: int, name: str, square: bool):
+    """The table of a file of ``size`` bytes parsed by two processes, or None
+    (or a ``ValueError`` or ``OSError``) where the serial read must run.
+
+    The body is split after the first newline from its middle on.  A
+    forked child parses the lines after the split, from its own handle of the
+    file, into rows ``r:`` of a shared anonymous map that backs the result,
+    where r counts the newlines before the split; meanwhile this process
+    parses rows ``:r`` from the lines before it.  The split holds only if each
+    half's lines are exactly its rows (and then blank lines, in the child's),
+    for ``str.splitlines`` also breaks a line at ``\\r``, ``\\x0c`` and others.
+    The child makes no BLAS call and leaves by ``os._exit``, with status 0
+    only when its half parsed; it is reaped on every path, and killed first
+    when this half fails.
+    """
+    fh.seek(0)
+    head = fh.readline().decode().splitlines()
+    if len(head) != 1:
+        return None
+    n, d = _parse_head(head[0], name, square)
+    body = fh.tell()
+    fh.seek((body + size) // 2)
+    fh.readline()
+    split = fh.tell()
+    if split >= size or 2 * n * d > size - body + 1:  # a value takes two bytes at least
+        return None
+    fh.seek(body)
+    rows = 0
+    while fh.tell() < split and (chunk := fh.read(min(split - fh.tell(), _COUNT_BYTES))):
+        rows += chunk.count(b"\n")
+    if rows >= n:
+        return None
+    out = np.frombuffer(mmap.mmap(-1, 8 * n * d), np.float64).reshape(n, d)
+    with open(f"/proc/self/fd/{fh.fileno()}", "rb") as tail:  # an offset of its own
+        tail.seek(split)
+        pid = os.fork()
+        if pid == 0:
+            parsed = False
+            try:
+                _parse_tail(out, _decoded(tail), rows, n, name)
+                parsed = True
+            finally:
+                os._exit(0 if parsed else 1)
+    parsed = False
+    try:
+        fh.seek(body)
+        lines = _decoded(itertools.islice(fh, rows))
+        parsed = _parse_span(out, lines, 0, rows, name) == rows and next(lines, None) is None
+    finally:
+        if not parsed:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    return out if parsed and status == 0 else None
 
 
 def _check_shape(path, a, square: bool) -> None:
@@ -407,7 +515,9 @@ def read_points(path) -> np.ndarray:
 
 def write_points(path, p: np.ndarray) -> None:
     """First line "n d", then the n rows of the n x d array p, as ``read_points``
-    reads them back bitwise."""
+    reads them back bitwise.  p is any array-like; an object array's entries are
+    converted as its rows are written."""
+    p = np.asarray(p)
     _check_shape(path, p, square=False)
     _write_files((path, _text_blocks([f"{p.shape[0]} {p.shape[1]}"], p)))
 

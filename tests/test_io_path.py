@@ -22,15 +22,22 @@ is not n x n, points that are not 2-d) before it opens a temp file, and
 ``read_matrix`` refuses an unknown format before it opens the file.
 ``read_matrix`` decodes a text file line by line; it must split the lines
 and fail exactly as a decode of the whole file does.
-Both text readers decode UTF-8 whatever the locale.
+Both text readers decode UTF-8 whatever the locale.  A text file above
+``io.PARALLEL_BYTES`` is read by two processes (``io._read_halves``), which
+must give the serial read's table or error in every case, fork at most
+once, leave no child, and fork not at all where it cannot run safely.
 """
 
+import errno
+import json
 import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -55,6 +62,7 @@ from neucmds.io import (
 )
 from neucmds.metrics import StressReport
 
+import golden_run
 from conftest import random_hollow
 
 
@@ -434,6 +442,7 @@ def paths(monkeypatch):
     gets, as two lists of lists of lines."""
     loaded, fallen = [], []
     loadtxt, rows = np.loadtxt, io._parse_rows
+    monkeypatch.setattr(io, "PARALLEL_BYTES", math.inf)  # a forked child's calls go unseen here
 
     def load(block, *args, **kwargs):
         loaded.append(list(block))
@@ -670,6 +679,14 @@ def test_short_line_read_holds_the_result_and_one_block(tmp_path):
     assert peak < p.nbytes + 8 * io.TEXT_BLOCK_CHARS < 1.5 * size + p.nbytes
 
 
+@pytest.mark.parametrize("bounded", [test_text_read_holds_the_result_and_one_line,
+                                     test_short_line_read_holds_the_result_and_one_block])
+def test_serial_read_holds_the_result_and_one_block(bounded, tmp_path, monkeypatch):
+    # tracemalloc does not see the shared map of a two-process read's result
+    monkeypatch.setattr(io, "PARALLEL_BYTES", math.inf)
+    bounded(tmp_path)
+
+
 # Python's UTF-8 mode and locale coercion off: the locale decodes ASCII only
 ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
 READ_BOTH = """
@@ -699,6 +716,312 @@ def test_points_decode_error_names_the_file_offset(tmp_path):
     path.write_bytes(b"2 1\n1\n\xff\n")
     with pytest.raises(UnicodeDecodeError, match="in position 6:"):
         read_points(path)
+
+
+# ---------------------------------------------------------------- text reader: two processes
+
+def serial_outcome(read, path):
+    """``outcome`` of the serial read of path."""
+    keep = io.PARALLEL_BYTES
+    io.PARALLEL_BYTES = math.inf
+    try:
+        return outcome(read, path)
+    finally:
+        io.PARALLEL_BYTES = keep
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Every text read tries ``io._read_halves`` (the size threshold 0).  The
+    list of what the reads did, in order: "fork" for each fork, "serial" for
+    each read in this process alone (a call of ``parse_table``)."""
+    if not io._second_process_can_run():
+        pytest.skip("the two-process read runs on Linux, with two CPUs, before Python 3.12")
+    events = []
+    fork, parse = os.fork, io.parse_table
+
+    def noting_fork():
+        events.append("fork")
+        return fork()
+
+    def noting_parse(*args, **kwargs):
+        events.append("serial")
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(io, "PARALLEL_BYTES", 0)
+    monkeypatch.setattr(os, "fork", noting_fork)
+    monkeypatch.setattr(io, "parse_table", noting_parse)
+    return events
+
+
+TWO = ["fork"]  # parsed by two processes
+AGAIN = ["fork", "serial"]  # the split failed: read again in this process
+ONE = ["serial"]  # no fork
+
+
+def assert_same_read(path, reads, want=TWO, read=read_matrix):
+    """The read of path tried through two processes is the serial read, its
+    table bitwise or its error; it did what ``want`` says (None: any of the
+    three), and left no child."""
+    got = outcome(read, path)
+    assert reads == want if want is not None else reads in (TWO, AGAIN, ONE)
+    assert_no_child()
+    assert got == serial_outcome(read, path)
+    return got
+
+
+def split_table(n, after=None, seed=0, breaks="\n", end="\n"):
+    """The text of an n x n table whose body splits after row ``after``: the
+    middle of the body lies in that row's leading blanks."""
+    rows = [" ".join("%.17g" % v for v in row)
+            for row in special_rows(np.random.default_rng(seed), n, n)]
+    if after:
+        rows[after - 1] = " " * 4096 + rows[after - 1]
+    return str(n) + breaks + breaks.join(rows) + end
+
+
+@pytest.mark.parametrize("end", ["", "\n"], ids=["no-final-newline", "final-newline"])
+@pytest.mark.parametrize("n, after", [(2, 1), (3, 1), (3, 2), (6, 1), (6, 3), (6, 5), (40, 20)])
+def test_two_process_read_around_the_split(n, after, end, reads, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(split_table(n, after, seed=n + after, end=end).encode())
+    assert assert_same_read(path, reads)[0] == "ok"
+
+
+def edit_line(text, i, line=None, end=None):
+    """text with line i (0 the header) replaced by ``line``, or its newline by ``end``."""
+    lines = text.split("\n")
+    if line is not None:
+        lines[i] = line
+    if end is not None:
+        lines[i:i + 2] = [lines[i] + end + lines[i + 1]]
+    return "\n".join(lines)
+
+
+SPLIT = split_table(6, 3)  # rows 1-3 in this process, 4-6 in the child
+
+
+@pytest.mark.parametrize("text, want", [
+    (split_table(6, 3, breaks="\r\n", end="\r\n"), TWO),
+    (SPLIT + "\n \t\n\xa0\n\x0c\n", TWO),              # blank lines after the rows
+    (split_table(6) + "\n" * 5000, ONE),              # the split among them
+    (edit_line(SPLIT, 1, end="\x0c"), AGAIN),         # a line break that is no newline ...
+    (edit_line(SPLIT, 2, end="\r"), AGAIN),
+    (edit_line(SPLIT, 5, end="\u2028"), TWO),        # ... in either half
+    (edit_line(SPLIT, 3, end="\x0c\n"), AGAIN),       # a blank row from one, in the first half
+    (edit_line(SPLIT, 5, end="\r\r\n"), AGAIN),       # ... in the second
+    (edit_line(SPLIT, 0, end="\x0c"), ONE),           # the header line holds a row
+    (edit_line(SPLIT, 0, str(10 ** 15)), ONE),        # a header count the file cannot hold
+    (edit_line(SPLIT, 1, "0 1_0 2 3 4 5"), TWO),      # a token np.loadtxt rejects ...
+    (edit_line(SPLIT, 6, "1_0 2 3 4 5 0"), TWO),      # ... in either half
+    (edit_line(SPLIT, 1, "0\xa01 2 3 4 5"), TWO),     # NBSP in the first half
+    (edit_line(SPLIT, 6, "1 2 3 4 5\xa00"), TWO),     # ... in the second
+], ids=["crlf", "trailing-blanks", "split-in-trailing-blanks", "form-feed-first", "cr-first",
+        "line-separator-second", "blank-row-first", "blank-row-second", "row-in-header",
+        "huge-count", "underscore-first", "underscore-second", "nbsp-first", "nbsp-second"])
+def test_two_process_read_is_the_serial_read(text, want, reads, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    assert_same_read(path, reads, want)
+
+
+def test_two_process_read_of_lines_longer_than_a_block(reads, tmp_path):
+    m = special_rows(np.random.default_rng(16), 500, 500)
+    path = tmp_path / "m.txt"
+    write_matrix(path, m)
+    assert min(map(len, path.read_text().splitlines()[1:])) > io.TEXT_BLOCK_CHARS
+    assert assert_same_read(path, reads)[0] == "ok"
+
+
+@pytest.mark.parametrize("n, d", [(5000, 1), (300, 40)])
+def test_two_process_points_read_is_the_serial_read(n, d, reads, tmp_path):
+    path = tmp_path / "p.txt"
+    write_points(path, special_rows(np.random.default_rng(n), n, d))
+    assert assert_same_read(path, reads, read=read_points)[0] == "ok"
+
+
+@pytest.mark.parametrize("row", [1, 6], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("defect", [
+    "0 1 2 x 4 5",        # a bad token
+    "",                   # a blank row
+    " \t",                # a whitespace-only row
+    "0 1 2",              # a short row
+    "0 1 2 3 4 5 6",      # a long row
+    "0 1 2 3 4 \udcff",   # an undecodable byte
+])
+def test_a_failing_half_gives_the_serial_error(defect, row, reads, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(edit_line(SPLIT, row, defect).encode("utf-8", "surrogateescape"))
+    assert assert_same_read(path, reads, AGAIN)[0] != "ok"
+
+
+@pytest.mark.parametrize("name", sorted(golden_run.INPUTS))
+def test_golden_inputs_read_as_the_serial_read(name, reads, tmp_path):
+    path = tmp_path / name
+    text = golden_run.INPUTS[name]
+    path.write_bytes(text.encode())
+    square = len(text.splitlines()[0].split()) == 1
+    assert_same_read(path, reads, want=None, read=read_matrix if square else read_points)
+
+
+def in_child(parent, act):
+    """A stand-in for ``io._parse_tail`` that runs ``act`` in the child and the
+    real function in this process."""
+    parse_tail = io._parse_tail
+
+    def stand_in(*args):
+        if os.getpid() != parent:
+            act()
+        return parse_tail(*args)
+
+    return stand_in
+
+
+def raise_runtime_error():
+    raise RuntimeError("in the child")
+
+
+@pytest.mark.parametrize("act", [
+    lambda: os._exit(3),
+    lambda: os.kill(os.getpid(), signal.SIGKILL),
+    raise_runtime_error,
+], ids=["exit-3", "sigkill", "raises"])
+def test_a_failing_child_gives_the_serial_read(act, reads, tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_parse_tail", in_child(os.getpid(), act))
+    path = tmp_path / "m.txt"
+    path.write_bytes(SPLIT.encode())
+    assert assert_same_read(path, reads, AGAIN)[0] == "ok"
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError, RuntimeError])
+def test_a_failing_parent_kills_and_reaps_the_child(error, reads, tmp_path, monkeypatch):
+    # the child would sleep for ten minutes: the read ends at once only if it is killed
+    parent = os.getpid()
+    monkeypatch.setattr(io, "_parse_tail", in_child(parent, lambda: time.sleep(600)))
+    parse_span, raised = io._parse_span, []
+
+    def failing_once(*args):
+        if not raised:
+            raised.append(1)
+            raise error("in this process")
+        return parse_span(*args)
+
+    monkeypatch.setattr(io, "_parse_span", failing_once)
+    path = tmp_path / "m.txt"
+    path.write_bytes(SPLIT.encode())
+    start = time.monotonic()
+    if error is RuntimeError:  # not a read failure: it propagates
+        with pytest.raises(RuntimeError, match="in this process"):
+            read_matrix(path)
+        assert reads == TWO
+        assert_no_child()
+    else:  # then the serial read
+        assert assert_same_read(path, reads, AGAIN)[0] == "ok"
+    assert time.monotonic() - start < 60
+
+
+def test_a_failing_fork_gives_the_serial_read(tmp_path, monkeypatch):
+    def failing():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(io, "PARALLEL_BYTES", 0)
+    monkeypatch.setattr(os, "fork", failing)
+    path = tmp_path / "m.txt"
+    path.write_bytes(SPLIT.encode())
+    got = outcome(read_matrix, path)
+    assert got == serial_outcome(read_matrix, path) and got[0] == "ok"
+
+
+def forbidden():
+    raise AssertionError("the read forked")
+
+
+@pytest.mark.parametrize("guard", [
+    lambda m: m.setattr(sys, "version_info", (3, 12, 0, "final", 0)),
+    lambda m: m.setattr(os, "sched_getaffinity", lambda pid: {0}),
+    lambda m: m.delattr(os, "sched_getaffinity"),
+], ids=["python-3.12", "one-cpu", "no-affinity-mask"])
+def test_no_fork_where_the_second_process_cannot_run(guard, tmp_path, monkeypatch):
+    # from Python 3.12 a fork in a process with threads (OpenBLAS's) warns
+    path = tmp_path / "m.txt"
+    path.write_bytes(SPLIT.encode())
+    want = serial_outcome(read_matrix, path)
+    monkeypatch.setattr(io, "PARALLEL_BYTES", 0)
+    monkeypatch.setattr(os, "fork", forbidden)
+    guard(monkeypatch)
+    assert outcome(read_matrix, path) == want
+
+
+def test_small_files_read_in_one_process(tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    path.write_bytes(SPLIT.encode())
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(io, "PARALLEL_BYTES", path.stat().st_size)
+    assert outcome(read_matrix, path)[0] == "ok"
+
+
+# the child's high-water RSS above this process's RSS at the fork
+CHILD_PEAK = """
+import json, resource, sys
+import numpy as np
+from neucmds import io
+n = int(sys.argv[2])
+io.write_matrix(sys.argv[1], np.random.default_rng(17).normal(size=(n, n)))
+fork, at_fork = io.os.fork, []
+
+def noting():
+    with open("/proc/self/status") as fh:
+        at_fork.extend(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+    return fork()
+
+io.os.fork = noting
+m = io.read_matrix(sys.argv[1])
+print(json.dumps([at_fork, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, m.nbytes]))
+"""
+
+
+def test_the_child_holds_its_half_of_the_result_and_one_block(tmp_path):
+    # the child's half of the result is a shared map that this process maps too;
+    # past it the child holds one block of text and its parse, and the pages of
+    # this process's heap it writes, which were resident already
+    if not io._second_process_can_run():
+        pytest.skip("the two-process read runs on Linux, with two CPUs, before Python 3.12")
+    src = str(Path(io.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD_PEAK, str(tmp_path / "m.txt"), "1000"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    (at_fork,), child_peak, nbytes = json.loads(proc.stdout)
+    assert 1024 * (child_peak - at_fork) < nbytes / 2 + 4 * 2**20
+
+
+# an embed above the size threshold, in an interpreter that makes each warning an error
+WARNING_FREE = """
+import resource, sys
+from neucmds import cli, io
+assert cli.main(["embed", "--input", sys.argv[1], "--k", "3", "--output", sys.argv[2]]) == 0
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0, io._second_process_can_run())
+"""
+
+
+def test_two_process_embed_is_warning_free(tmp_path):
+    # Python 3.12 warns on a fork in a process with threads, and OpenBLAS starts threads
+    path = tmp_path / "d.txt"
+    write_matrix(path, random_hollow(np.random.default_rng(18), 300))
+    assert path.stat().st_size > io.PARALLEL_BYTES
+    src = str(Path(io.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", WARNING_FREE, str(path),
+                           str(tmp_path / "e.txt")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    forked, can_fork = proc.stdout.split()
+    assert forked == can_fork
 
 
 # ---------------------------------------------------------------- text writers
@@ -739,6 +1062,12 @@ def test_embedding_write_is_the_reference_bytes(k, tmp_path):
     head = [f"{n} {k}", " ".join(str(int(s)) for s in emb.signature)]
     want = ref_format_rows(head, [axis_values, *emb.coords])
     assert path.read_bytes() == want.encode()
+
+
+def test_points_write_takes_a_list_of_rows(tmp_path):
+    rows = [[0.1, -2.5], [1e300, 3.0]]
+    write_points(tmp_path / "p.txt", rows)
+    assert read_points(tmp_path / "p.txt").tobytes() == np.array(rows).tobytes()
 
 
 def test_failed_text_write_leaves_the_old_file(tmp_path):
