@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-BLOCK = 128  # row strip of the n x n checks, constructions and pair metrics
+# row strip of the n x n constructions and pair metrics, and the side of the
+# tiles the input checks compare with their mirrors
+BLOCK = 128
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -50,14 +52,28 @@ def _check_sigma(sigma) -> float:
     return sigma
 
 
+def _tile_pairs(m: np.ndarray):
+    """Each upper tile ``m[i0:i0+BLOCK, j0:j0+BLOCK]``, j0 >= i0, with its mirror
+    tile ``m[j0:j0+BLOCK, i0:i0+BLOCK]``.  The two fit in cache, where a strip
+    of rows compared with its column strip reads across all n rows."""
+    n = m.shape[0]
+    for i0 in range(0, n, BLOCK):
+        for j0 in range(i0, n, BLOCK):
+            yield m[i0:i0 + BLOCK, j0:j0 + BLOCK], m[j0:j0 + BLOCK, i0:i0 + BLOCK]
+
+
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
     """Require exact (bitwise) symmetry; our constructors guarantee it.
 
-    Compares each strip of ``BLOCK`` rows from the diagonal on with the
-    matching column strip, so no call builds an n x n temporary; a NaN
-    anywhere fails.  The first failing strip names m's first asymmetric entry
-    in row-major order, which lies on or above the diagonal.
+    Compares each upper tile with its mirror (``_tile_pairs``), so no call
+    builds more than one tile's temporary; a NaN anywhere fails.  Only a
+    failed walk reads strips of ``BLOCK`` rows from the diagonal on, each
+    compared with the matching column strip: the first failing strip names
+    m's first asymmetric entry in row-major order, which lies on or above the
+    diagonal.
     """
+    if all((u == l.T).all() for u, l in _tile_pairs(m)):
+        return
     for i0 in range(0, m.shape[0], BLOCK):
         same = m[i0:i0 + BLOCK, i0:] == m[i0:, i0:i0 + BLOCK].T
         if not same.all():
@@ -69,19 +85,27 @@ def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
 
 
 def check_dissimilarity(d, name: str = "dissimilarity matrix") -> np.ndarray:
-    """Validate a finite hollow symmetric matrix and return it as float64."""
+    """Validate a finite hollow symmetric matrix and return it as float64.
+
+    One walk of ``_tile_pairs`` tests each upper tile for finiteness and for
+    equality with its mirror, which carries finiteness across (a NaN fails
+    ``==``); then the diagonal must be zero.  Only if a test fails do strips
+    of ``BLOCK`` rows name the first failure: a non-finite entry, in
+    row-major order, then ``check_symmetric``'s asymmetric one, then a nonzero
+    diagonal entry.
+    """
     d = as_square_matrix(d, name)
+    if (all(np.isfinite(u).all() and (u == l.T).all() for u, l in _tile_pairs(d))
+            and not np.diagonal(d).any()):
+        return d
     for i0 in range(0, d.shape[0], BLOCK):
         finite = np.isfinite(d[i0:i0 + BLOCK])
         if not finite.all():
             i, j = divmod(i0 * d.shape[1] + int(finite.argmin()), d.shape[1])
             raise ValueError(f"{name} has a non-finite entry: ({i},{j}) is {float(d[i, j])}")
     check_symmetric(d, name)
-    bad = np.flatnonzero(np.diagonal(d))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"{name} is not hollow: diagonal entry {i} is {float(d[i, i])}")
-    return d
+    i = int(np.flatnonzero(np.diagonal(d))[0])
+    raise ValueError(f"{name} is not hollow: diagonal entry {i} is {float(d[i, i])}")
 
 
 def mirror_upper_inplace(a: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 29 commands that succeed and 25 that fail with ``python -m neucmds.cli``
+Runs 29 commands that succeed and 26 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src`` (by default the one beside this
 script), in a new empty directory, with one BLAS thread (results are not
 bitwise identical across thread counts).  It then prints one sorted line per
-record: the sha256 of every file left in the directory (55 files), and the
-exit code and stderr of every command (109 records in all).  Two trees give
+record: the sha256 of every file left in the directory (56 files), and the
+exit code and stderr of every command (111 records in all).  Two trees give
 the same output exactly when the CLI is byte-identical on this set.  A
 refactor is checked with
 
@@ -43,6 +43,16 @@ import tempfile
 import types
 from pathlib import Path
 
+
+def tiles_text():
+    """A 300-point |i - j| table but for an asymmetric entry at (5, 259), in tile
+    pair (0, 2) of the input check's 128-wide walk, and a nan at (260, 1), in a
+    later row of that pair's mirror tile: the message names the nan."""
+    cell = {(5, 259): "7.5", (260, 1): "nan"}
+    return "300\n" + "".join(" ".join(cell.get((i, j), str(abs(i - j))) for j in range(300)) + "\n"
+                             for i in range(300))
+
+
 INPUTS = {
     "x-asym.txt": "2\n0 1\n2 0\n",
     "x-tok.txt": "3\n0 1 2\n1 0 zz\n2 3 0\n",
@@ -58,6 +68,7 @@ INPUTS = {
                                   for i in range(8)),
     # no eigenvalue on either side: a k=0 landmark embedding of bare newline rows
     "x-zero4.txt": "4\n" + "0 0 0 0\n" * 4,
+    "x-tiles.txt": tiles_text(),
 }
 
 COMMANDS = [
@@ -104,6 +115,7 @@ ERROR_COMMANDS = [
     "embed --input x-blank.txt --k 1 --output err.txt",
     "embed --input x-trail.txt --k 1 --output err.txt",
     "embed --input x-big.txt --k 1 --output err.txt",
+    "embed --input x-tiles.txt --k 1 --output err.txt",  # bad entries past the first tile
     "embed --input x-short.bin --k 1 --output err.txt",
     "embed --input x-magic.bin --k 1 --output err.txt",  # read as text: a decode error
     "embed --input x-zero.bin --k 1 --output err.txt",  # a binary header with n = 0

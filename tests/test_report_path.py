@@ -539,9 +539,10 @@ def symmetry_message(check, m):
 
 
 def asymmetric_cases():
-    """(n, entries given m[i, j] += 1) for each spot the strips treat apart,
-    at every n where the spot exists."""
-    for n in (2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5):
+    """(n, entries given m[i, j] += 1) for each spot the strips or the tile walk
+    treat apart, at every n where the spot exists; at 3 BLOCK + 1 the last tile
+    is one wide."""
+    for n in (2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, 3 * BLOCK + 1):
         spots = {
             "lower": [(n - 1, 0)],
             "upper": [(0, n - 1)],
@@ -551,6 +552,8 @@ def asymmetric_cases():
             "strip boundary, lower": [(BLOCK, BLOCK - 1)],
             # the row-major first mismatch, (1, n-1), mirrors the lower entry
             "two pairs": [(n - 1, 1), (2, n - 2)],
+            # the walk stops in tile pair (0, 0); the message names (3, 2 BLOCK + 1)
+            "walk order": [(5, 7), (3, 2 * BLOCK + 1)],
         }
         for where, entries in spots.items():
             if max(map(max, entries)) < n:
@@ -570,12 +573,20 @@ def test_check_symmetric_names_the_parents_entry(n, spots):
         assert symmetry_message(lambda b: eig_sym(b, vectors), m) == want
 
 
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
-def test_symmetric_input_passes(n):
+@pytest.mark.parametrize("n, zeros", [
+    *(pytest.param(n, [], id=str(n)) for n in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1)),
+    # an upper -0.0 mirrored by +0.0 compares equal
+    pytest.param(3 * BLOCK + 1, [(5, 2 * BLOCK + 3)], id=f"{3 * BLOCK + 1}-signed zero"),
+])
+def test_symmetric_input_passes(n, zeros):
     m = random_hollow(np.random.default_rng(n), n)
+    for i, j in zeros:
+        m[i, j], m[j, i] = -0.0, 0.0
+    f = np.asfortranarray(m)
     check_symmetric(m)
-    check_symmetric(np.asfortranarray(m))
+    check_symmetric(f)
     assert check_dissimilarity(m) is m
+    assert check_dissimilarity(f) is f
 
 
 @pytest.mark.parametrize("n, spots", [
@@ -600,12 +611,18 @@ def test_nan_matrix_is_not_symmetric(n, spots):
     (BLOCK + 1, [(BLOCK, 0)]),
     (BLOCK + 1, [(BLOCK, BLOCK - 1), (BLOCK - 1, BLOCK)]),
     (2 * BLOCK + 5, [(2 * BLOCK + 4, 1), (BLOCK + 1, 2 * BLOCK), (2 * BLOCK, 0)]),
+    # below, the walk stops in another tile pair than the named entry's, or for another
+    # reason; a spot (i, j, x) sets the finite x, an asymmetry
+    (3 * BLOCK + 1, [(100, 50), (2, 3 * BLOCK)]),  # the last tile is one wide
+    (3 * BLOCK + 1, [(5, 2 * BLOCK + 3, 7.5), (2 * BLOCK + 4, 1)]),
+    (3 * BLOCK + 1, [(5, 7), (7, 5), (3, 2 * BLOCK + 1), (2 * BLOCK + 1, 3)]),  # symmetric pairs
+    (3 * BLOCK + 1, [(2 * BLOCK + 6, 4), (2 * BLOCK + 5, 2 * BLOCK + 5)]),  # on the diagonal
 ])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_check_dissimilarity_names_the_first_non_finite_entry(n, spots, value):
     m = random_hollow(np.random.default_rng(n), n)
-    for i, j in spots:
-        m[i, j] = value
+    for i, j, *finite in spots:
+        m[i, j] = finite[0] if finite else value
     want = symmetry_message(whole_check_dissimilarity, m)
     assert "non-finite entry" in want
     assert symmetry_message(check_dissimilarity, m) == want
@@ -662,6 +679,17 @@ GUARD_CASES = ["check_symmetric", "check_dissimilarity", "negativity_stats",
 def test_strip_functions_stay_within_their_memory_bound(case):
     strip_fn, _, args, bound = guard_case(case)
     assert traced_peak(strip_fn, *args) < bound
+
+
+@pytest.mark.parametrize("check", [check_symmetric, check_dissimilarity],
+                         ids=["check_symmetric", "check_dissimilarity"])
+def test_input_checks_hold_one_tile_pair_at_any_n(check):
+    # a valid input takes the tile walk alone, whose temporaries do not grow with n;
+    # a strip of BLOCK rows against its column strip held BLOCK n bools and more
+    small, large = (traced_peak(check, random_hollow(np.random.default_rng(n), n))
+                    for n in (GUARD_N, 3 * GUARD_N))
+    assert abs(large - small) <= 4096
+    assert large < BLOCK * 3 * GUARD_N
 
 
 # with every pair qualifying, the two float buffers dominate and the whole
