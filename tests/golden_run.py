@@ -1,11 +1,11 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 29 commands that succeed and 26 that fail with ``python -m neucmds.cli``
+Runs 32 commands that succeed and 28 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src`` (by default the one beside this
 script), in a new empty directory, with one BLAS thread (results are not
 bitwise identical across thread counts).  It then prints one sorted line per
-record: the sha256 of every file left in the directory (56 files), and the
-exit code and stderr of every command (111 records in all).  Two trees give
+record: the sha256 of every file left in the directory (59 files), and the
+exit code and stderr of every command (119 records in all).  Two trees give
 the same output exactly when the CLI is byte-identical on this set.  A
 refactor is checked with
 
@@ -94,6 +94,10 @@ COMMANDS = [
     "sweep --input d.txt --k-list 1:10:3 --output sw.csv",
     "sweep --input b.bin --format bin --k-list 2:8:2 --methods cmds,neuc --output swb.csv",
     "sweep --input pm.bin --k-list 1:5 --output swpm.csv",
+    # B all zeros: each row pins the sign of its zeros
+    "sweep --input x-zero4.txt --k-list 1:3 --output sw0.csv",
+    "select --input x-zero4.txt --k 1 --output s0.json",
+    "select --input b.bin --format bin --k 3 --output sb.json",
     "landmark --input d.txt --k 3 --landmarks 12 --seed 2 --output lm1.txt",
     "landmark --input b.bin --k 2 --landmarks 10 --method cmds --seed 5 --output lm2.txt",
     "landmark --input x-zero4.txt --k 1 --landmarks 3 --output lm0.txt",
@@ -115,6 +119,8 @@ ERROR_COMMANDS = [
     "embed --input x-blank.txt --k 1 --output err.txt",
     "embed --input x-trail.txt --k 1 --output err.txt",
     "embed --input x-big.txt --k 1 --output err.txt",
+    "sweep --input x-big.txt --k-list 1 --output err.txt",  # centering overflow: exit 4
+    "select --input x-big.txt --k 1 --output err.txt",
     "embed --input x-tiles.txt --k 1 --output err.txt",  # bad entries past the first tile
     "embed --input x-short.bin --k 1 --output err.txt",
     "embed --input x-magic.bin --k 1 --output err.txt",  # read as text: a decode error
