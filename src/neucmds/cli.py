@@ -78,8 +78,9 @@ def cmd_embed(args) -> None:
 
 
 def cmd_select(args) -> None:
-    d = read_matrix(args.input, args.format)
-    dec, [(k, method)] = spectrum(d, [(args.k, args.method)], args.input, vectors=False)
+    # d is not read again: B is written over it
+    dec, [(k, method)] = spectrum(read_matrix(args.input, args.format), [(args.k, args.method)],
+                                  args.input, vectors=False, overwrite=True)
     sel = select(dec.eigenvalues, k, method)
     write_json(args.output, {
         "method": sel.mode,
@@ -116,7 +117,8 @@ def cmd_perturb(args) -> None:
 def cmd_sweep(args) -> None:
     methods = _parse_list(args.methods, "--methods", normalize_method)
     k_list = _parse_k_list(args.k_list)
-    entries = sweep(read_matrix(args.input, args.format), k_list, methods, name=args.input)
+    entries = sweep(read_matrix(args.input, args.format), k_list, methods, name=args.input,
+                    overwrite=True)
     header = ["k", "method", *(f.name for f in fields(StressReport))]
     rows = [[e.k, e.method, *e.report.to_dict().values()] for e in entries]
     write_csv(args.output, header, rows)

@@ -68,19 +68,24 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
     return Embedding(coords, signature, axis_values, axis_indices, split)
 
 
-def spectrum(d, grid, name: str = "dissimilarity matrix", vectors: bool = True):
-    """The one way into the eigensolve.  Validate and double-center d, check each
-    (k, method) pair of ``grid`` in turn, its method and then its k against the
-    order of d, and only then solve its mirrored B (eigenvalues alone unless ``vectors``).
-    ``grid`` is read once, so a bad pair fails before any later pair is drawn.
-    Returns the decomposition and the checked grid, each k an int and each
-    method normalized.  ``name`` is what validation errors call the input."""
-    b = double_center(d, name)
+def spectrum(d, grid, name: str = "dissimilarity matrix", vectors: bool = True,
+             overwrite: bool = False):
+    """The one way into the eigensolve.  Validate d and write B's upper triangle
+    alone (``double_center(..., mirror=False)``), check each (k, method) pair
+    of ``grid`` in turn, its method and then its k against the order of d,
+    and only then solve ``B.T``, whose lower triangle is the one LAPACK reads
+    (eigenvalues alone unless ``vectors``).  ``grid`` is read once, so a bad
+    pair fails before any later pair is drawn.  Returns the decomposition and
+    the checked grid, each k an int and each method normalized.  ``name`` is
+    what validation errors call the input.  ``overwrite`` writes B into d
+    itself, as ``double_center`` does: the ``select`` and ``sweep`` commands
+    set it, as they never read d again; a caller that does keeps the default."""
+    b = double_center(d, name, overwrite, mirror=False)
     checked = []
     for k, method in grid:
         method = normalize_method(method)
         checked.append((_check_k(k, b.shape[0]), method))
-    return _eig_lower(b, vectors), checked
+    return _eig_lower(b.T, vectors), checked
 
 
 def embed(d, k: int, method: str = NEUC, name: str = "dissimilarity matrix") -> Embedding:
@@ -115,13 +120,16 @@ class SweepEntry:
     report: StressReport
 
 
-def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix") -> list[SweepEntry]:
+def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix",
+          overwrite: bool = False) -> list[SweepEntry]:
     """Stress reports over a (k, method) grid sharing one eigendecomposition.
 
     Every row comes from the spectrum alone (``metrics.spectral_reports``),
     with no d_hat; ``avg_distortion`` and ``neg_dissim_count`` are None on
     every row.  ``name`` is what validation errors call the input.
+    ``overwrite`` lets ``spectrum`` write B into d itself, for a caller that
+    never reads d again; the default leaves d unchanged.
     """
     methods = list(methods)
-    dec, grid = spectrum(d, ((k, m) for k in k_list for m in methods), name)
+    dec, grid = spectrum(d, ((k, m) for k in k_list for m in methods), name, overwrite=overwrite)
     return [SweepEntry(k, m, rep) for (k, m), rep in zip(grid, spectral_reports(dec, grid))]

@@ -3,8 +3,9 @@
 The generators, the perturbations, ``double_center`` and ``mirror_upper``
 build their result in one buffer (the GEMM output where there is one) and
 mirror its upper triangle in place, tile by tile.  The ``ref_*`` functions
-below are the straightforward versions they replaced; every result must
-match them bitwise, with the same dtype and C layout.
+below, and ``oracle.ref_double_center``, are the straightforward versions
+they replaced; every result must match them bitwise, with the same dtype
+and C layout.
 """
 
 import tracemalloc
@@ -28,7 +29,7 @@ from neucmds.datasets import (
 from neucmds.linalg import BLOCK, double_center
 
 from conftest import random_hollow
-from oracle import mirror_upper
+from oracle import mirror_upper, ref_double_center
 
 SIZES = [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 600]
 SEEDS = [0, 5, 2**31 + 3]
@@ -39,12 +40,6 @@ SEEDS = [0, 5, 2**31 + 3]
 def ref_mirror_upper(m):
     upper = np.triu(m)
     return upper + np.triu(m, 1).T
-
-
-def ref_double_center(d):
-    row = d.mean(axis=1, keepdims=True)
-    b = -0.5 * (d - row - row.T + d.mean())
-    return ref_mirror_upper(b)
 
 
 def ref_pairwise_sq(x):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neucmds.embedding import embed
+from neucmds.embedding import embed, spectrum, sweep
 from neucmds.linalg import check_dissimilarity, double_center, eig_sym
 
 from conftest import random_hollow
@@ -77,8 +77,16 @@ class TestDoubleCenter:
         # a finite input whose row means overflow must not surface as a symmetry error
         d = np.full((3, 3), 1e308)
         np.fill_diagonal(d, 0.0)
-        with pytest.raises(FloatingPointError, match="double centering overflowed"):
-            double_center(d)
+        for overwrite in (False, True):
+            a = d.copy()
+            with pytest.raises(FloatingPointError, match="double centering overflowed"):
+                double_center(a, overwrite=overwrite)
+            # the means overflow before the first write
+            assert a.tobytes() == d.tobytes()
+            for call in (lambda: spectrum(a, [(1, "neuc")], vectors=False, overwrite=overwrite),
+                         lambda: sweep(a, [1], overwrite=overwrite)):
+                with pytest.raises(FloatingPointError, match="double centering overflowed"):
+                    call()
         with pytest.raises(FloatingPointError, match="overflow"):
             embed(d, 1, "neuc")
         # large entries that do not overflow still center
