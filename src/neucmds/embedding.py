@@ -70,22 +70,21 @@ def embed_from_decomposition(dec: SpectralDecomposition, k: int, method: str) ->
 
 def spectrum(d, grid, name: str = "dissimilarity matrix", vectors: bool = True,
              overwrite: bool = False):
-    """The one way into the eigensolve.  Validate d and write B's upper triangle
-    alone (``double_center(..., mirror=False)``), check each (k, method) pair
-    of ``grid`` in turn, its method and then its k against the order of d,
-    and only then solve ``B.T``, whose lower triangle is the one LAPACK reads
-    (eigenvalues alone unless ``vectors``).  ``grid`` is read once, so a bad
-    pair fails before any later pair is drawn.  Returns the decomposition and
-    the checked grid, each k an int and each method normalized.  ``name`` is
-    what validation errors call the input.  ``overwrite`` writes B into d
-    itself, as ``double_center`` does: the ``select`` and ``sweep`` commands
-    set it, as they never read d again; a caller that does keeps the default."""
-    b = double_center(d, name, overwrite, mirror=False)
+    """The one way into the eigensolve.  Validate and double-center d, check each
+    (k, method) pair of ``grid`` in turn, its method and then its k against the
+    order of d, and only then solve its mirrored B (eigenvalues alone unless ``vectors``).
+    ``grid`` is read once, so a bad pair fails before any later pair is drawn.
+    Returns the decomposition and the checked grid, each k an int and each
+    method normalized.  ``name`` is what validation errors call the input.
+    ``overwrite`` writes B into d itself, as ``double_center`` does: the
+    ``select`` and ``sweep`` commands set it, as they never read d again; a
+    caller that does keeps the default."""
+    b = double_center(d, name, overwrite)
     checked = []
     for k, method in grid:
         method = normalize_method(method)
         checked.append((_check_k(k, b.shape[0]), method))
-    return _eig_lower(b.T, vectors), checked
+    return _eig_lower(b, vectors), checked
 
 
 def embed(d, k: int, method: str = NEUC, name: str = "dissimilarity matrix") -> Embedding:

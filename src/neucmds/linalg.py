@@ -150,17 +150,11 @@ class SpectralDecomposition:
         return int(self.eigenvalues.shape[0])
 
 
-def double_center(d, name: str = "dissimilarity matrix", overwrite: bool = False,
-                  mirror: bool = True) -> np.ndarray:
+def double_center(d, name: str = "dissimilarity matrix", overwrite: bool = False) -> np.ndarray:
     """Centered Gram matrix of a dissimilarity matrix.
 
-    Computes B = -C d C / 2 with C = I - (1/n) 11^T.  Validates d, then takes
-    its row means r and its mean mu, and only then writes B's upper triangle,
-    ``((d - r_i) - r_j + mu) * -0.5 + 0`` (so a zero is +0.0), one strip of
-    ``BLOCK`` rows at a time from the diagonal tile on.  By default that
-    triangle is mirrored down (the two mean subtractions would round the
-    other way below the diagonal): the result is exactly symmetric and every
-    row sums to zero up to rounding.
+    Computes B = -C d C / 2 with C = I - (1/n) 11^T.  The result is exactly
+    symmetric and every row sums to zero up to rounding.
 
     Parameters
     ----------
@@ -170,15 +164,11 @@ def double_center(d, name: str = "dissimilarity matrix", overwrite: bool = False
         What validation errors call the input.
     overwrite : bool
         Write B into d itself where d is a writable float64 array, as scipy's
-        ``overwrite_a``; otherwise into a fresh C-ordered array.  Only a caller
-        that never reads d again sets it: the ``select`` and ``sweep``
-        commands.  A d that fails validation is left untouched; one whose
-        centering overflows may be left half written.
-    mirror : bool
-        With False, skip the mirror and return B's upper triangle alone, the
-        lower triangle of ``B.T`` that ``_eig_lower`` reads, as
-        ``embedding.spectrum`` solves it.  Below the diagonal the result
-        holds what its buffer held: d's own entries, with ``overwrite``.
+        ``overwrite_a``; otherwise into a fresh C-ordered array.  The row
+        means and the mean are taken before the first write, so B is bitwise
+        the same either way.  Only a caller that never reads d again sets it:
+        the ``select`` and ``sweep`` commands.  A d that fails validation is
+        left untouched; one whose centering overflows may be left half written.
 
     Raises
     ------
@@ -188,27 +178,19 @@ def double_center(d, name: str = "dissimilarity matrix", overwrite: bool = False
         If the centering overflows (entries too close to the float64 limit).
     """
     d = check_dissimilarity(d, name)
-    n = d.shape[0]
-    b = d if overwrite and d.flags.writeable else np.empty(d.shape)
-    upper = np.triu(np.ones((BLOCK, BLOCK), dtype=bool))
     try:
         with np.errstate(over="raise"):
-            row = d.mean(axis=1)
+            row = d.mean(axis=1, keepdims=True)
             mu = d.mean()
-            for i0 in range(0, n, BLOCK):
-                i1 = min(i0 + BLOCK, n)
-                # the diagonal tile through its upper mask: no entry below the diagonal is
-                # evaluated, so only an overflow on or above it raises
-                for j0, j1, where in ((i0, i1, upper[:i1 - i0, :i1 - i0]), (i1, n, True)):
-                    rows = b[i0:i1, j0:j1]
-                    np.subtract(d[i0:i1, j0:j1], row[i0:i1, None], out=rows, where=where)
-                    np.subtract(rows, row[j0:j1], out=rows, where=where)
-                    np.add(rows, mu, out=rows, where=where)
-                    np.multiply(rows, -0.5, out=rows, where=where)
-                    np.add(rows, 0, out=rows, where=where)
+            b = np.subtract(d, row, out=d if overwrite and d.flags.writeable else None,
+                            order="C")
+            b -= row.T
+            b += mu
+            b *= -0.5
     except FloatingPointError:
         raise FloatingPointError("double centering overflowed; rescale the input") from None
-    return mirror_upper_inplace(b) if mirror else b
+    # the two mean subtractions round differently across the diagonal
+    return mirror_upper_inplace(b)
 
 
 def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:

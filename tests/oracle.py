@@ -4,9 +4,7 @@
 exponential; the greedy selectors must match it.  ``gram_to_dissim`` is the
 inverse of :func:`neucmds.linalg.double_center` on centered Gram matrices.
 ``mirror_upper`` is the copying form of
-:func:`neucmds.linalg.mirror_upper_inplace`.  ``ref_double_center`` is the
-centering's original body: the whole n x n B, then its upper triangle
-mirrored down.  ``ref_decompose`` is the
+:func:`neucmds.linalg.mirror_upper_inplace`.  ``ref_decompose`` is the
 stress split summed over the dropped and the selected axes separately, the
 form :func:`neucmds.metrics.decompose` must match.  ``ref_sample_wigner`` draws
 the upper triangle in one block and places it through a boolean mask, the
@@ -84,20 +82,6 @@ def mirror_upper(m: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy of m, in its dtype: the upper triangle (diagonal kept)
     mirrored down, each entry ``+ 0`` so that -0.0 reads +0.0."""
     return mirror_upper_inplace(np.array(m, order="C"))
-
-
-def ref_double_center(d) -> np.ndarray:
-    """B = -C d C / 2 computed over the whole matrix in a fresh array, overflow
-    raising, then its upper triangle mirrored down through ``np.triu``, each
-    entry ``+ 0`` so that -0.0 reads +0.0."""
-    d = np.asarray(d, dtype=np.float64)
-    with np.errstate(over="raise"):
-        row = d.mean(axis=1, keepdims=True)
-        b = np.subtract(d, row, order="C")
-        b -= row.T
-        b += d.mean()
-        b *= -0.5
-    return np.triu(b) + np.triu(b, 1).T
 
 
 def gram_to_dissim(g) -> np.ndarray:

@@ -3,9 +3,9 @@
 The generators, the perturbations, ``double_center`` and ``mirror_upper``
 build their result in one buffer (the GEMM output where there is one) and
 mirror its upper triangle in place, tile by tile.  The ``ref_*`` functions
-below, and ``oracle.ref_double_center``, are the straightforward versions
-they replaced; every result must match them bitwise, with the same dtype
-and C layout.
+below are the straightforward versions they replaced; every result must
+match them bitwise, with the same dtype and C layout (``double_center`` with
+``overwrite`` writes into d, in d's own layout).
 """
 
 import tracemalloc
@@ -29,7 +29,7 @@ from neucmds.datasets import (
 from neucmds.linalg import BLOCK, double_center
 
 from conftest import random_hollow
-from oracle import mirror_upper, ref_double_center
+from oracle import mirror_upper
 
 SIZES = [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 600]
 SEEDS = [0, 5, 2**31 + 3]
@@ -40,6 +40,12 @@ SEEDS = [0, 5, 2**31 + 3]
 def ref_mirror_upper(m):
     upper = np.triu(m)
     return upper + np.triu(m, 1).T
+
+
+def ref_double_center(d):
+    row = d.mean(axis=1, keepdims=True)
+    b = -0.5 * (d - row - row.T + d.mean())
+    return ref_mirror_upper(b)
 
 
 def ref_pairwise_sq(x):
@@ -185,9 +191,19 @@ class TestInPlaceEquivalence:
 
     def test_double_center(self, n, seed):
         rng = np.random.default_rng(seed)
-        for d in (random_hollow(rng, n), gen_euclidean_ball(n, seed=seed)):
+        d = random_hollow(rng, n)
+        signed = random_hollow(rng, n)
+        neg = np.triu(rng.random((n, n)) < 0.1, 1)
+        signed[neg | neg.T] = -0.0
+        for d in (d, gen_euclidean_ball(n, seed=seed), signed, np.zeros((n, n)),
+                  np.full((n, n), -0.0)):
             for a in (d, np.asfortranarray(d)):  # the row means' order follows the layout
-                assert_same(double_center(a), ref_double_center(a))
+                want = ref_double_center(a)
+                assert_same(double_center(a), want)
+                a = a.copy(order="K")
+                got = double_center(a, overwrite=True)
+                assert got is a  # B is d itself, in d's layout
+                assert_same(np.ascontiguousarray(got), want)
 
     def test_mirror_upper(self, n, seed):
         rng = np.random.default_rng(seed)

@@ -1,12 +1,12 @@
-"""The upper-triangle centering against the whole-matrix body it replaced.
+"""Centering into d itself (``overwrite``) against the default fresh B.
 
-``double_center`` writes B's upper triangle alone, one strip of ``BLOCK`` rows
-at a time, into a fresh array or, with ``overwrite``, into d itself;
-``spectrum`` solves that triangle unmirrored through ``B.T``.  Every value
-must match ``oracle.ref_double_center`` bitwise, signed zeros included, and
-so must every decomposition, sweep row and selection built on it.  The
-default never changes the caller's d, and only the ``select`` and ``sweep``
-commands write over theirs.
+With ``overwrite``, ``double_center`` writes B into the caller's d, and
+``spectrum`` and ``sweep`` pass the flag through; only the ``select`` and
+``sweep`` commands set it.  Every decomposition, sweep row and selection
+must match the default's bitwise (``test_builders_path`` checks B itself),
+a d that fails validation stays untouched, and an overflow still raises.
+The default never changes the caller's d, and with ``overwrite`` no n x n
+is allocated before the solve.
 """
 
 import tracemalloc
@@ -16,15 +16,13 @@ import pytest
 
 from neucmds import cli, embedding
 from neucmds.datasets import gen_random_simplex
-from neucmds.embedding import embed, embed_from_decomposition, spectrum, sweep
+from neucmds.embedding import embed, spectrum, sweep
 from neucmds.io import write_matrix
 from neucmds.landmark import embed_landmark, fit_landmarks
-from neucmds.linalg import BLOCK, _eig_lower, double_center
-from neucmds.metrics import spectral_reports
+from neucmds.linalg import BLOCK, double_center
 from neucmds.selection import METHODS, NEUC, select
 
 from conftest import random_hollow
-from oracle import ref_double_center
 
 SIZES = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]
 M = np.finfo(np.float64).max
@@ -39,10 +37,6 @@ def inputs(n, seed=0):
     return [d, np.zeros((n, n)), np.full((n, n), -0.0)]
 
 
-def upper_bytes(b):
-    return b[np.triu_indices(b.shape[0])].tobytes()
-
-
 def same_decomposition(a, b):
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
     assert (a.eigenvectors is None) == (b.eigenvectors is None)
@@ -50,72 +44,35 @@ def same_decomposition(a, b):
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
 
-# ---------------------------------------------------------------- B itself
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("overwrite", [False, True])
-def test_upper_triangle_is_the_reference(n, overwrite):
-    for d in inputs(n):
-        for a in (d, np.asfortranarray(d)):  # the row means' order follows the layout
-            ref = ref_double_center(a)
-            b = double_center(a.copy(order="K"), overwrite=overwrite, mirror=False)
-            assert upper_bytes(b) == upper_bytes(ref)
-            whole = a.copy(order="K")
-            b = double_center(whole, overwrite=overwrite)
-            assert (b is whole) == overwrite
-            assert b.tobytes(order="C") == ref.tobytes()
-
-
 # ---------------------------------------------------------------- the solve
 
 @pytest.mark.parametrize("n", SIZES)
-def test_decomposition_is_the_reference(n):
+def test_overwrite_gives_the_default_decomposition(n):
     for d in inputs(n):
-        ref = ref_double_center(d)
         for vectors in (True, False):
-            want = _eig_lower(ref, vectors)
-            for overwrite in (False, True):
-                same_decomposition(spectrum(d.copy(), [], vectors=vectors, overwrite=overwrite)[0],
-                                   want)
+            want, _ = spectrum(d, [], vectors=vectors)
+            a = d.copy()
+            got, _ = spectrum(a, [], vectors=vectors, overwrite=True)
+            same_decomposition(got, want)
 
 
-@pytest.mark.parametrize("n", [2, BLOCK + 1, 3 * BLOCK + 1])
-def test_the_unread_triangle_is_never_read(n):
-    d = inputs(n)[0]
-    want = _eig_lower(ref_double_center(d))
-    b = double_center(d, mirror=False)
-    b[np.tril_indices(n, -1)] = np.nan
-    same_decomposition(_eig_lower(b.T), want)
-    same_decomposition(_eig_lower(b.T, vectors=False), _eig_lower(ref_double_center(d), False))
-
-
-def test_sweep_rows_are_the_reference():
+def test_sweep_rows_are_the_default():
     d = gen_random_simplex(200, seed=61)
-    grid = [(k, m) for k in range(10, 160, 30) for m in METHODS]
-    want = [repr(r.to_dict()) for r in spectral_reports(_eig_lower(ref_double_center(d)), grid)]
-    for overwrite in (False, True):
-        rows = sweep(d.copy(), range(10, 160, 30), METHODS, overwrite=overwrite)
-        assert [(e.k, e.method) for e in rows] == grid
-        assert [repr(e.report.to_dict()) for e in rows] == want
+    k_list = range(10, 160, 30)
+    want = [(e.k, e.method, repr(e.report.to_dict())) for e in sweep(d, k_list, METHODS)]
+    got = sweep(d.copy(), k_list, METHODS, overwrite=True)
+    assert [(e.k, e.method, repr(e.report.to_dict())) for e in got] == want
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_select_is_the_reference(method):
+def test_select_is_the_default(method):
     d = gen_random_simplex(150, seed=62)
-    lam = _eig_lower(ref_double_center(d), vectors=False).eigenvalues
+    lam = spectrum(d, [], vectors=False)[0].eigenvalues
     dec, [(k, m)] = spectrum(d.copy(), [(7, method)], vectors=False, overwrite=True)
     assert dec.eigenvalues.tobytes() == lam.tobytes()
     got, want = select(dec.eigenvalues, k, m), select(lam, 7, method)
     assert got.chosen.tobytes() == want.chosen.tobytes()
     assert (got.r, got.s, got.objective) == (want.r, want.s, want.objective)
-
-
-def test_embed_is_the_reference():
-    d = gen_random_simplex(150, seed=63)
-    want = embed_from_decomposition(_eig_lower(ref_double_center(d)), 12, NEUC)
-    got = embed(d, 12, NEUC)
-    assert got.coords.tobytes() == want.coords.tobytes()
-    assert got.split == want.split
 
 
 # ---------------------------------------------------------------- the caller's d
@@ -124,7 +81,6 @@ def test_the_default_leaves_d_unchanged():
     d = inputs(BLOCK + 5)[0]
     calls = [
         lambda a: double_center(a),
-        lambda a: double_center(a, mirror=False),
         lambda a: spectrum(a, [(3, NEUC)]),
         lambda a: spectrum(a, [(3, NEUC)], vectors=False),
         lambda a: sweep(a, [2, 3]),
@@ -140,20 +96,17 @@ def test_the_default_leaves_d_unchanged():
 
 def test_overwrite_writes_only_into_a_writable_float64_d():
     d = inputs(40)[0]
-    want = upper_bytes(ref_double_center(d))
+    want = double_center(d).tobytes()
     frozen = d.copy()
     frozen.flags.writeable = False
-    single = d.astype(np.float32)
-    for a in (frozen, single, d.tolist()):
+    for a in (frozen, d.astype(np.float32), d.tolist()):
         before = np.array(a).tobytes()
-        b = double_center(a, overwrite=True, mirror=False)
+        b = double_center(a, overwrite=True)
         assert b is not a and np.array(a).tobytes() == before
-    assert upper_bytes(double_center(frozen, overwrite=True, mirror=False)) == want
+    assert double_center(frozen, overwrite=True).tobytes() == want
     a = d.copy()
-    assert double_center(a, overwrite=True, mirror=False) is a
-    # below the diagonal the overwritten d keeps its own entries
-    low = np.tril_indices(40, -1)
-    assert a[low].tobytes() == d[low].tobytes()
+    assert double_center(a, overwrite=True) is a
+    assert a.tobytes() == want
 
 
 def _bad_inputs(n):
@@ -180,39 +133,25 @@ def test_a_failing_input_is_left_untouched_with_overwrite():
 
 # ---------------------------------------------------------------- overflow
 
-UPPER_OVERFLOW = np.array([[0.0, 1.0, -0.3, -1.0],
-                           [1.0, 0.0, -0.3, 0.0],
-                           [-0.3, -0.3, 0.0, 0.9],
-                           [-1.0, 0.0, 0.9, 0.0]]) * M
-
-
-def test_an_overflow_above_the_diagonal_raises_with_overwrite():
-    # the means are finite; d_01 - r_0 overflows at (0, 1), inside the strip walk
-    for call in (lambda a: double_center(a, overwrite=True),
-                 lambda a: spectrum(a, [], overwrite=True),
-                 lambda a: sweep(a, [1], overwrite=True)):
-        with pytest.raises(FloatingPointError, match="double centering overflowed; rescale"):
-            call(UPPER_OVERFLOW.copy())
-
-
-def test_an_overflow_below_the_diagonal_alone_now_centers():
-    # only (1, 0), whose subtraction order the upper triangle never takes, overflows:
-    # the whole-matrix body raised, and this centers
-    d = np.array([[0.0, 0.9, 0.0, 0.0],
-                  [0.9, 0.0, -1.0, -0.6],
-                  [0.0, -1.0, 0.0, 0.9],
-                  [0.0, -0.6, 0.9, 0.0]]) * M
-    with pytest.raises(FloatingPointError, match="overflow"):
-        ref_double_center(d)
-    with np.errstate(over="ignore"):
-        row = d.mean(axis=1, keepdims=True)
-        whole = (d - row - row.T + d.mean()) * -0.5
-    assert np.isinf(whole[1, 0]) and np.isfinite(whole[np.triu_indices(4)]).all()
+@pytest.mark.parametrize("d", [
+    # the means are finite; d_01 - r_0 overflows at (0, 1), above the diagonal
+    np.array([[0.0, 1.0, -0.3, -1.0],
+              [1.0, 0.0, -0.3, 0.0],
+              [-0.3, -0.3, 0.0, 0.9],
+              [-1.0, 0.0, 0.9, 0.0]]) * M,
+    # only (1, 0) overflows, below the diagonal
+    np.array([[0.0, 0.9, 0.0, 0.0],
+              [0.9, 0.0, -1.0, -0.6],
+              [0.0, -1.0, 0.0, 0.9],
+              [0.0, -0.6, 0.9, 0.0]]) * M,
+], ids=["upper", "lower"])
+def test_an_overflow_after_the_means_raises_with_overwrite(d):
     for overwrite in (False, True):
-        b = double_center(d.copy(), overwrite=overwrite)
-        assert np.isfinite(b).all()
-        assert upper_bytes(b) == upper_bytes(whole + 0)
-        np.testing.assert_array_equal(b, b.T)
+        for call in (lambda a: double_center(a, overwrite=overwrite),
+                     lambda a: spectrum(a, [], overwrite=overwrite),
+                     lambda a: sweep(a, [1], overwrite=overwrite)):
+            with pytest.raises(FloatingPointError, match="double centering overflowed; rescale"):
+                call(d.copy())
 
 
 # ---------------------------------------------------------------- memory
