@@ -84,16 +84,18 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
 
 
 def triangulate(model: LandmarkModel, delta) -> np.ndarray:
-    """Coordinates of one new point from its dissimilarities to the landmarks.
+    """Coordinates of a new point from its m dissimilarities to the landmarks,
+    or k x p coordinates from an m x p array with one point per column.
 
     ``delta`` follows the same convention as the input matrix.  Triangulating
     a landmark's own row reproduces its base coordinates; the mean row maps
     to the origin.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (model.m,):
+    if delta.ndim > 2 or delta.shape[:1] != (model.m,):
         raise ValueError(f"expected {model.m} dissimilarities, got shape {delta.shape}")
-    return model.projection @ (delta - model.mean_dissim)
+    mean = model.mean_dissim if delta.ndim == 1 else model.mean_dissim[:, None]
+    return model.projection @ (delta - mean)
 
 
 def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
@@ -110,7 +112,5 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     coords[:, model.landmark_indices] = model.base.coords
     rest = np.setdiff1d(np.arange(n), model.landmark_indices, assume_unique=True)
     # column j holds rest[j]'s dissimilarities to the landmarks (d is symmetric)
-    deltas = d[np.ix_(model.landmark_indices, rest)]
-    deltas -= model.mean_dissim[:, None]  # the gather is a fresh copy: centre it in place
-    coords[:, rest] = model.projection @ deltas
+    coords[:, rest] = triangulate(model, d[np.ix_(model.landmark_indices, rest)])
     return replace(model.base, coords=coords)

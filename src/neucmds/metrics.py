@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linalg import BLOCK, _check_finite
-from .selection import PLUS, _check_k, _prefix, select
+from .selection import PLUS, _check_k, select
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,17 @@ def decompose(lam, u, lam_tilde) -> tuple[float, float, float]:
         raise ValueError("inconsistent dimensions in decompose()")
 
     dl = lam - lam_tilde
-    c1, c2 = _dropped_terms(dl)
+    c1, c2, _ = _dropped_terms(dl)
     z = np.zeros((1, n))
     _add_axes(z, u.T, np.arange(n), dl)
     return c1, c2, 2.0 * n * float(z[0] @ z[0]) - c2 / 2.0
 
 
-def _dropped_terms(dl) -> tuple[float, float]:
-    """c1 and c2 of the split from the per-axis differences lam - lam_tilde."""
+def _dropped_terms(dl) -> tuple[float, float, float]:
+    """c1, c2 and sum dl of the split from the per-axis differences dl = lam - lam_tilde."""
     c1 = 4.0 * float(np.sum(dl * dl))
     total = float(np.sum(dl))
-    return c1, 4.0 * total * total
+    return c1, 4.0 * total * total, total
 
 
 def _add_axes(sums, vt, axes, w, ones=None) -> None:
@@ -124,7 +124,7 @@ def spectral_reports(dec, grid) -> list[StressReport]:
 
     with ``scaled_additive_error``'s rule for a zero d_hat (||d_hat||^2 <= 0),
     and c1, c2 ``decompose``'s, bitwise.  Each method selects once, at its
-    largest k, whose prefixes are the smaller ks' picks (``selection._prefix``).
+    largest k: no selector's steps depend on k, so a smaller k's picks are a prefix.
     One pass over every eigenvector (``_add_axes``) gives each method's head at
     that k and its tail over the other axes; the walk down the ks moves the picks
     between two ks from the head to the tail.  No row builds an n x n array.
@@ -155,27 +155,30 @@ def spectral_reports(dec, grid) -> list[StressReport]:
         for k, i in rows:
             _add_axes(sums, vt, top.chosen[k:done], move[k:done], ones)
             done = k
-            reports[i] = _spectral_row(lam, _prefix(lam, top, k), sums)
+            reports[i] = _spectral_row(lam, top, k, sums)
     return reports
 
 
-def _spectral_row(lam, sel, sums) -> StressReport:
-    """The report of ``sel`` by the formulas of ``spectral_reports``, from the
-    2 x 3 x n sums (w^T (U o U)^T and (ones o w)^T U^T) of its walk's weights w."""
-    n, t = lam.size, sel.values
+def _spectral_row(lam, top, k, sums) -> StressReport:
+    """The report of the first k picks of ``top`` by the formulas of ``spectral_reports``,
+    from the 2 x 3 x n sums (w^T (U o U)^T and (ones o w)^T U^T) of its walk's weights w."""
+    n, chosen = lam.size, top.chosen[:k]
+    # select(lam, k, top.mode)'s axis values, bitwise: neuc-plus shifts each pick
+    # by _result's s1 / (1 + k), the others' rules act entry by entry
+    shift = float(np.sum(np.delete(lam, chosen))) / (1.0 + k) if top.mode == PLUS else 0.0
+    t = lam[chosen] + shift if top.mode == PLUS else top.values[:k]
     dl = lam.copy()
-    dl[sel.chosen] -= t
-    c1, c2 = _dropped_terms(dl)
-    # [y z] and [g h]; neuc-plus shifts each pick's value and difference by _result's s1 / (1 + k)
-    shift = float(np.sum(np.delete(lam, sel.chosen))) / (1.0 + sel.k) if sel.mode == PLUS else 0.0
+    dl[chosen] -= t
+    c1, c2, sz = _dropped_terms(dl)
+    # [y z] and [g h]
     yz, gh = np.array([[1.0, shift, 0.0], [0.0, -shift, 1.0]]) @ sums
     (yy, y_z), (_, zz) = (yz @ yz.T).tolist()
     (yg, yh), (zg, zh) = (yz @ gh.T).tolist()
-    sy, sz = float(np.sum(t)), float(np.sum(dl))  # sum y and sum z: each u_j has unit norm
+    sy = float(np.sum(t))  # sum y, and sum z = sum dl: each u_j has unit norm
     hat = 2.0 * n * yy + 2.0 * sy * sy + 4.0 * float(t @ t) - 8.0 * yg
     # stress_sq and the residual are squared norms: only rounding takes them below 0
     ssq = max(2.0 * n * zz + 2.0 * sz * sz + c1 - 8.0 * zh, 0.0)
-    along = 2.0 * n * y_z + 2.0 * sy * sz - 4.0 * yh - 4.0 * zg + 4.0 * float(t @ dl[sel.chosen])
+    along = 2.0 * n * y_z + 2.0 * sy * sz - 4.0 * yh - 4.0 * zg + 4.0 * float(t @ dl[chosen])
     resid = max(ssq - along * along / hat, 0.0) if hat > 0.0 else ssq
     c3 = 2.0 * n * zz - c2 / 2.0
     _check_finite("the report's sums", ssq, hat, resid, c1, c2, c3)

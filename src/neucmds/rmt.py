@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import _check_n, _rng
 from .linalg import BLOCK, _check_sigma, _eig_lower, _require_integer, mirror_upper_inplace
-from .selection import CMDS, NEUC, PLUS, _check_k, _prefix, normalize_method, select
+from .selection import CMDS, NEUC, PLUS, _check_k, _result, normalize_method, select
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -146,13 +146,13 @@ def sample_wigner(n: int, sigma: float = 1.0, dist: str = GAUSSIAN, seed: int = 
 def empirical_error_from_eigenvalues(lam, k, mode: str):
     """Dropped-eigenvalue error of a selection on an existing spectrum at k;
     for a sequence of ks, as for ``np.percentile``'s q, the list of errors at
-    each.  One selection, at the largest k: the smaller ks take prefixes of
-    its picks (``selection._prefix``), bitwise the selection at each k."""
+    each.  One selection, at the largest k: no selector's steps depend on k,
+    so each k's selection is that of the first k picks, bitwise."""
     mode = _lab_mode(mode)
     ks = np.atleast_1d(k)
     top = select(lam, max(ks, default=1), mode)
     lam = np.asarray(lam, dtype=np.float64)  # as ``select`` checked it
-    errors = [_prefix(lam, top, _check_k(j, lam.size)).objective / 4.0 for j in ks]
+    errors = [_result(lam, top.chosen[:_check_k(j, lam.size)], mode).objective / 4.0 for j in ks]
     return errors if np.ndim(k) else errors[0]
 
 

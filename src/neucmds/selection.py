@@ -103,7 +103,7 @@ def _check_k(k: int, n: int) -> int:
     return int(k)
 
 
-def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
+def _result(lam: np.ndarray, order: list[int] | np.ndarray, mode: str) -> SelectionResult:
     """The selection that picked ``order``, with bound terms and values from
     the dropped set in ascending index order.
 
@@ -111,9 +111,7 @@ def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
     here, so equal dropped multisets give bitwise-equal objectives.
     """
     chosen = np.asarray(order, dtype=np.intp)
-    w = np.zeros(lam.shape[0], dtype=bool)
-    w[chosen] = True
-    dropped = lam[~w]
+    dropped = np.delete(lam, chosen)
     s1 = float(np.sum(dropped))
     c1 = 4.0 * float(np.sum(dropped * dropped))
     c2 = 4.0 * s1 * s1
@@ -135,13 +133,6 @@ def _result(lam: np.ndarray, order: list[int], mode: str) -> SelectionResult:
         objective=c1 + c2,
         mode=mode,
     )
-
-
-def _prefix(lam: np.ndarray, sel: SelectionResult, k: int) -> SelectionResult:
-    """The selection of the first k picks of ``sel``, made on the checked
-    spectrum ``lam``: bitwise ``select(lam, k, sel.mode)``, since no
-    selector's steps depend on k, so a smaller k picks a prefix."""
-    return sel if k == sel.k else _result(lam, sel.chosen[:k], sel.mode)
 
 
 def _walk(lam: np.ndarray, k: int, mode: str, take_pos) -> SelectionResult:

@@ -190,8 +190,6 @@ KEPT = {
     "embedding.reconstruct": "named by perfbench/tracer.py; d-hat, the report path's reference",
     "embedding.reconstruct.<locals>.<lambda>": "the row sums of reconstruct",
     "io.write_points": "documented API: the point-cloud writer",
-    "landmark.LandmarkModel.m": "documented API: the number of landmarks",
-    "landmark.triangulate": "documented API: the out-of-sample point",
     "linalg.eig_sym": "named by perfbench/tracer.py; documented API: the checked symmetric solve",
     "metrics._pair": "the input check of the whole-matrix metrics",
     "metrics.stress": TRACED,

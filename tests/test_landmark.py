@@ -77,6 +77,19 @@ class TestTriangulate:
         with pytest.raises(ValueError, match="dissimilarities"):
             triangulate(model, np.zeros(9))
 
+    def test_one_point_per_column(self, rng):
+        d = random_hollow(rng, 30)
+        model = fit_landmarks(d, 15, 4, NEUC, seed=2)
+        deltas = d[model.landmark_indices]  # every point, landmarks included
+        got = triangulate(model, deltas)
+        assert got.shape == (model.k, 30)
+        for j in range(30):
+            want = triangulate(model, deltas[:, j])
+            assert np.abs(got[:, j] - want).max() <= 1e-12 * np.abs(want).max(), j
+        for bad in (np.zeros((14, 30)), np.zeros((15, 2, 1)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="expected 15 dissimilarities"):
+                triangulate(model, bad)
+
     def test_matches_classical_lmds_on_euclidean(self, rng):
         # independent positive-eigenvalue triangulation for comparison
         d = random_edm(rng, 40, 5)

@@ -14,7 +14,6 @@ from neucmds.selection import (
     _check_k,
     _check_lambda,
     _Kahan,
-    _prefix,
     _result,
     select,
     select_cmds,
@@ -259,13 +258,14 @@ def same_bits(a, b):
 @settings(max_examples=200, deadline=None)
 @given(values=NESTED_VALUES, scale=NESTED_SCALES, data=st.data())
 def test_prefix_selection_is_select_bitwise(values, scale, data):
-    # the selection spectral_reports derives at each k below its one walk's kmax
+    # the selection of the first k picks of one walk at kmax, as the sweep rows
+    # and rmt's errors read it, is the selection at k
     lam = np.sort(np.asarray(values, dtype=np.float64) * scale)[::-1]
     kmax = data.draw(st.integers(1, lam.size), label="kmax")
     for method in METHODS:
         top = select(lam, kmax, method)
         for k in range(1, kmax + 1):
-            got, want = _prefix(lam, top, k), select(lam, k, method)
+            got, want = _result(lam, top.chosen[:k], method), select(lam, k, method)
             where = (method, k)
             assert (got.mode, got.r, got.s) == (want.mode, want.r, want.s), where
             for field in ("chosen", "values", "bound_c1", "bound_c2", "objective"):

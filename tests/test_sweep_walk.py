@@ -4,8 +4,8 @@ Each method selects once, at its largest k; a smaller k takes the prefix of
 those picks, and the walk down the ks moves each block of picks from the
 head sums to the tail sums.  These tests hold dense curves to the direct path
 through d_hat, count the selections, compare a row alone with the same row
-inside a dense grid, bound what the walk allocates and check that ``sweep``
-runs no entrywise path.
+inside a dense grid, bound what the walk allocates, check that ``sweep``
+runs no entrywise path and that a grid overflows where its ks alone do.
 """
 
 import tracemalloc
@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from neucmds import embedding, metrics
+from neucmds import embedding, metrics, selection
 from neucmds.embedding import sweep
 from neucmds.linalg import SpectralDecomposition, double_center, eig_sym
 from neucmds.metrics import spectral_reports
@@ -57,19 +57,28 @@ def test_full_curve_matches_direct(n, kind):
 
 
 def test_one_selection_per_method(monkeypatch):
+    # one walk per method, and one built SelectionResult: a smaller k reads
+    # the first k picks of the top k's selection, not a selection of its own
     d = random_hollow(np.random.default_rng(8), 320)
     dec = eig_sym(double_center(d))
-    calls = []
+    calls, built = [], []
+    result = selection._result
 
     def counted(lam, k, method):
         calls.append((k, method))
         return select(lam, k, method)
 
+    def counted_result(lam, order, mode):
+        built.append((len(order), mode))
+        return result(lam, order, mode)
+
     monkeypatch.setattr(metrics, "select", counted)
+    monkeypatch.setattr(selection, "_result", counted_result)
     grid = [(k, m) for k in range(20, 301, 20) for m in METHODS]
     assert len(grid) == 45
     spectral_reports(dec, grid)
     assert sorted(calls) == sorted((300, m) for m in METHODS)
+    assert sorted(built) == sorted((300, m) for m in METHODS)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -128,3 +137,45 @@ def test_sweep_builds_no_d_hat(monkeypatch):
                          (embedding, "reconstruct"), (metrics, "report")):
         monkeypatch.setattr(module, name, entrywise)
     assert [[(e.k, e.method, e.report) for e in sweep(d, ks)] for d, ks in inputs] == want
+
+
+def numerical_error(call):
+    """The type of the numerical error ``call()`` raises, or None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            call()
+    except (FloatingPointError, OverflowError) as exc:
+        return type(exc)
+    return None
+
+
+def test_rows_overflow_where_each_k_alone_overflows():
+    # below the top k no SelectionResult is built, so its bound's finiteness check
+    # does not run there; each row's own check must raise at the same scales as
+    # select(lam, k, m) followed by the one-row sweep, at each power-of-two scale
+    n = 12
+    _, mixed = zeros_spectrum(n, seed=12)
+    rest = np.random.default_rng(12).normal(size=(n, n - 1))
+    spectra = [(mixed.eigenvalues, mixed.eigenvectors),
+               # one-signed, its zero along 1
+               (np.linspace(1.0, 0.0, n), np.linalg.qr(np.column_stack([rest, np.ones(n)]))[0])]
+    seen = set()
+    for lam, u in spectra:
+        for p in range(500, 516):  # |lam| <= 1: from no overflow to every row's
+            big = SpectralDecomposition(lam * 2.0 ** p, u)
+            for m in METHODS:
+                want = {k: numerical_error(lambda: (select(big.eigenvalues, k, m),
+                                                    spectral_reports(big, [(k, m)])))
+                        for k in range(1, n + 1)}
+                for k in range(1, n):
+                    alone = numerical_error(lambda: select(big.eigenvalues, k, m))
+                    for top in range(k + 1, n + 1):
+                        got = numerical_error(lambda: spectral_reports(big, [(k, m), (top, m)]))
+                        assert got == (want[top] or want[k]), (p, m, k, top)
+                        seen.add((alone, want[top]))
+                grid = [(k, m) for k in range(1, n + 1)]
+                assert numerical_error(lambda: spectral_reports(big, grid)) == next(
+                    (want[k] for k in range(n, 0, -1) if want[k]), None), (p, m)
+    # some k's selection alone overflows below a top k whose row does not: there
+    # the row at k alone raises
+    assert (FloatingPointError, None) in seen and (None, None) in seen
