@@ -42,10 +42,6 @@ class LandmarkModel:
     def m(self) -> int:
         return int(self.landmark_indices.shape[0])
 
-    @property
-    def k(self) -> int:
-        return int(self.base.coords.shape[0])
-
 
 def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
                   name: str = "dissimilarity matrix") -> LandmarkModel:
@@ -100,17 +96,14 @@ def triangulate(model: LandmarkModel, delta) -> np.ndarray:
 
 def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
                    name: str = "dissimilarity matrix") -> Embedding:
-    """Fit landmarks, then triangulate every non-landmark point.
+    """Fit landmarks, triangulate every point, then keep the landmarks' base coordinates.
 
     Returns an embedding over all n points carrying the landmark signature;
     its axis indices refer to the landmark submatrix spectrum.
     """
     d = as_square_matrix(d, name)  # fit_landmarks validates it
     model = fit_landmarks(d, m, k, method=method, seed=seed, name=name)
-    n = d.shape[0]
-    coords = np.empty((model.k, n), dtype=np.float64)
+    # column j of the landmarks' rows holds point j's dissimilarities to them (d is symmetric)
+    coords = triangulate(model, d[model.landmark_indices])
     coords[:, model.landmark_indices] = model.base.coords
-    rest = np.setdiff1d(np.arange(n), model.landmark_indices, assume_unique=True)
-    # column j holds rest[j]'s dissimilarities to the landmarks (d is symmetric)
-    coords[:, rest] = triangulate(model, d[np.ix_(model.landmark_indices, rest)])
     return replace(model.base, coords=coords)

@@ -151,7 +151,10 @@ def _walk(lam: np.ndarray, k: int, mode: str, take_pos) -> SelectionResult:
     first_neg = n - int(np.sum(lam < 0.0))
     vals = lam.tolist()
     s1 = _Kahan(math.fsum(vals))
-    s2 = _Kahan(math.fsum((lam * lam).tolist()))
+    try:
+        s2 = _Kahan(math.fsum((lam * lam).tolist()))
+    except OverflowError:  # every square is finite, their sum is not
+        _check_finite("the selection's bound", math.inf)
 
     lo, hi, next_zero = 0, n - 1, npos
     order: list[int] = []

@@ -13,16 +13,21 @@ with a fresh ``ref_sample_wigner`` sample per trial.  ``ref_coords`` and
 ``ref_axis_sums`` are the column path that coordinates and the stress sums
 took before both gathered eigenvector rows: columns of U taken and flipped,
 and the products (U o U) w and U (ones o w) over strips of points.
+``ref_embed_landmark`` is the landmark placement before it triangulated the
+landmarks' whole rows: the base coordinates scattered into their columns and
+the other points triangulated from a 2-D gather of their own columns.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from neucmds import rmt
+from neucmds.landmark import fit_landmarks, triangulate
 from neucmds.linalg import as_square_matrix, check_symmetric, eig_sym, mirror_upper_inplace
 from neucmds.selection import (
     CMDS,
@@ -153,6 +158,20 @@ def ref_axis_sums(u, w, ones) -> tuple[np.ndarray, np.ndarray]:
         square[i0:i0 + 16] = (strip * strip) @ w
         plain[i0:i0 + 16] = strip @ scaled
     return square, plain
+
+
+def ref_embed_landmark(d, m, k, method=NEUC, seed=0):
+    """``embed_landmark`` with every non-landmark point triangulated from the
+    columns ``d[np.ix_(landmarks, rest)]`` and the landmarks' base coordinates
+    scattered into their own columns."""
+    d = as_square_matrix(d)
+    model = fit_landmarks(d, m, k, method=method, seed=seed)
+    n = d.shape[0]
+    coords = np.empty((model.base.k, n), dtype=np.float64)
+    coords[:, model.landmark_indices] = model.base.coords
+    rest = np.setdiff1d(np.arange(n), model.landmark_indices, assume_unique=True)
+    coords[:, rest] = triangulate(model, d[np.ix_(model.landmark_indices, rest)])
+    return replace(model.base, coords=coords)
 
 
 def ref_sample_wigner(n, sigma=1.0, dist=rmt.GAUSSIAN, seed=0) -> np.ndarray:

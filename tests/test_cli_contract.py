@@ -146,6 +146,24 @@ def test_overflow_is_a_numerical_error(argv, inputs, capsys):
     assert capsys.readouterr().err.startswith("numerical error: ")
 
 
+# 4e153 (J - I) at n = 100, and its 60-landmark submatrix: every squared
+# eigenvalue is finite, but their sum, which the greedy walk starts from, is not
+@pytest.mark.parametrize("method", ["neuc", "neuc-plus"])
+@pytest.mark.parametrize("argv", [["embed", "--k", "2"], ["select", "--k", "2"],
+                                  ["landmark", "--k", "2", "--landmarks", "60"]],
+                         ids=["embed", "select", "landmark"])
+def test_a_walk_whose_sum_of_squares_overflows_is_a_numerical_error(argv, method, inputs,
+                                                                    capsys):
+    d = np.full((100, 100), 4e153)
+    np.fill_diagonal(d, 0.0)
+    write_matrix("squares.txt", d, TEXT)
+    assert main([argv[0], "--input", "squares.txt", *argv[1:], "--method", method,
+                 "--output", "out"]) == 4
+    assert capsys.readouterr().err == (
+        "numerical error: the selection's bound overflowed; rescale the input\n")
+    assert not os.path.exists("out")
+
+
 # ---------------------------------------------------------------- write and read failures
 
 EMBEDDINGS = [["embed", *MATRIX, "--k", "2"], ["landmark", *MATRIX, "--k", "2", "--landmarks", "5"]]

@@ -8,6 +8,7 @@ from neucmds.linalg import double_center, eig_sym
 from neucmds.selection import CMDS, NEUC, PLUS
 
 from conftest import random_edm, random_hollow
+from oracle import ref_embed_landmark
 
 COLLINEAR = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
 
@@ -33,7 +34,7 @@ class TestFit:
         d = random_edm(rng, 20, 2)  # rank-2 cloud: most eigenvalues vanish
         model = fit_landmarks(d, 12, 8, NEUC, seed=0)
         assert np.all(model.base.axis_values != 0.0)
-        assert model.k <= 8
+        assert model.base.k <= 8
 
     def test_guards(self, rng):
         d = random_hollow(rng, 10)
@@ -68,7 +69,7 @@ class TestTriangulate:
         d = random_hollow(rng, 30)
         model = fit_landmarks(d, 15, 4, NEUC, seed=2)
         np.testing.assert_allclose(
-            triangulate(model, model.mean_dissim), np.zeros(model.k), atol=1e-12
+            triangulate(model, model.mean_dissim), np.zeros(model.base.k), atol=1e-12
         )
 
     def test_length_mismatch(self, rng):
@@ -82,7 +83,7 @@ class TestTriangulate:
         model = fit_landmarks(d, 15, 4, NEUC, seed=2)
         deltas = d[model.landmark_indices]  # every point, landmarks included
         got = triangulate(model, deltas)
-        assert got.shape == (model.k, 30)
+        assert got.shape == (model.base.k, 30)
         for j in range(30):
             want = triangulate(model, deltas[:, j])
             assert np.abs(got[:, j] - want).max() <= 1e-12 * np.abs(want).max(), j
@@ -136,7 +137,7 @@ def test_projection_matches_the_three_step_triangulation(method, seed):
     want = ref_triangulate_block(model, dec, d[np.ix_(rest, idx)])
     got = embed_landmark(d, m, 6, method, seed=seed).coords[:, rest]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # the gather centred in place is bitwise the centred copy
+    # at this size the whole rows' product is bitwise the product over the rest alone
     plain = model.projection @ (d[np.ix_(idx, rest)] - model.mean_dissim[:, None])
     assert got.tobytes() == plain.tobytes()
     for j in (0, m // 2, m - 1):  # one row alone, and a landmark's own row
@@ -165,6 +166,26 @@ class TestEmbedLandmark:
         emb = embed_landmark(d, 12, 4, NEUC, seed=1)
         assert set(np.unique(emb.signature)).issubset({-1, 1})
         assert emb.coords.shape == (4, 25)
+
+    # n - m: 260 and 871, and 227, which is not a multiple of 4
+    @pytest.mark.parametrize("n, m, k", [(300, 40, 5), (1000, 129, 17), (257, 30, 7)])
+    @pytest.mark.parametrize("method", [CMDS, NEUC, PLUS])
+    def test_whole_rows_place_as_the_gather_of_the_rest(self, n, m, k, method):
+        d = random_hollow(np.random.default_rng(n), n)
+        model = fit_landmarks(d, m, k, method, seed=n)
+        got = embed_landmark(d, m, k, method, seed=n)
+        want = ref_embed_landmark(d, m, k, method, seed=n)
+        assert got.coords.shape == want.coords.shape == (model.base.k, n)
+        # the base coordinates are written over the landmarks' own columns
+        np.testing.assert_array_equal(got.coords[:, model.landmark_indices], model.base.coords)
+        # a wider product may round differently in its last bits
+        assert np.abs(got.coords - want.coords).max() <= 1e-14 * np.abs(want.coords).max()
+
+    def test_list_of_lists_embeds(self, rng):
+        d = random_hollow(rng, 25)
+        got = embed_landmark(d.tolist(), 10, 3, NEUC, seed=9)
+        want = embed_landmark(d, 10, 3, NEUC, seed=9)
+        assert got.coords.tobytes() == want.coords.tobytes()
 
     def test_psd_pipeline_close_to_full(self, rng):
         # on Euclidean input with all landmarks, matches the full classical run

@@ -22,7 +22,7 @@ from neucmds.metrics import (
     scaled_additive_error,
     stress,
 )
-from neucmds.selection import CMDS, METHODS, NEUC, PLUS
+from neucmds.selection import CMDS, METHODS, NEUC, PLUS, select
 
 from conftest import random_edm, random_hollow
 from oracle import chosen_mask, full_axis_values, ref_decompose
@@ -259,12 +259,16 @@ def test_report_round_trips_to_json(rng):
 
 # BLAS dot products and Python float arithmetic overflow to inf where numpy's error
 # state cannot see it: d = 1e153 (J - I) at n = 100 keeps every squared eigenvalue
-# finite, but ||d||^2 ~ 1e310 and the dropped sum of squares at k = 1 ~ 2.4e309
+# finite, but ||d||^2 ~ 1e310 and the dropped sum of squares at k = 1 ~ 2.4e309.
+# The greedy walk starts from the exact sum of squares, past the largest float
+# for 99 squares of 4e306 each
 HUGE = np.full((100, 100), 1e153) - np.diag(np.full(100, 1e153))
 OVERFLOWS = {
     "report": (lambda: report(HUGE, embed(HUGE, 99, CMDS)), "the report's sums"),
     "sweep row": (lambda: sweep(HUGE, [99], [CMDS]), "the report's sums"),
     "selection": (lambda: embed(HUGE, 1, NEUC), "the selection's bound"),
+    "neuc walk": (lambda: select(np.full(99, 2e153), 2, NEUC), "the selection's bound"),
+    "neuc-plus walk": (lambda: select(np.full(99, 2e153), 2, PLUS), "the selection's bound"),
 }
 
 

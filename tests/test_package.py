@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import golden_run
 import neucmds
 
@@ -168,3 +170,24 @@ def test_readme_python_blocks_run():
     for i, block in enumerate(blocks):
         with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+GOLDEN_COUNTS = {
+    "golden_run.py": (r"Runs (\d+) commands that succeed and (\d+) that fail.*?"
+                      r"\((\d+) files\).*?\((\d+) records in all\)"),
+    "README.md": (r"runs a fixed set of (\d+) CLI commands,\s+(\d+) that succeed and (\d+) that "
+                  r"fail.*?every file they leave \((\d+)\).*?(\d+) records"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COUNTS)
+def test_golden_run_counts_match_its_command_lists(name):
+    # the counts are prose in both texts: a command added or removed without them fails here
+    text = golden_run.__doc__ if name == "golden_run.py" else README.read_text()
+    found = re.search(GOLDEN_COUNTS[name], text, re.S)
+    assert found, f"no golden-run counts in {name}"
+    *commands, files, records = map(int, found.groups())
+    if name == "README.md":
+        assert commands.pop(0) == len(golden_run.COMMANDS) + len(golden_run.ERROR_COMMANDS)
+    assert commands == [len(golden_run.COMMANDS), len(golden_run.ERROR_COMMANDS)]
+    assert records == files + sum(commands)
