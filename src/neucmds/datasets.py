@@ -30,8 +30,9 @@ def _as_points(points) -> np.ndarray:
     p = np.asarray(points, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError(f"point cloud must be 2-d (n, d), got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point cloud contains non-finite entries")
+    if not np.all(np.isfinite(p)):  # the first in row-major order, as check_dissimilarity names it
+        i, j = np.argwhere(~np.isfinite(p))[0]
+        raise ValueError(f"point cloud has a non-finite entry: ({i},{j}) is {float(p[i, j])}")
     return p
 
 

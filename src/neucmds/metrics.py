@@ -207,19 +207,11 @@ def scaled_additive_error(d, d_hat) -> float:
 
 
 def _above_diagonal(strip: np.ndarray) -> np.ndarray:
-    """Zero, in the strip ``[i0:i0 + BLOCK, i0:]`` of a mask or a float matrix,
+    """Zero, in the float strip ``[i0:i0 + BLOCK, i0:]`` of ``_upper_strips``,
     the entries on and below the diagonal; returns the strip."""
     tile = strip[:, :strip.shape[0]]
     np.copyto(tile, False, where=np.tri(*tile.shape, dtype=bool))
     return strip
-
-
-def _qualifying(d, d_hat, i0) -> np.ndarray:
-    """Mask of the strict-upper pairs in strip i0 positive on both sides."""
-    rows = slice(i0, i0 + BLOCK)
-    ok = d[rows, i0:] > 0.0
-    ok &= d_hat[rows, i0:] > 0.0
-    return _above_diagonal(ok)
 
 
 def avg_geometric_distortion(d, d_hat) -> float | None:
@@ -230,20 +222,21 @@ def avg_geometric_distortion(d, d_hat) -> float | None:
     below one, flips ratios below one, and returns the geometric mean.
     None when no pair qualifies.
 
-    Reads d and d_hat in strips of ``BLOCK`` rows and holds two float
-    buffers of the qualifying count: the log-ratios and the copy the median
-    partitions, which keeps the mean's summation in row-major order.
+    Reads d and d_hat once, in strips of ``BLOCK`` rows, sharing no helper with
+    ``report``, and holds two float buffers of the qualifying count: the strips'
+    log-ratios and their concatenation, then that and ``np.median``'s copy.
     """
     d, d_hat = _pair(d, d_hat)
-    starts = range(0, d.shape[0], BLOCK)
-    count = sum(int(np.count_nonzero(_qualifying(d, d_hat, i0))) for i0 in starts)
-    if count == 0:
+    logs = []
+    for i0 in range(0, d.shape[0], BLOCK):  # the strict upper triangle, row-major
+        a, b = d[i0:i0 + BLOCK, i0:], d_hat[i0:i0 + BLOCK, i0:]
+        ok = np.triu((a > 0.0) & (b > 0.0), 1)
+        logs.append(0.5 * (np.log(a[ok]) - np.log(b[ok])))
+    logs = np.concatenate(logs)
+    if not logs.size:
         return None
-    logs, end = np.empty(count), 0
-    for i0 in starts:  # row-major over the upper triangle: fixes the mean's order
-        rows = slice(i0, i0 + BLOCK)
-        end += _log_ratios(d[rows, i0:], d_hat[rows, i0:], _qualifying(d, d_hat, i0), logs[end:])
-    return _distortion(logs)
+    logs -= np.median(logs)
+    return float(math.exp(np.mean(np.abs(logs, out=logs))))
 
 
 def _log_ratios(a, b, ok, out) -> int:
@@ -257,15 +250,14 @@ def _log_ratios(a, b, ok, out) -> int:
     return out.size
 
 
-def _distortion(logs, in_place: bool = False) -> float:
+def _distortion(logs) -> float:
     """exp of the mean |l - median| over the half log-ratios ``logs``, which it
-    overwrites; the median partitions a copy, or ``logs`` itself if ``in_place``."""
+    partitions and overwrites: ``report``'s value of ``avg_geometric_distortion``."""
     # np.median's value up to the sign of a zero, which the abs drops; it needs
     # no NaN check, as a NaN log-ratio (+inf on both sides) makes the mean NaN
     half = logs.size // 2
-    part = logs if in_place else logs.copy()
-    part.partition(half)
-    logs -= part[half] if logs.size % 2 else (part[:half].max() + part[half]) / 2.0
+    logs.partition(half)
+    logs -= logs[half] if logs.size % 2 else (logs[:half].max() + logs[half]) / 2.0
     return float(math.exp(np.mean(np.abs(logs, out=logs))))
 
 
@@ -274,7 +266,7 @@ def negativity_stats(d_hat, signature) -> tuple[int, int]:
     of axes carrying negative signature.  Reads d_hat in strips of ``BLOCK``
     rows."""
     d_hat = np.asarray(d_hat, dtype=np.float64)
-    neg_pairs = sum(int(np.count_nonzero(_above_diagonal(d_hat[i0:i0 + BLOCK, i0:] < 0.0)))
+    neg_pairs = sum(int(np.count_nonzero(np.triu(d_hat[i0:i0 + BLOCK, i0:] < 0.0, 1)))
                     for i0 in range(0, d_hat.shape[0], BLOCK))
     neg_axes = int(np.sum(np.asarray(signature) < 0))
     return neg_pairs, neg_axes
@@ -330,6 +322,6 @@ def report(d, emb) -> StressReport:
     c1, c2, c3 = emb.split or (None, None, None)
     return StressReport(stress_sq=2.0 * ssq, stress=math.sqrt(2.0 * ssq), c1=c1, c2=c2, c3=c3,
                         scaled_additive=math.sqrt(2.0 * resid),
-                        avg_distortion=_distortion(logs[:count], in_place=True) if count else None,
+                        avg_distortion=_distortion(logs[:count]) if count else None,
                         neg_dissim_count=neg,
                         neg_axes_count=int(np.sum(np.asarray(emb.signature) < 0)))

@@ -11,6 +11,7 @@ bound reported by the selection module.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -161,9 +162,10 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
     """One row of ``LAB_COLUMNS`` per fraction c: theory against the mean error
     at k = max(1, round(c*n)) over ``trials`` Wigner matrices of seeds seed,
     seed+1, ...  Each trial selects once, at the largest k
-    (``empirical_error_from_eigenvalues`` of all the ks).  Every argument is
-    checked before the first sample.  One n x n buffer serves every trial: its upper
-    triangle, drawn as ``sample_wigner`` draws it, is solved alone (as ``m.T``)."""
+    (``empirical_error_from_eigenvalues`` of all the ks).  Every argument, and
+    that no theory error underflows, is checked before the first sample.  One
+    n x n buffer serves every trial: its upper triangle, drawn as
+    ``sample_wigner`` draws it, is solved alone (as ``m.T``)."""
     _require_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -171,6 +173,8 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
     theory = [(c, solve_r(c, mode), theory_error(n, sigma, c, mode)) for c in c_values]
     ks = [max(1, int(round(c * n))) for c, _, _ in theory]
     m = _wigner_buffer(n, sigma, seed, dist)
+    if any(expected < sys.float_info.min for _, _, expected in theory):  # rel_err's divisor
+        raise FloatingPointError("the theory error underflowed; rescale sigma")
     errors = []  # per trial, the error at each k
     for trial in range(int(trials)):
         _draw_upper(m, _rng(seed + trial), sigma, dist)

@@ -23,7 +23,8 @@ which runs the same commands in process through ``cli.main``, under a
 bodies and comprehensions left out).  ``KEPT`` names the functions that stay
 although no command enters them, each with its reason.  The command prints
 each listed function outside ``KEPT``, one a line, then each entry of
-``KEPT`` that a command does enter, and exits 1 if it printed anything.
+``KEPT`` that a command does enter or that the tree does not define, and
+exits 1 if it printed anything.
 
 The name has no ``test_`` prefix, so pytest does not collect it.  The empty
 directory is made under ``$TMPDIR``.
@@ -194,7 +195,6 @@ KEPT = {
     "metrics._pair": "the input check of the whole-matrix metrics",
     "metrics.stress": TRACED,
     "metrics.scaled_additive_error": TRACED,
-    "metrics._qualifying": "the pair mask of avg_geometric_distortion",
     "metrics.avg_geometric_distortion": TRACED,
     "metrics.negativity_stats": TRACED,
     "rmt.semicircle_mass": "the semicircle law that acceptance 7 checks",
@@ -236,17 +236,24 @@ def unreached(src: Path) -> list[str]:
             sys.setprofile(None)
             os.chdir(cwd)
     reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered}
-    missed = []
+    return [name for key, name in functions(src) if key not in reached]
+
+
+def functions(src: Path) -> list[tuple[tuple, str]]:
+    """(code key, ``module.qualname``) of each function defined in ``src``'s
+    ``neucmds/*.py``, in file and line order, class bodies and comprehensions
+    left out; the key is ``(filename, first line, name)`` of its code."""
+    found = []
     for path in sorted((src / "neucmds").glob("*.py")):
         stack = [compile(path.read_text(), str(path), "exec")]
         while stack:
             code = stack.pop()
             stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-            if (code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in COMPREHENSIONS
-                    and (str(path), code.co_firstlineno, code.co_name) not in reached):
+            if code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in COMPREHENSIONS:
                 qualname = getattr(code, "co_qualname", code.co_name)
-                missed.append((path.name, code.co_firstlineno, f"{path.stem}.{qualname}"))
-    return [name for *_, name in sorted(missed)]
+                found.append(((str(path), code.co_firstlineno, code.co_name),
+                              f"{path.stem}.{qualname}"))
+    return sorted(found)
 
 
 def main(argv=None) -> int:
@@ -259,16 +266,19 @@ def main(argv=None) -> int:
     parser.add_argument("--unreached", action="store_true",
                         help="run the commands in process and print each function of the "
                              "tree's neucmds/*.py that none enters, outside KEPT, and each "
-                             "entry of KEPT that one enters; exit 1 if any is printed")
+                             "entry of KEPT that one enters or the tree lacks; exit 1 if any "
+                             "is printed")
     args = parser.parse_args(argv)
     if args.unreached:
         names = unreached(args.src.resolve())
         for name in names:
             if name not in KEPT:
                 print(name)
+        defined = {name for _, name in functions(args.src.resolve())}
         for name in KEPT:
             if name not in names:
-                print(f"{name} (in KEPT, but a command enters it)")
+                why = "a command enters it" if name in defined else "not defined"
+                print(f"{name} (in KEPT, but {why})")
         return 1 if set(names) ^ KEPT.keys() else 0
     change = golden_run(args.src.resolve())
     if args.parent is None:

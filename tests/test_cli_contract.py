@@ -164,6 +164,39 @@ def test_a_walk_whose_sum_of_squares_overflows_is_a_numerical_error(argv, method
     assert not os.path.exists("out")
 
 
+# sigma^2 underflows, so the theory error that rel_err divides by is 0 (1e-165) or
+# subnormal (1e-160): a numerical error before any draw, in place of a traceback
+@pytest.mark.parametrize("sigma", ["1e-165", "1e-160"])
+def test_an_underflowing_theory_error_is_a_numerical_error(sigma, inputs, capsys):
+    assert main(["rmt", "--n", "20", "--c-list", "0.1,0.5", "--sigma", sigma,
+                 "--output", "out"]) == 4
+    assert capsys.readouterr().err == (
+        "numerical error: the theory error underflowed; rescale sigma\n")
+    assert not os.path.exists("out")
+
+
+def test_a_small_sigma_above_the_underflow_writes_finite_rows(inputs, capsys):
+    assert main(["rmt", "--n", "20", "--c-list", "0.1,0.5", "--sigma", "1e-150",
+                 "--output", "out"]) == 0
+    header, *rows = csv.reader(open("out"))
+    assert header == ["c", "r", "theory", "empirical", "rel_err"] and len(rows) == 2
+    assert all(np.isfinite(float(v)) for row in rows for v in row)
+    assert all(float(row[2]) > 0.0 for row in rows)
+
+
+# the first non-finite entry in row-major order is named, as check_dissimilarity
+# names it: (1,1) comes before (2,0), which a column-major scan would find first
+@pytest.mark.parametrize("last", ["1 1", "-1e400 1"])
+@pytest.mark.parametrize("entry, shown", [("1e400", "inf"), ("nan", "nan"), ("-1e400", "-inf")])
+@pytest.mark.parametrize("kind", ["knn", "noise", "missing"])
+def test_a_non_finite_point_is_named_by_its_entry(kind, entry, shown, last, inputs, capsys):
+    Path("bad.txt").write_text(f"3 2\n0 1\n2 {entry}\n{last}\n")
+    assert main(["perturb", "--input", "bad.txt", "--kind", kind, "--output", "out"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: point cloud has a non-finite entry: (1,1) is {shown}\n")
+    assert not os.path.exists("out")
+
+
 # ---------------------------------------------------------------- write and read failures
 
 EMBEDDINGS = [["embed", *MATRIX, "--k", "2"], ["landmark", *MATRIX, "--k", "2", "--landmarks", "5"]]

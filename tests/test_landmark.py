@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from neucmds import embedding
-from neucmds.embedding import embed, reconstruct
+from neucmds.datasets import gen_euclidean_ball, gen_random_simplex
+from neucmds.embedding import embed, reconstruct, report
 from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
 from neucmds.linalg import double_center, eig_sym
 from neucmds.selection import CMDS, NEUC, PLUS
@@ -193,6 +194,21 @@ class TestEmbedLandmark:
         full = embed(d, 4, NEUC)
         lm = embed_landmark(d, 15, 4, NEUC, seed=0)
         np.testing.assert_allclose(lm.coords, full.coords, atol=1e-10)
+
+
+# scaling by a power of two is exact through the fit's centering, eigensolve and
+# selection and through the placement, so landmark(4 d) is landmark(d) scaled, bitwise
+@pytest.mark.parametrize("method", [CMDS, NEUC, PLUS])
+@pytest.mark.parametrize("gen", [gen_random_simplex, gen_euclidean_ball], ids=["simplex", "ball"])
+def test_landmark_of_4d_is_landmark_of_d_scaled_bitwise(gen, method):
+    d = gen(300, seed=3)
+    a, b = (embed_landmark(s * d, 40, 5, method, seed=2) for s in (1.0, 4.0))
+    assert b.coords.tobytes() == (2.0 * a.coords).tobytes()
+    assert b.axis_values.tobytes() == (4.0 * a.axis_values).tobytes()
+    np.testing.assert_array_equal(b.signature, a.signature)
+    ra, rb = report(d, a), report(4.0 * d, b)
+    assert (rb.stress_sq, rb.scaled_additive) == (16.0 * ra.stress_sq, 4.0 * ra.scaled_additive)
+    assert (rb.avg_distortion, rb.neg_dissim_count) == (ra.avg_distortion, ra.neg_dissim_count)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -3,7 +3,6 @@ import contextlib
 import importlib
 import inspect
 import io
-import json
 import os
 import re
 import subprocess
@@ -114,21 +113,24 @@ def test_benchmark_layer_names_match_the_package():
 
 
 UNREACHED_CHECK = """
-import json, sys
-from pathlib import Path
+import sys
 import golden_run
-print(json.dumps(golden_run.unreached(Path(sys.argv[1]))))
+golden_run.KEPT.update({"cli.main": "entered by every command", "metrics._gone": "not in the tree"})
+sys.exit(golden_run.main(["--unreached", "--src", sys.argv[1]]))
 """
 
 
 def test_only_the_kept_functions_go_unreached():
     # a function that no golden-run command enters stays only with a reason in KEPT,
-    # and an entry of KEPT that a command enters leaves the list.  A fresh process:
-    # here a cached function (io._tables) may already have run in another test
+    # and an entry of KEPT that a command enters, or that the tree does not define,
+    # leaves the list: --unreached prints just the two such entries added here, each
+    # with its reason, and exits 1.  A fresh process: here a cached function
+    # (io._tables) may already have run in another test
     proc = subprocess.run([sys.executable, "-c", UNREACHED_CHECK, SRC],
                           cwd=Path(golden_run.__file__).parent, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(set(json.loads(proc.stdout)) ^ golden_run.KEPT.keys()) == []
+    assert proc.stdout.splitlines() == ["cli.main (in KEPT, but a command enters it)",
+                                        "metrics._gone (in KEPT, but not defined)"], proc.stderr
+    assert proc.returncode == 1
 
 
 SOLVERS = ("double_center", "eig_sym", "_eig_lower")

@@ -10,11 +10,14 @@ on the counts and on c1, c2, c3.  ``reconstruct``, ``stress`` and
 build no n x n temporary; the distortion holds two float buffers of the
 qualifying pair count.  The ``ref_*`` functions below are the
 straightforward versions; those public functions must match them bitwise, on
-symmetric, asymmetric and negative inputs alike.  The ``whole_*`` functions
-are the whole-matrix bodies the strip versions replaced: the checks must
-give their messages, and a memory guard must hold for the strip versions
-and fail for them.  A failing check names its failure from the strip that
-finds it, so it stays below one n x n bool as a passing one does.
+symmetric, asymmetric and negative inputs alike, and ``negativity_stats``
+and ``avg_geometric_distortion`` must do so with every helper of ``report``
+made to raise: they are the references of its streamed values.  The
+``whole_*`` functions are the whole-matrix bodies the strip versions
+replaced: the checks must give their messages, and a memory guard must hold
+for the strip versions and fail for them.  A failing check names its
+failure from the strip that finds it, so it stays below one n x n bool as a
+passing one does.
 """
 
 import collections
@@ -225,6 +228,17 @@ def test_metrics_match_on_negative_inputs(n):
     assert_metrics_match(-np.abs(d), d)  # no positive pair on the left
     assert_metrics_match(d, np.zeros((n, n)))
     assert_metrics_match(np.zeros((n, n)), -np.abs(d))
+
+
+# the whole-matrix references stand apart from report, whose streamed values they check
+@pytest.mark.parametrize("n", SIZES)
+def test_the_references_call_no_helper_of_report(n, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a reference called a helper of report")
+    for name in ("_distortion", "_log_ratios", "_above_diagonal"):
+        monkeypatch.setattr(metrics, name, unreachable)
+    for d, _, emb in embeddings(n, seed=n):
+        assert_metrics_match(d, reconstruct(emb), emb.signature)
 
 
 # ---------------------------------------------------------------- strip paths

@@ -212,6 +212,17 @@ def test_the_checks_run_in_order_before_the_buffer(call, message, monkeypatch):
     assert str(err.value) == message
 
 
+# sigma^2 underflows: the theory error, which rel_err divides by, is 0 or subnormal
+@pytest.mark.parametrize("sigma", [1e-165, 1e-160])
+@pytest.mark.parametrize("mode", ["cmds", "neuc"])
+def test_an_underflowing_theory_error_raises_before_any_draw(mode, sigma, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew before the theory error was checked")
+    monkeypatch.setattr(rmt, "_draw_upper", unreachable)
+    with pytest.raises(FloatingPointError, match="^the theory error underflowed; rescale sigma$"):
+        lab_table(20, [0.5], mode, sigma=sigma)
+
+
 @pytest.mark.parametrize("call", [lambda: lab_table(BIG, [0.3], "neuc"),
                                   lambda: sample_wigner(BIG)], ids=["lab_table", "sample_wigner"])
 def test_an_impossible_buffer_is_a_memory_error_before_any_draw(call, monkeypatch):
