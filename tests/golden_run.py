@@ -1,11 +1,11 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 32 commands that succeed and 28 that fail with ``python -m neucmds.cli``
+Runs 35 commands that succeed and 28 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src`` (by default the one beside this
 script), in a new empty directory, with one BLAS thread (results are not
 bitwise identical across thread counts).  It then prints one sorted line per
-record: the sha256 of every file left in the directory (59 files), and the
-exit code and stderr of every command (119 records in all).  Two trees give
+record: the sha256 of every file left in the directory (64 files), and the
+exit code and stderr of every command (127 records in all).  Two trees give
 the same output exactly when the CLI is byte-identical on this set.  A
 refactor is checked with
 
@@ -78,6 +78,8 @@ COMMANDS = [
     "generate --kind balls --n 30 --seed 8 --output b.txt",
     "generate --kind balls --n 30 --seed 8 --format bin --output b.bin",
     "generate --kind simplex --n 300 --seed 9 --output big.txt",
+    # above the report's 512-point pilot, which then samples every other point
+    "generate --kind balls --n 600 --seed 10 --format bin --output b600.bin",
     "perturb --input p.txt --kind knn --k-nn 3 --output pk.txt",
     "perturb --input p.txt --kind noise --seed 3 --output pn.txt",
     "perturb --input p.txt --kind missing --keep-prob 0.8 --seed 4 --format bin --output pm.bin",
@@ -89,6 +91,7 @@ COMMANDS = [
     "embed --input b.bin --k 4 --method neuc --output ebn.txt",  # a non-null avg_distortion
     "embed --input pk.txt --k 3 --output epk.txt",
     "embed --input big.txt --k 50 --method neuc-plus --output ebig.txt",
+    "embed --input b600.bin --k 20 --method neuc --output e600.txt",
     # text in e-XX notation, below 1e-4 and -0: cmds zero-fills the axes past the positives
     "embed --input x-fine.txt --k 5 --method cmds --output efine.txt",
     "embed --input x-fallback.txt --k 2 --output efb.txt",
@@ -102,6 +105,7 @@ COMMANDS = [
     "landmark --input d.txt --k 3 --landmarks 12 --seed 2 --output lm1.txt",
     "landmark --input b.bin --k 2 --landmarks 10 --method cmds --seed 5 --output lm2.txt",
     "landmark --input x-zero4.txt --k 1 --landmarks 3 --output lm0.txt",
+    "landmark --input b600.bin --k 5 --landmarks 60 --seed 3 --output lm600.txt",
     "rmt --n 60 --c-list 0.1,0.3 --method cmds --seed 1 --trials 2 --output rc.csv",
     "rmt --n 60 --c-list 0.1,0.3 --method neuc --seed 1 --output rn.csv",
     # one buffer reused by three trials that cross a strip boundary, Rademacher draws
