@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import _rng
 from .embedding import Embedding, embed_from_decomposition, spectrum
-from .linalg import _require_integer, as_square_matrix, check_dissimilarity
+from .linalg import BLOCK, _require_integer, as_square_matrix, check_dissimilarity
 from .selection import NEUC, normalize_method
 
 # axes whose |axis value| falls below this fraction of the largest are
@@ -99,11 +99,15 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     """Fit landmarks, triangulate every point, then keep the landmarks' base coordinates.
 
     Returns an embedding over all n points carrying the landmark signature;
-    its axis indices refer to the landmark submatrix spectrum.
+    its axis indices refer to the landmark submatrix spectrum.  The points are
+    placed ``BLOCK`` columns at a time, so no m x n array is held.
     """
     d = as_square_matrix(d, name)  # fit_landmarks validates it
     model = fit_landmarks(d, m, k, method=method, seed=seed, name=name)
+    idx, n = model.landmark_indices, d.shape[0]
+    coords = np.empty((model.base.coords.shape[0], n))
     # column j of the landmarks' rows holds point j's dissimilarities to them (d is symmetric)
-    coords = triangulate(model, d[model.landmark_indices])
-    coords[:, model.landmark_indices] = model.base.coords
+    for j0 in range(0, n, BLOCK):
+        coords[:, j0:j0 + BLOCK] = triangulate(model, d[idx, j0:j0 + BLOCK])
+    coords[:, idx] = model.base.coords
     return replace(model.base, coords=coords)

@@ -16,6 +16,11 @@ import numpy as np
 from .linalg import BLOCK, _check_finite
 from .selection import PLUS, _check_k, select
 
+# report's distortion median is bracketed by the quantiles 1/2 -+ BRACKET of a pilot
+# of about PILOT^2 / 2 pairs
+PILOT = 256
+BRACKET = 0.02
+
 
 @dataclass(frozen=True)
 class StressReport:
@@ -239,28 +244,6 @@ def avg_geometric_distortion(d, d_hat) -> float | None:
     return float(math.exp(np.mean(np.abs(logs, out=logs))))
 
 
-def _log_ratios(a, b, ok, out) -> int:
-    """Write (log a - log b) / 2 over the mask ``ok`` of two strips, in row-major
-    order, at the start of ``out``; returns the count written."""
-    out = out[:int(np.count_nonzero(ok))]
-    np.log(a[ok], out=out)
-    other = b[ok]
-    np.subtract(out, np.log(other, out=other), out=out)
-    out *= 0.5
-    return out.size
-
-
-def _distortion(logs) -> float:
-    """exp of the mean |l - median| over the half log-ratios ``logs``, which it
-    partitions and overwrites: ``report``'s value of ``avg_geometric_distortion``."""
-    # np.median's value up to the sign of a zero, which the abs drops; it needs
-    # no NaN check, as a NaN log-ratio (+inf on both sides) makes the mean NaN
-    half = logs.size // 2
-    logs.partition(half)
-    logs -= logs[half] if logs.size % 2 else (logs[:half].max() + logs[half]) / 2.0
-    return float(math.exp(np.mean(np.abs(logs, out=logs))))
-
-
 def negativity_stats(d_hat, signature) -> tuple[int, int]:
     """Counts of negative off-diagonal dissimilarities (each pair once) and
     of axes carrying negative signature.  Reads d_hat in strips of ``BLOCK``
@@ -289,26 +272,128 @@ def _upper_strips(d, x, signature, bufs):
         yield _above_diagonal(part), _above_diagonal(hat)
 
 
+def _log_ratios(a, b) -> np.ndarray:
+    """(log a - log b) / 2 where both a and b are positive, in row-major order."""
+    ok = (a > 0.0) & (b > 0.0)
+    logs, other = a[ok], b[ok]
+    np.log(logs, out=logs)
+    np.subtract(logs, np.log(other, out=other), out=logs)
+    logs *= 0.5
+    return logs
+
+
+def _bracket(d, x, signature) -> tuple[float, float, float]:
+    """(lo, c, hi): the quantiles 1/2 - BRACKET, 1/2 and 1/2 + BRACKET of the half
+    log-ratios of a pilot, the pairs i < j of points r, r + g, r + 2g, ... for each
+    r < g, with g ~ (n / PILOT)^2 groups (about PILOT^2 / 2 pairs; all of them up to
+    n = PILOT); (-inf, 0, inf) where no pilot pair qualifies."""
+    n = x.shape[1]
+    g = max(1, -(-n * n // (PILOT * PILOT)))
+    q = -(-n // g)
+    idx = np.arange(g * q).reshape(q, g).T  # g x q, past n on the last row of short groups
+    pairs = np.triu(np.ones((q, q), dtype=bool), 1) & (idx < n)[:, None, :]
+    idx = np.minimum(idx, n - 1)
+    # d_hat's pairs as _upper_strips takes them: (y_i + y_j) - 2 g_ij
+    s = np.asarray(signature, dtype=np.float64)
+    y = np.einsum("l,li,li->i", s, x, x)[idx]
+    xs = x[:, idx].transpose(1, 0, 2)  # g x k x q
+    hat = np.matmul((s[:, None] * xs).transpose(0, 2, 1), xs)
+    hat *= 2.0
+    np.subtract(y[:, :, None] + y[:, None, :], hat, out=hat)
+    logs = _log_ratios(np.where(pairs, d[idx[:, :, None], idx[:, None, :]], 0.0), hat)
+    if not logs.size:
+        return -math.inf, 0.0, math.inf
+    ranks = [math.floor((0.5 - BRACKET) * (logs.size - 1)), (logs.size - 1) // 2,
+             math.ceil((0.5 + BRACKET) * (logs.size - 1))]
+    logs.partition(ranks)
+    return tuple(float(v) for v in logs[ranks])
+
+
+class _Tally:
+    """The half log-ratios l of one pass that lie in the bracket lo <= l <= hi, the
+    counts of those below and above it, and sum |l - c| over all of them."""
+
+    def __init__(self, lo, c, hi):
+        self.lo, self.c, self.hi = lo, c, hi
+        self.kept, self.below, self.above, self.spread = [], 0, 0, 0.0
+
+    def add(self, logs) -> None:
+        """Tally one strip's log-ratios, which it overwrites."""
+        up = logs >= self.lo
+        inside = np.less_equal(logs, self.hi)
+        inside &= up
+        self.kept.append(logs[inside])
+        up, inside = int(np.count_nonzero(up)), int(np.count_nonzero(inside))
+        self.below += logs.size - up
+        self.above += up - inside
+        logs -= self.c
+        self.spread += float(np.sum(np.abs(logs, out=logs)))
+
+
+def _middle(values, lower, upper) -> float:
+    """The value of rank ``upper`` in ``values``, which it partitions, or for
+    ``lower`` = upper - 1 its mean with the value of rank lower: np.median's value
+    where those are the middle ranks, up to the sign of a zero."""
+    values.partition(upper)
+    return float(values[upper] if lower == upper else (values[:upper].max() + values[upper]) / 2.0)
+
+
+def _avg_distortion(tally, d, x, signature, bufs) -> float | None:
+    """exp of the mean |l - median| over the log-ratios of ``tally``: ``report``'s
+    value of ``avg_geometric_distortion``.  Where the median's ranks fall outside
+    the kept values, one more pass of ``_upper_strips`` over d and x keeps every
+    value on each side that missed."""
+    kept = sum(k.size for k in tally.kept)
+    count = tally.below + kept + tally.above
+    if not count:
+        return None
+    if math.isnan(tally.spread):  # a NaN log-ratio (+inf on both sides) makes the mean NaN
+        return math.nan
+    # the ranks among the kept values of the lower and the upper middle (equal for an odd count)
+    lower, upper = (count - 1) // 2 - tally.below, count // 2 - tally.below
+    if lower < 0 or upper >= kept:
+        tally = _Tally(-math.inf if lower < 0 else tally.lo, tally.c,
+                       math.inf if upper >= kept else tally.hi)
+        for dp, hat in _upper_strips(d, x, signature, bufs):
+            tally.add(_log_ratios(dp, hat))
+        lower, upper = (count - 1) // 2 - tally.below, count // 2 - tally.below
+    kept, c = np.concatenate(tally.kept), tally.c
+    m = _middle(kept, lower, upper)
+    # as c and m both lie in the bracket, sum |l - m| is sum |l - c| over all values,
+    # plus (m - c) per value below it and (c - m) per value above, plus the kept
+    # values' |l - m| - |l - c|
+    outside = tally.spread - float(np.sum(np.abs(kept - c))) if tally.below or tally.above else 0.0
+    total = outside + (tally.below - tally.above) * (m - c) + float(np.sum(np.abs(kept - m)))
+    return math.exp(total / count)
+
+
 def report(d, emb) -> StressReport:
     """Error report of the embedding ``emb`` against the hollow symmetric d, with
     ``emb.split`` as (c1, c2, c3), summed over the pairs i < j of strips of d_hat
     in one pass, plus a second for the scaled additive error where
     ||d - d_hat||^2 - <d - d_hat, d_hat>^2 / ||d_hat||^2 would cancel a digit.
     Equal to the whole-matrix metrics up to rounding, except that a d_hat of
-    rounding noise alone counts as zero for the scaled additive error."""
+    rounding noise alone counts as zero for the scaled additive error.
+
+    The distortion's median is bracketed by a pilot's quantiles (``_bracket``,
+    after Floyd and Rivest, CACM 18(3), 1975): the pass keeps only the log-ratios
+    inside the bracket and counts those outside, so it holds no buffer of every
+    pair.  A median outside the kept values costs one more pass."""
     d, x = np.asarray(d, dtype=np.float64), np.asarray(emb.coords, dtype=np.float64)
     n = x.shape[1]
     if d.shape != (n, n):
         raise ValueError(f"matrix shapes do not match: {d.shape} vs {(n, n)}")
-    bufs, logs = np.empty((2, min(BLOCK, n) * n)), np.empty(n * (n - 1) // 2)
-    hh = ssq = along = neg = count = 0
+    tally = _Tally(*_bracket(d, x, emb.signature))
+    bufs = np.empty((2, min(BLOCK, n) * n))
+    hh = ssq = along = neg = 0
     for dp, hat in _upper_strips(d, x, emb.signature, bufs):
         hh += float(np.vdot(hat, hat))
         neg += int(np.count_nonzero(hat < 0.0))
-        count += _log_ratios(dp, hat, (dp > 0.0) & (hat > 0.0), logs[count:])
+        tally.add(_log_ratios(dp, hat))
         miss = np.subtract(dp, hat, out=dp)
         ssq += float(np.vdot(miss, miss))
         along += float(np.vdot(miss, hat))
+    distortion = _avg_distortion(tally, d, x, emb.signature, bufs)
     # a d_hat of rounding noise alone, at the scale of its Gram form, is a zero d_hat
     scale = float(np.max(np.einsum("li,li->i", x, x), initial=0.0))
     zero = hh <= (8.0 * (x.shape[0] + 1) * n * np.finfo(np.float64).eps * scale) ** 2
@@ -322,6 +407,6 @@ def report(d, emb) -> StressReport:
     c1, c2, c3 = emb.split or (None, None, None)
     return StressReport(stress_sq=2.0 * ssq, stress=math.sqrt(2.0 * ssq), c1=c1, c2=c2, c3=c3,
                         scaled_additive=math.sqrt(2.0 * resid),
-                        avg_distortion=_distortion(logs[:count]) if count else None,
+                        avg_distortion=distortion,
                         neg_dissim_count=neg,
                         neg_axes_count=int(np.sum(np.asarray(emb.signature) < 0)))

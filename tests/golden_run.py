@@ -78,7 +78,7 @@ COMMANDS = [
     "generate --kind balls --n 30 --seed 8 --output b.txt",
     "generate --kind balls --n 30 --seed 8 --format bin --output b.bin",
     "generate --kind simplex --n 300 --seed 9 --output big.txt",
-    # above the report's 512-point pilot, which then samples every other point
+    # above the report's 256-point pilot: its pairs lie within 6 groups of 100 points
     "generate --kind balls --n 600 --seed 10 --format bin --output b600.bin",
     "perturb --input p.txt --kind knn --k-nn 3 --output pk.txt",
     "perturb --input p.txt --kind noise --seed 3 --output pn.txt",

@@ -5,7 +5,7 @@ from neucmds import embedding
 from neucmds.datasets import gen_euclidean_ball, gen_random_simplex
 from neucmds.embedding import embed, reconstruct, report
 from neucmds.landmark import embed_landmark, fit_landmarks, triangulate
-from neucmds.linalg import double_center, eig_sym
+from neucmds.linalg import BLOCK, double_center, eig_sym
 from neucmds.selection import CMDS, NEUC, PLUS
 
 from conftest import random_edm, random_hollow
@@ -181,6 +181,19 @@ class TestEmbedLandmark:
         np.testing.assert_array_equal(got.coords[:, model.landmark_indices], model.base.coords)
         # a wider product may round differently in its last bits
         assert np.abs(got.coords - want.coords).max() <= 1e-14 * np.abs(want.coords).max()
+
+    # the columns are placed BLOCK at a time: short of, at and past a block's edge
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("method", [CMDS, NEUC, PLUS])
+    def test_column_blocks_place_as_the_whole_rows(self, n, method):
+        d = random_hollow(np.random.default_rng(n), n)
+        model = fit_landmarks(d, 20, 4, method, seed=n)
+        want = triangulate(model, d[model.landmark_indices])
+        want[:, model.landmark_indices] = model.base.coords
+        got = embed_landmark(d, 20, 4, method, seed=n).coords
+        np.testing.assert_array_equal(got[:, model.landmark_indices], model.base.coords)
+        # a wider product may round differently in its last bits
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_list_of_lists_embeds(self, rng):
         d = random_hollow(rng, 25)

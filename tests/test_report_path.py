@@ -3,7 +3,11 @@
 ``metrics.report`` sums every field from strips of d_hat and builds no
 n x n array besides d; it must equal the whole-matrix
 functions on ``reconstruct`` within 1e-12 relative on the sums, and exactly
-on the counts and on c1, c2, c3.  ``reconstruct``, ``stress`` and
+on the counts and on c1, c2, c3.  Its distortion median, taken from the
+log-ratios inside a pilot's bracket, must be bitwise the median of a buffer
+of every log-ratio (the path it replaced), also where a bracket forced off
+the median costs one more pass; it holds no such buffer, and the landmark
+placement holds no m x n array.  ``reconstruct``, ``stress`` and
 ``scaled_additive_error`` build at most one n x n array each.
 ``negativity_stats``, ``avg_geometric_distortion``, ``check_symmetric`` and
 ``check_dissimilarity`` read their inputs in strips of ``BLOCK`` rows and
@@ -25,12 +29,13 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neucmds import embedding, landmark, linalg, metrics
-from neucmds.datasets import perturb_missing
+from neucmds.datasets import gen_euclidean_ball, perturb_missing
 from neucmds.embedding import Embedding, embed_from_decomposition, reconstruct, report
 from neucmds.linalg import BLOCK, check_dissimilarity, check_symmetric, double_center, eig_sym
 from neucmds.metrics import (
@@ -235,7 +240,8 @@ def test_metrics_match_on_negative_inputs(n):
 def test_the_references_call_no_helper_of_report(n, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a reference called a helper of report")
-    for name in ("_distortion", "_log_ratios", "_above_diagonal"):
+    for name in ("_upper_strips", "_above_diagonal", "_log_ratios", "_bracket", "_Tally",
+                 "_avg_distortion"):
         monkeypatch.setattr(metrics, name, unreachable)
     for d, _, emb in embeddings(n, seed=n):
         assert_metrics_match(d, reconstruct(emb), emb.signature)
@@ -503,6 +509,167 @@ def test_streamed_report_checks_the_shape():
             report(d, emb)
 
 
+# ---------------------------------------------------------------- bracketed median
+
+def strip_logs(d, emb):
+    """Every qualifying pair's half log-ratio, from the strips report reads."""
+    n = emb.n
+    bufs = np.empty((2, min(BLOCK, n) * n))
+    return np.concatenate([metrics._log_ratios(dp, hat) for dp, hat in
+                           metrics._upper_strips(d, emb.coords, emb.signature, bufs)])
+
+
+def buffer_path(d, emb):
+    """(median, avg_distortion) as report took them before its bracket: every
+    qualifying pair's half log-ratio in one buffer, partitioned at its middle."""
+    logs = strip_logs(d, emb)
+    half = logs.size // 2
+    logs.partition(half)
+    median = logs[half] if logs.size % 2 else (logs[:half].max() + logs[half]) / 2.0
+    logs -= median
+    return float(median), float(math.exp(np.mean(np.abs(logs, out=logs))))
+
+
+def assert_bracketed(d, emb, monkeypatch, bracket=None):
+    """report's median is the buffer path's bitwise, and its avg_distortion is
+    within RTOL of the buffer path's and the whole-matrix reference's; with
+    ``bracket``, in place of the pilot's.  Returns the number of passes that
+    tallied log-ratios: 2 where the median fell outside the bracket."""
+    want_median, want = buffer_path(d, emb)
+    medians, real = [], metrics._middle
+
+    def middle(*args):
+        medians.append(real(*args))
+        return medians[-1]
+    monkeypatch.setattr(metrics, "_middle", middle)
+    if bracket is not None:
+        monkeypatch.setattr(metrics, "_bracket", lambda *args: bracket)
+    tallies = count_calls(monkeypatch, metrics, ["_Tally"])
+    got = report(d, emb)
+    assert_reports_match(got, whole_report(d, emb), d)
+    assert [m.hex() for m in medians] == [want_median.hex()]
+    assert got.avg_distortion == pytest.approx(want, rel=RTOL, abs=0)
+    return tallies["_Tally"]
+
+
+def ball_embedding(n, seed):
+    """A gen_euclidean_ball input and its cmds embedding: nearly every pair qualifies."""
+    d = gen_euclidean_ball(n, seed=seed)
+    return d, embedding.embed(d, 10, "cmds")
+
+
+def with_pair_count(n, count):
+    """A hollow symmetric d and a positive-signature embedding of distinct points
+    with exactly ``count`` qualifying pairs."""
+    return with_positive_pairs(n, count, seed=n + count), free_embedding(n, 4, [1] * 4, seed=count)
+
+
+# each bracket as a function of the sorted log-ratios v, whose middle ranks are h - 1
+# and h (even count) or h (odd): wholly off either end, one value off the median
+# on either side, and for an even count between its two middle values
+MISPLACED = {
+    "above every value": lambda v, h: (v[-1] + 1.0, v[-1] + 1.5, v[-1] + 2.0),
+    "below every value": lambda v, h: (v[0] - 2.0, v[0] - 1.5, v[0] - 1.0),
+    "just above the median": lambda v, h: (v[h + 1], v[h + 1], v[h + 2]),
+    "just below the median": lambda v, h: (v[h - 3], v[h - 2], v[h - 2]),
+    "between the middle values": lambda v, h: ((v[h - 1] + v[h]) / 2.0,) * 3,
+}
+
+
+@pytest.mark.parametrize("where", MISPLACED)
+@pytest.mark.parametrize("count", [1000, 1001])
+def test_a_misplaced_bracket_costs_one_more_pass(monkeypatch, where, count):
+    d, emb = with_pair_count(BLOCK + 1, count)
+    v = np.sort(strip_logs(d, emb))
+    assert v.size == count
+    bracket = MISPLACED[where](v, count // 2)
+    if where == "between the middle values" and count % 2:
+        bracket = (v[count // 2 - 1],) * 3  # an odd count has one middle value: just below it
+    assert assert_bracketed(d, emb, monkeypatch, bracket) == 2
+
+
+@pytest.mark.parametrize("where", ["above every value", "below every value"])
+@pytest.mark.parametrize("case", ["embed", "landmark"])
+def test_a_misplaced_bracket_on_a_grouped_pilot_input(monkeypatch, where, case):
+    d, emb = ball_embedding(600, seed=2)
+    if case == "landmark":
+        emb = landmark.embed_landmark(d, 60, 5, "neuc", seed=3)
+    v = np.sort(strip_logs(d, emb))
+    assert assert_bracketed(d, emb, monkeypatch, MISPLACED[where](v, v.size // 2)) == 2
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 600])
+def test_the_pilot_brackets_the_median(monkeypatch, n):
+    d, emb = ball_embedding(n, seed=n)
+    assert assert_bracketed(d, emb, monkeypatch) == 1
+
+
+@pytest.mark.parametrize("n, count", [(2, 1), *((n, c) for n in (BLOCK + 1, 300)
+                                                  for c in (1, 2, 3, 4))])
+def test_the_median_of_a_few_pairs(monkeypatch, n, count):
+    d, emb = with_pair_count(n, count)
+    passes = assert_bracketed(d, emb, monkeypatch)
+    # up to PILOT points the pilot is every pair, bitwise as the pass takes it; past
+    # that, a pilot that holds one or two of a few pairs may miss their median
+    assert passes == 1 if n <= metrics.PILOT else passes <= 2
+
+
+@pytest.mark.parametrize("n", [300, 600])
+@pytest.mark.parametrize("count", [1, 2, 3, 101])
+def test_a_pilot_without_pairs_under_raising_errors(monkeypatch, n, count):
+    # qualifying pairs only between an even and an odd point, which no pilot group of
+    # points r, r + g, r + 2g, ... holds for an even g: no 0 * inf may reach a sum
+    d = -np.abs(random_hollow(np.random.default_rng(n), n)) - 0.1
+    np.fill_diagonal(d, 0.0)
+    rng = np.random.default_rng(count)
+    i, j = np.divmod(rng.choice((n // 2) ** 2, count, replace=False), n // 2)
+    d[2 * i, 2 * j + 1] = d[2 * j + 1, 2 * i] = rng.uniform(0.1, 10.0, size=count)
+    emb = free_embedding(n, 4, [1] * 4, seed=count)
+    assert metrics._bracket(d, emb.coords, emb.signature) == (-math.inf, 0.0, math.inf)
+    with np.errstate(all="raise"):
+        assert assert_bracketed(d, emb, monkeypatch) == 1
+
+
+@pytest.mark.parametrize("n", [2, BLOCK + 1, 300])
+def test_equal_ratios_give_exactly_one(monkeypatch, n):
+    # points of a regular simplex: d_hat is 8 on every pair, d is 4 d_hat
+    emb = Embedding(2.0 * np.eye(n), np.ones(n, dtype=np.int64), np.ones(n), np.arange(n))
+    d = 4.0 * reconstruct(emb)
+    assert_bracketed(d, emb, monkeypatch)
+    assert report(d, emb).avg_distortion == avg_geometric_distortion(d, reconstruct(emb)) == 1.0
+
+
+def test_a_nan_log_ratio_gives_nan():
+    # report raises on the infinite d_hat a NaN log-ratio needs before it takes a
+    # distortion, so the tally takes the strips itself; NaN returns before a miss pass
+    rng = np.random.default_rng(7)
+    strips = [rng.normal(size=size) for size in (500, 301, 1)]
+    strips[1][17] = np.nan
+    logs = np.concatenate(strips)
+    logs.partition(logs.size // 2)
+    logs -= logs[logs.size // 2]  # the buffer path: an odd count
+    assert math.isnan(math.exp(np.mean(np.abs(logs))))
+    for bracket in ((-0.1, 0.0, 0.1), (-math.inf, 0.0, math.inf), (5.0, 5.5, 6.0)):
+        tally = metrics._Tally(*bracket)
+        for strip in strips:
+            tally.add(strip.copy())
+        assert math.isnan(metrics._avg_distortion(tally, None, None, None, None))
+
+
+@pytest.mark.parametrize("case", ["embed", "landmark"])
+def test_report_is_invariant_under_a_permutation(case):
+    # permuting d and the coordinates' columns together moves the pairs between
+    # strips and changes the points each pilot group samples
+    d, emb = ball_embedding(600, seed=5)
+    if case == "landmark":
+        emb = landmark.embed_landmark(d, 60, 5, "neuc", seed=6)
+    p = np.random.default_rng(7).permutation(600)
+    want = report(d, emb)
+    assert want.avg_distortion is not None
+    got = report(d[np.ix_(p, p)], replace(emb, coords=emb.coords[:, p]))
+    assert_reports_match(got, want, d)
+
+
 # ---------------------------------------------------------------- validation
 
 def _full_size(d, *args, **kwargs):
@@ -693,6 +860,25 @@ GUARD_CASES = ["check_symmetric", "check_dissimilarity", "negativity_stats",
 def test_strip_functions_stay_within_their_memory_bound(case):
     strip_fn, _, args, bound = guard_case(case)
     assert traced_peak(strip_fn, *args) < bound
+
+
+def test_report_keeps_an_eighth_of_the_pairs_at_most():
+    # nearly every pair qualifies; the bracket keeps a few hundredths of them where
+    # the buffer path held all n (n - 1) / 2 log-ratios
+    n = 1000
+    d, emb = ball_embedding(n, seed=0)
+    pairs = n * (n - 1) // 2
+    qualifying = np.count_nonzero(np.triu((d > 0.0) & (reconstruct(emb) > 0.0), 1))
+    assert qualifying > 0.99 * pairs
+    assert traced_peak(report, d, emb) < 8 * (4 * BLOCK * n + pairs // 8)
+
+
+def test_landmark_placement_holds_no_m_by_n_array():
+    # the placement takes the landmarks' rows BLOCK columns at a time; the whole rows
+    # and their centred copy were two m x n arrays beside the k x n output
+    n, m, k = 1000, 129, 5
+    d = gen_euclidean_ball(n, seed=1)
+    assert traced_peak(landmark.embed_landmark, d, m, k, "neuc", 1) < 8 * (k * n + m * n)
 
 
 @pytest.mark.parametrize("check", [check_symmetric, check_dissimilarity],
