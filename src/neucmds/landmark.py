@@ -105,7 +105,7 @@ def embed_landmark(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     d = as_square_matrix(d, name)  # fit_landmarks validates it
     model = fit_landmarks(d, m, k, method=method, seed=seed, name=name)
     idx, n = model.landmark_indices, d.shape[0]
-    coords = np.empty((model.base.coords.shape[0], n))
+    coords = np.empty((model.base.k, n))
     # column j of the landmarks' rows holds point j's dissimilarities to them (d is symmetric)
     for j0 in range(0, n, BLOCK):
         coords[:, j0:j0 + BLOCK] = triangulate(model, d[idx, j0:j0 + BLOCK])

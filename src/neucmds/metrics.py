@@ -293,7 +293,7 @@ def _bracket(d, x, signature) -> tuple[float, float, float]:
     idx = np.arange(g * q).reshape(q, g).T  # g x q, past n on the last row of short groups
     pairs = np.triu(np.ones((q, q), dtype=bool), 1) & (idx < n)[:, None, :]
     idx = np.minimum(idx, n - 1)
-    # d_hat's pairs as _upper_strips takes them: (y_i + y_j) - 2 g_ij
+    # each pair's d_hat in _upper_strips' order of operations, (y_i + y_j) - 2 x_i^T S x_j
     s = np.asarray(signature, dtype=np.float64)
     y = np.einsum("l,li,li->i", s, x, x)[idx]
     xs = x[:, idx].transpose(1, 0, 2)  # g x k x q
@@ -393,7 +393,6 @@ def report(d, emb) -> StressReport:
         miss = np.subtract(dp, hat, out=dp)
         ssq += float(np.vdot(miss, miss))
         along += float(np.vdot(miss, hat))
-    distortion = _avg_distortion(tally, d, x, emb.signature, bufs)
     # a d_hat of rounding noise alone, at the scale of its Gram form, is a zero d_hat
     scale = float(np.max(np.einsum("li,li->i", x, x), initial=0.0))
     zero = hh <= (8.0 * (x.shape[0] + 1) * n * np.finfo(np.float64).eps * scale) ** 2
@@ -407,6 +406,6 @@ def report(d, emb) -> StressReport:
     c1, c2, c3 = emb.split or (None, None, None)
     return StressReport(stress_sq=2.0 * ssq, stress=math.sqrt(2.0 * ssq), c1=c1, c2=c2, c3=c3,
                         scaled_additive=math.sqrt(2.0 * resid),
-                        avg_distortion=distortion,
+                        avg_distortion=_avg_distortion(tally, d, x, emb.signature, bufs),
                         neg_dissim_count=neg,
                         neg_axes_count=int(np.sum(np.asarray(emb.signature) < 0)))

@@ -168,8 +168,10 @@ class TestEmbedLandmark:
         assert set(np.unique(emb.signature)).issubset({-1, 1})
         assert emb.coords.shape == (4, 25)
 
-    # n - m: 260 and 871, and 227, which is not a multiple of 4
-    @pytest.mark.parametrize("n, m, k", [(300, 40, 5), (1000, 129, 17), (257, 30, 7)])
+    # n - m: 260 and 871, and 227, which is not a multiple of 4; the points are placed
+    # BLOCK columns at a time: 128 fill one block, 129 and 257 end on one a column wide
+    @pytest.mark.parametrize("n, m, k", [(300, 40, 5), (1000, 129, 17), (257, 30, 7),
+                                         (BLOCK, 20, 4), (BLOCK + 1, 20, 4)])
     @pytest.mark.parametrize("method", [CMDS, NEUC, PLUS])
     def test_whole_rows_place_as_the_gather_of_the_rest(self, n, m, k, method):
         d = random_hollow(np.random.default_rng(n), n)
@@ -181,19 +183,6 @@ class TestEmbedLandmark:
         np.testing.assert_array_equal(got.coords[:, model.landmark_indices], model.base.coords)
         # a wider product may round differently in its last bits
         assert np.abs(got.coords - want.coords).max() <= 1e-14 * np.abs(want.coords).max()
-
-    # the columns are placed BLOCK at a time: short of, at and past a block's edge
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-    @pytest.mark.parametrize("method", [CMDS, NEUC, PLUS])
-    def test_column_blocks_place_as_the_whole_rows(self, n, method):
-        d = random_hollow(np.random.default_rng(n), n)
-        model = fit_landmarks(d, 20, 4, method, seed=n)
-        want = triangulate(model, d[model.landmark_indices])
-        want[:, model.landmark_indices] = model.base.coords
-        got = embed_landmark(d, 20, 4, method, seed=n).coords
-        np.testing.assert_array_equal(got[:, model.landmark_indices], model.base.coords)
-        # a wider product may round differently in its last bits
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_list_of_lists_embeds(self, rng):
         d = random_hollow(rng, 25)

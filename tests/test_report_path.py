@@ -630,11 +630,19 @@ def test_a_pilot_without_pairs_under_raising_errors(monkeypatch, n, count):
         assert assert_bracketed(d, emb, monkeypatch) == 1
 
 
-@pytest.mark.parametrize("n", [2, BLOCK + 1, 300])
-def test_equal_ratios_give_exactly_one(monkeypatch, n):
-    # points of a regular simplex: d_hat is 8 on every pair, d is 4 d_hat
+@pytest.mark.parametrize("n, ratio, pilot", [(2, 4.0, True), (BLOCK + 1, 4.0, True),
+                                             (300, 4.0, True), (300, 3.0, False)])
+def test_equal_ratios_give_exactly_one(monkeypatch, n, ratio, pilot):
+    # points of a regular simplex: d_hat is 8 on every pair, d is ratio d_hat; without
+    # a pilot pair, d is that only between an even and an odd point, so every value is
+    # kept around a centre of 0, and sum |l - 0| taken strip by strip and over the kept
+    # values differ in their last bits
     emb = Embedding(2.0 * np.eye(n), np.ones(n, dtype=np.int64), np.ones(n), np.arange(n))
-    d = 4.0 * reconstruct(emb)
+    d = ratio * reconstruct(emb)
+    if not pilot:
+        d[::2, ::2] = d[1::2, 1::2] = -1.0
+        np.fill_diagonal(d, 0.0)
+        assert metrics._bracket(d, emb.coords, emb.signature) == (-math.inf, 0.0, math.inf)
     assert_bracketed(d, emb, monkeypatch)
     assert report(d, emb).avg_distortion == avg_geometric_distortion(d, reconstruct(emb)) == 1.0
 
