@@ -1,11 +1,11 @@
 """Golden CLI run: the bytes and exit statuses of a fixed command set.
 
-Runs 35 commands that succeed and 28 that fail with ``python -m neucmds.cli``
+Runs 37 commands that succeed and 28 that fail with ``python -m neucmds.cli``
 from the source tree given by ``--src`` (by default the one beside this
 script), in a new empty directory, with one BLAS thread (results are not
 bitwise identical across thread counts).  It then prints one sorted line per
-record: the sha256 of every file left in the directory (64 files), and the
-exit code and stderr of every command (127 records in all).  Two trees give
+record: the sha256 of every file left in the directory (67 files), and the
+exit code and stderr of every command (132 records in all).  Two trees give
 the same output exactly when the CLI is byte-identical on this set.  A
 refactor is checked with
 
@@ -70,6 +70,8 @@ INPUTS = {
     # no eigenvalue on either side: a k=0 landmark embedding of bare newline rows
     "x-zero4.txt": "4\n" + "0 0 0 0\n" * 4,
     "x-tiles.txt": tiles_text(),
+    # points 0 and 1 coincide: their zero-length edge is a k-NN graph edge
+    "x-dup.txt": "5 2\n0 0\n0 0\n1 0\n2 0\n2 1\n",
 }
 
 COMMANDS = [
@@ -81,6 +83,8 @@ COMMANDS = [
     # above the report's 256-point pilot: its pairs lie within 6 groups of 100 points
     "generate --kind balls --n 600 --seed 10 --format bin --output b600.bin",
     "perturb --input p.txt --kind knn --k-nn 3 --output pk.txt",
+    "perturb --input x-dup.txt --kind knn --k-nn 1 --output pkd1.txt",
+    "perturb --input x-dup.txt --kind knn --k-nn 2 --output pkd2.txt",
     "perturb --input p.txt --kind noise --seed 3 --output pn.txt",
     "perturb --input p.txt --kind missing --keep-prob 0.8 --seed 4 --format bin --output pm.bin",
     *(f"embed --input d.txt --k 5 --method {m} --output e-{m}.txt"
