@@ -119,8 +119,8 @@ def perturb_knn(points, k_nn: int) -> np.ndarray:
     """Squared shortest-path distances over a symmetric k-nearest-neighbor graph.
 
     Edges join a pair when either endpoint lists the other among its k_nn
-    Euclidean nearest; weights are the Euclidean distances.  Raises if the
-    graph is disconnected, reporting the component sizes.
+    Euclidean nearest, weighted by distance, repeated points' zero-length edges
+    included.  Raises if the graph is disconnected, reporting the component sizes.
     """
     from scipy.sparse import csr_matrix  # the only scipy user: imported on demand
     from scipy.sparse.csgraph import connected_components, dijkstra
@@ -136,9 +136,7 @@ def perturb_knn(points, k_nn: int) -> np.ndarray:
     nbrs = np.argsort(dist, axis=1, kind="stable")[:, :k_nn]
     rows = np.repeat(np.arange(n), k_nn)
     cols = nbrs.ravel()
-    np.fill_diagonal(dist, 0.0)
     graph = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
-    graph = graph.maximum(graph.T)
     n_comp, labels = connected_components(graph, directed=False)
     if n_comp > 1:
         sizes = np.bincount(labels)
@@ -147,7 +145,6 @@ def perturb_knn(points, k_nn: int) -> np.ndarray:
         )
     paths = dijkstra(graph, directed=False)
     paths *= paths
-    np.fill_diagonal(paths, 0.0)
     return mirror_upper_inplace(paths)
 
 
@@ -171,7 +168,6 @@ def perturb_noise(points, sigma="auto", seed: int = 0) -> np.ndarray:
     for i in range(n - 1):  # row by row draws the same stream as one draw
         dist[i, i + 1:] += rng.normal(0.0, sigma, size=n - 1 - i)
     dist *= dist
-    np.fill_diagonal(dist, 0.0)
     return mirror_upper_inplace(dist)
 
 

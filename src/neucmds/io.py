@@ -6,9 +6,9 @@ little-endian float64 row-major).  Point clouds are text only: first line
 "n d", then n rows of d floats.  Text tables allow only blank lines after
 the declared rows.  Embeddings and their reports, JSON and CSV are written
 only, each file to a temp file renamed into place, so a failure leaves no
-partial output, nor an embedding without its report.  Every text file
-comes from one generator, ``_text_blocks``, ``TEXT_BLOCK_ROWS`` rows at a
-time, so a write holds one block of text, not the whole file.
+partial output, nor an embedding without its report.  Matrix, point and embedding
+text comes from one generator, ``_text_blocks``, ``TEXT_BLOCK_ROWS`` rows at a time,
+so such a write holds one block of text; a JSON or CSV file is one whole string.
 
 Text values are written with ``%.17g``, so a parsed value round-trips
 bitwise, and are parsed with the rules of Python's ``float``.  A block of

@@ -97,14 +97,10 @@ def ref_perturb_knn(p, k_nn):
     nbrs = np.argsort(dist, axis=1, kind="stable")[:, :k_nn]
     rows = np.repeat(np.arange(n), k_nn)
     cols = nbrs.ravel()
-    np.fill_diagonal(dist, 0.0)
     graph = csr_matrix((dist[rows, cols], (rows, cols)), shape=(n, n))
-    graph = graph.maximum(graph.T)
     assert connected_components(graph, directed=False)[0] == 1
     paths = dijkstra(graph, directed=False)
-    d = paths * paths
-    np.fill_diagonal(d, 0.0)
-    return ref_mirror_upper(d)
+    return ref_mirror_upper(paths * paths)
 
 
 def ref_perturb_noise(p, sigma, seed):

@@ -73,7 +73,68 @@ class TestGenerators:
         assert d[0, 1] == -1.0  # gap -1 squared with sign
 
 
+def knn_geodesics(p, k_nn):
+    """Squared k-NN graph geodesics by Floyd-Warshall, or the component sizes,
+    in the order of each component's first point, if the graph is disconnected.
+    A pair is an edge when either point lists the other among its k_nn nearest
+    (stable order), weighted by the Euclidean distance, however short."""
+    n = p.shape[0]
+    e = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1))
+    nbrs = np.argsort(np.where(np.eye(n, dtype=bool), np.inf, e), axis=1, kind="stable")
+    edge = np.zeros((n, n), dtype=bool)
+    edge[np.arange(n)[:, None], nbrs[:, :k_nn]] = True
+    g = np.where(edge | edge.T, e, np.inf)
+    np.fill_diagonal(g, 0.0)
+    for m in range(n):
+        g = np.minimum(g, g[:, m, None] + g[None, m, :])
+    first = np.isfinite(g).argmax(axis=1)  # each point's component, by its first point
+    if np.any(first):
+        return np.unique(first, return_counts=True)[1].tolist()
+    return g * g
+
+
+def repeated_cloud(rng, n, dim):
+    """n points on a small integer grid, some of them repeated.  Integer
+    coordinates keep every distance exact, so both distance forms rank the
+    neighbors alike."""
+    base = rng.integers(0, 5, size=(n * 2 // 3, dim)).astype(np.float64)
+    p = np.vstack([base, base[rng.integers(0, len(base), size=n - len(base))]])
+    return p[rng.permutation(n)]
+
+
+def has_repeats(p):
+    return len(np.unique(p, axis=0)) < len(p)
+
+
 class TestKnn:
+    X_DUP = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("k_nn", [1, 2])
+    def test_repeated_points_lie_at_zero(self, k_nn):
+        d = perturb_knn(self.X_DUP, k_nn)
+        assert d[0, 1] == d[1, 0] == 0.0
+        np.testing.assert_allclose(d, knn_geodesics(self.X_DUP, k_nn), rtol=1e-12, atol=0)
+
+    def test_matches_floyd_warshall_on_repeated_points(self):
+        outcomes = {"connected": 0, "disconnected": 0}
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n, dim = (6, 15, 40)[seed % 3], 1 + seed % 3
+            p = repeated_cloud(rng, n, dim)
+            assert has_repeats(p)
+            for k_nn in (1, 2, 3):
+                want = knn_geodesics(p, k_nn)
+                if isinstance(want, list):
+                    outcomes["disconnected"] += 1
+                    with pytest.raises(ValueError) as err:
+                        perturb_knn(p, k_nn)
+                    assert str(err.value) == (f"k-nn graph is disconnected: {len(want)} "
+                                              f"components with sizes {want}")
+                else:
+                    outcomes["connected"] += 1
+                    np.testing.assert_allclose(perturb_knn(p, k_nn), want, rtol=1e-12, atol=0)
+        assert min(outcomes.values()) > 0, outcomes
+
     def test_collinear_chain(self):
         pts = np.array([[0.0], [1.0], [3.0], [6.0]])
         d = perturb_knn(pts, 1)
@@ -92,9 +153,11 @@ class TestKnn:
         np.testing.assert_allclose(d, pairwise_sq(pts), rtol=1e-10)
 
     def test_disconnected_raises_with_components(self):
-        pts = np.array([[0.0], [1.0], [100.0], [101.0]])
-        with pytest.raises(ValueError, match="2 components"):
-            perturb_knn(pts, 1)
+        for pts in ([[0.0], [1.0], [100.0], [101.0]],
+                    [[0.0, 0.0], [0.0, 0.0], [5.0, 0.0], [5.0, 1.0]]):  # 0 and 1 at length 0
+            with pytest.raises(ValueError) as err:
+                perturb_knn(np.array(pts), 1)
+            assert str(err.value) == "k-nn graph is disconnected: 2 components with sizes [2, 2]"
 
     def test_curved_set_breaks_triangle_inequality(self):
         theta = np.linspace(0, np.pi, 12)
@@ -128,6 +191,16 @@ class TestNoise:
         lam = eig_sym(double_center(d)).eigenvalues
         assert np.sum(lam < 0) > 0
 
+    def test_repeated_points_give_a_symmetric_hollow_matrix(self):
+        rng = np.random.default_rng(10)
+        pts = rng.normal(size=(30, 4))
+        pts[rng.integers(0, 30, size=10)] = pts[rng.integers(0, 30, size=10)]
+        assert has_repeats(pts)
+        for sigma in ("auto", 0.3):
+            d = perturb_noise(pts, sigma, seed=5)
+            np.testing.assert_array_equal(d, d.T)
+            assert not np.any(np.diag(d)) and not np.any(np.signbit(np.diag(d)))
+
     def test_rejects_bad_sigma(self):
         pts = np.zeros((3, 1))
         with pytest.raises(ValueError, match="sigma"):
@@ -143,6 +216,15 @@ class TestMissing:
         np.testing.assert_allclose(
             perturb_missing(pts, 1.0, seed=0), pairwise_sq(pts), rtol=1e-12
         )
+
+    def test_repeated_points_lie_at_zero(self):
+        rng = np.random.default_rng(11)
+        pts = repeated_cloud(rng, 40, 12)
+        assert has_repeats(pts)
+        same = np.all(pts[:, None, :] == pts[None, :, :], axis=-1)
+        for keep_prob, seed in ((1.0, 0), (0.9, 1), (0.9, 2)):
+            d = perturb_missing(pts, keep_prob, seed=seed)
+            np.testing.assert_array_equal(d[same], 0.0)
 
     def test_empty_intersection_raises(self):
         pts = np.arange(6.0).reshape(3, 2)
