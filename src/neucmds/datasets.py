@@ -36,10 +36,29 @@ def _as_points(points) -> np.ndarray:
     return p
 
 
+def _zero_repeats(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Write +0.0 into d at every pair of equal rows of x, where the Gram form
+    sq_i + sq_j - 2 x_i.x_j rounds; returns d.  Only the rows whose first
+    coordinate repeats are compared whole: a wide random cloud has none."""
+    if not x.shape[1]:
+        return d  # no coordinates: every entry is already +0.0
+    _, first, counts = np.unique(x[:, 0], return_inverse=True, return_counts=True)
+    rows = np.flatnonzero(counts[first] > 1)
+    if not rows.size:  # np.unique(axis=0) costs ms even on no rows, for wide x
+        return d
+    _, group, counts = np.unique(x[rows], axis=0, return_inverse=True, return_counts=True)
+    for g in np.flatnonzero(counts > 1):
+        same = rows[group == g]
+        d[np.ix_(same, same)] = 0.0
+    return d
+
+
 def pairwise_sq(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances of the rows of x, exactly hollow/symmetric."""
+    """Squared Euclidean distances of the rows of x, exactly hollow/symmetric;
+    identical rows lie at exactly +0.0."""
     sq = np.einsum("ij,ij->i", x, x)
-    return sum_minus_twice(x @ x.T, lambda i0, i1: np.add.outer(sq[i0:i1], sq[i0:]))
+    d = sum_minus_twice(x @ x.T, lambda i0, i1: np.add.outer(sq[i0:i1], sq[i0:]))
+    return _zero_repeats(d, x)
 
 
 def _distances(x: np.ndarray) -> np.ndarray:
@@ -175,7 +194,8 @@ def perturb_missing(points, keep_prob: float, seed: int = 0) -> np.ndarray:
     """Squared distances over the coordinates both points retained.
 
     Each (point, coordinate) survives independently with ``keep_prob``.
-    Raises if some pair shares no surviving coordinate.
+    Raises if some pair shares no surviving coordinate.  Identical points lie
+    at exactly +0.0: they agree on every coordinate that both retained.
 
     Draw order: one uniform mask block of shape (n, d), row-major.
     """
@@ -192,4 +212,5 @@ def perturb_missing(points, keep_prob: float, seed: int = 0) -> np.ndarray:
     del shared
     pm = p * m
     a = (p * p * m) @ m.T
-    return sum_minus_twice(pm @ pm.T, lambda i0, i1: a[i0:i1, i0:] + a[i0:, i0:i1].T)
+    d = sum_minus_twice(pm @ pm.T, lambda i0, i1: a[i0:i1, i0:] + a[i0:, i0:i1].T)
+    return _zero_repeats(d, p)

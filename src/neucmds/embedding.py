@@ -76,9 +76,10 @@ def spectrum(d, grid, name: str = "dissimilarity matrix", vectors: bool = True,
     ``grid`` is read once, so a bad pair fails before any later pair is drawn.
     Returns the decomposition and the checked grid, each k an int and each
     method normalized.  ``name`` is what validation errors call the input.
-    ``overwrite`` writes B into d itself, as ``double_center`` does: the
-    ``select`` and ``sweep`` commands set it, as they never read d again; a
-    caller that does keeps the default."""
+    ``overwrite`` writes B into d itself, as ``double_center`` does, and the
+    solve then overwrites B (the eigenvectors are a view of it): the
+    ``select`` and ``sweep`` commands and ``fit_landmarks`` set it, as they
+    never read d again; a caller that does keeps the default."""
     b = double_center(d, name, overwrite)
     checked = []
     for k, method in grid:
@@ -126,8 +127,8 @@ def sweep(d, k_list, methods=METHODS, name: str = "dissimilarity matrix",
     Every row comes from the spectrum alone (``metrics.spectral_reports``),
     with no d_hat; ``avg_distortion`` and ``neg_dissim_count`` are None on
     every row.  ``name`` is what validation errors call the input.
-    ``overwrite`` lets ``spectrum`` write B into d itself, for a caller that
-    never reads d again; the default leaves d unchanged.
+    ``overwrite`` lets ``spectrum`` write B, and then the eigenvectors, into d
+    itself, for a caller that never reads d again; the default leaves d unchanged.
     """
     methods = list(methods)
     dec, grid = spectrum(d, ((k, m) for k in k_list for m in methods), name, overwrite=overwrite)

@@ -65,7 +65,12 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
         raise ValueError(f"k must satisfy 1 <= k <= m - 1 = {m - 1} for m={m} landmarks, got {k}")
     idx = np.sort(_rng(seed).choice(n, size=m, replace=False))
     sub = d[np.ix_(idx, idx)]
-    dec, [(k, method)] = spectrum(sub, [(k, method)])
+    try:  # taken before sub is centered in place; it overflows where the centering would
+        with np.errstate(over="raise"):
+            mean_dissim = sub.mean(axis=0)
+    except FloatingPointError:
+        raise FloatingPointError("double centering overflowed; rescale the input") from None
+    dec, [(k, method)] = spectrum(sub, [(k, method)], overwrite=True)
     emb = embed_from_decomposition(dec, k, method)
     keep = np.abs(emb.axis_values) > AXIS_DROP_REL_TOL * float(np.max(np.abs(emb.axis_values)))
     base = replace(emb, coords=emb.coords[keep], signature=emb.signature[keep],
@@ -74,7 +79,7 @@ def fit_landmarks(d, m: int, k: int, method: str = NEUC, seed: int = 0,
     return LandmarkModel(
         landmark_indices=idx,
         base=base,
-        mean_dissim=sub.mean(axis=0),
+        mean_dissim=mean_dissim,
         projection=base.coords / (-2.0 * dec.eigenvalues[base.axis_indices])[:, None],
     )
 

@@ -8,6 +8,7 @@ diagonal ("hollow") and may contain negative entries.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -136,10 +137,11 @@ class SpectralDecomposition:
     """Eigenvalues sorted descending with paired orthonormal eigenvectors.
 
     Column ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``.
-    ``eigenvectors`` is None for a values-only solve.  A solve stores it in
-    Fortran order, LAPACK's, so ``eigenvectors.T`` holds one eigenvector per
-    contiguous row, the rows that coordinates and the stress sums gather; a
-    C-ordered array (as built by hand) serves too, only slower.
+    ``eigenvectors`` is None for a values-only solve.  A solve leaves it in
+    Fortran order, LAPACK's, in the buffer it solved, so ``eigenvectors.T``
+    holds one eigenvector per contiguous row, the rows that coordinates and the
+    stress sums gather; a C-ordered array (as built by hand) serves too, only
+    slower.
     """
 
     eigenvalues: np.ndarray
@@ -196,11 +198,13 @@ def double_center(d, name: str = "dissimilarity matrix", overwrite: bool = False
 def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
     """Symmetric eigendecomposition, eigenvalues descending.
 
-    With ``vectors=False`` only the eigenvalues are computed
-    (``np.linalg.eigvalsh``, about half the time of the full solve) and
+    With ``vectors=False`` only the eigenvalues are computed (LAPACK's
+    ``dsyevd`` without vectors, about half the time of the full solve) and
     ``eigenvectors`` is None.  The commands that use the spectrum alone
     solve that way: ``select`` and ``rmt``; ``embed``, ``sweep`` and
-    ``landmark`` need the eigenvectors.  Checks symmetry, then ``_eig_lower``.
+    ``landmark`` need the eigenvectors.  Checks symmetry, then solves a
+    Fortran-ordered copy of b with ``_eig_lower``: the caller's array is left
+    as it was, and its lower triangle is read, as ``np.linalg.eigh`` reads it.
 
     Deterministic for a given input; the solver's ascending output is
     reversed, so ties come out in reverse solver order.
@@ -214,13 +218,87 @@ def eig_sym(b, vectors: bool = True) -> SpectralDecomposition:
     """
     b = as_square_matrix(b)
     check_symmetric(b)
-    return _eig_lower(b, vectors)
+    return _eig_lower(np.array(b, order="F"), vectors)
+
+
+def _bind_dsyevd():
+    """LAPACK's ``dsyevd`` from the OpenBLAS that ``np.linalg.eigh`` itself calls,
+    found through numpy's linalg extension: the ILP64 ``scipy_openblas64_`` build of
+    numpy >= 2 wheels, with 64-bit integers and the lengths of JOBZ and UPLO last.
+    None where numpy links another LAPACK."""
+    try:
+        from numpy.linalg import _umath_linalg
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (ImportError, AttributeError, OSError):
+        return None
+    fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+    fn.restype = None
+    return fn
+
+
+_DSYEVD = _bind_dsyevd()
+
+
+def _dsyevd(a: np.ndarray, vectors: bool) -> np.ndarray:
+    """Eigenvalues, ascending, of the writable Fortran-ordered symmetric a from its
+    lower triangle, which the solve overwrites; with ``vectors``, a then holds the
+    eigenvectors, one per column.  The workspace is what an ``lwork = -1`` query
+    asks for, as numpy sizes it: a shorter one can change the bits."""
+    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64()
+    lda = ctypes.c_int64(max(a.shape[0], 1))
+    w = np.empty(a.shape[0])
+
+    def call(work, iwork, lwork, liwork):
+        _DSYEVD(b"V" if vectors else b"N", b"L", ctypes.byref(n), a.ctypes.data,
+                ctypes.byref(lda), w.ctypes.data, work.ctypes.data,
+                ctypes.byref(ctypes.c_int64(lwork)), iwork.ctypes.data,
+                ctypes.byref(ctypes.c_int64(liwork)), ctypes.byref(info), 1, 1)
+
+    work, iwork = np.empty(1), np.empty(1, np.int64)
+    call(work, iwork, -1, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, np.int64), lwork, liwork)
+    if info.value:  # > 0: no convergence; < 0 names a bad argument, never passed here
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _reverse_columns(u: np.ndarray) -> None:
+    """Reverse u's columns in place: ``BLOCK`` columns at a time trade places with
+    their mirrors through one n x ``BLOCK`` buffer."""
+    n = u.shape[1]
+    buf = np.empty((u.shape[0], min(BLOCK, n // 2)), order="F")
+    for j0 in range(0, n // 2, BLOCK):
+        j1 = min(j0 + BLOCK, n // 2)
+        left, right, tmp = u[:, j0:j1], u[:, n - j1:n - j0][:, ::-1], buf[:, :j1 - j0]
+        np.copyto(tmp, left)
+        np.copyto(left, right)
+        np.copyto(right, tmp)
 
 
 def _eig_lower(b: np.ndarray, vectors: bool = True) -> SpectralDecomposition:
-    """The one solver call, unchecked; it reads b's lower triangle alone (``UPLO='L'``)."""
-    lam, u = np.linalg.eigh(b) if vectors else (np.linalg.eigvalsh(b), None)
-    return SpectralDecomposition(
-        eigenvalues=np.ascontiguousarray(lam[::-1]),
-        eigenvectors=None if u is None else np.asfortranarray(u[:, ::-1]),
-    )
+    """The one solver call, unchecked, in place on a buffer the package owns.
+
+    LAPACK reads the lower triangle of a Fortran-ordered matrix (``UPLO='L'``, as
+    numpy passes it).  A Fortran-ordered b (``rmt``'s ``m.T``, ``eig_sym``'s copy)
+    is passed itself, its lower triangle read; a C-ordered b (``spectrum``'s B) is
+    passed as b.T, its upper triangle read, which must equal the lower bitwise, as
+    a mirrored B does.  The solve overwrites b, and with ``vectors`` the returned
+    eigenvectors are a Fortran-ordered view of it.  Any other b (strided, read-only
+    or not float64) is copied first.
+    Where numpy's LAPACK does not export ``dsyevd`` (``_DSYEVD`` is None), this is
+    ``np.linalg.eigh`` or ``eigvalsh`` on b, bitwise the same, b left unchanged.
+    """
+    if _DSYEVD is None:
+        lam, u = np.linalg.eigh(b) if vectors else (np.linalg.eigvalsh(b), None)
+        return SpectralDecomposition(
+            eigenvalues=np.ascontiguousarray(lam[::-1]),
+            eigenvectors=None if u is None else np.asfortranarray(u[:, ::-1]),
+        )
+    a = b if b.flags.f_contiguous else b.T
+    if not (a.flags.f_contiguous and a.flags.writeable and a.dtype == np.float64):
+        a = np.array(b, dtype=np.float64, order="F")
+    lam = _dsyevd(a, vectors)
+    if vectors:
+        _reverse_columns(a)
+    return SpectralDecomposition(eigenvalues=lam[::-1].copy(), eigenvectors=a if vectors else None)

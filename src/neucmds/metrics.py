@@ -9,7 +9,7 @@ which is the identity the acceptance suite verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class StressReport:
     neg_axes_count: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field a float, an int or None: no deep copy
 
 
 def _pair(d, d_hat) -> tuple[np.ndarray, np.ndarray]:

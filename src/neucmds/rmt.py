@@ -165,7 +165,7 @@ def lab_table(n: int, c_values, mode: str, sigma: float = 1.0, trials: int = 1,
     (``empirical_error_from_eigenvalues`` of all the ks).  Every argument, and
     that no theory error underflows, is checked before the first sample.  One
     n x n buffer serves every trial: its upper triangle, drawn as
-    ``sample_wigner`` draws it, is solved alone (as ``m.T``)."""
+    ``sample_wigner`` draws it, is solved alone and in place (as ``m.T``)."""
     _require_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

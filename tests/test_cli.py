@@ -262,11 +262,12 @@ class TestExitCodes:
         big = tmp_path / "big.txt"
         big.write_text("3\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n")
         out = tmp_path / "o.txt"
-        proc = run_cli("embed", "--input", big, "--k", "1", "--output", out)
-        assert proc.returncode == 4
-        assert "numerical error: double centering overflowed" in proc.stderr
-        assert "symmetric" not in proc.stderr
-        assert not out.exists()
+        # landmark takes its column means before centering its landmark block in place
+        for command in (["embed"], ["landmark", "--landmarks", "3"]):
+            proc = run_cli(*command, "--input", big, "--k", "1", "--output", out)
+            assert proc.returncode == 4
+            assert proc.stderr == "numerical error: double centering overflowed; rescale the input\n"
+            assert not out.exists()
 
     def test_oversized_header_is_three(self, tmp_path):
         # a PiB-scale header: the parser must reject line 2 before allocating

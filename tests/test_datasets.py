@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from neucmds.datasets import (
     _distances,
@@ -249,3 +251,73 @@ class TestMissing:
     def test_rejects_bad_keep_prob(self):
         with pytest.raises(ValueError, match="keep_prob"):
             perturb_missing(np.zeros((3, 2)), 0.0)
+
+
+# ---------------------------------------------------------------- identical points
+
+@st.composite
+def float_clouds_with_repeats(draw, min_dim=1):
+    """A float cloud, offset from the origin so the Gram form cancels, in which
+    some rows repeat others exactly; with a seed for the generator under test."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(3, 25)), draw(st.integers(min_dim, 12))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    base = rng.normal(size=(n - draw(st.integers(1, n // 2)), dim)) * scale
+    base += rng.normal(size=dim) * 10.0 * scale
+    p = np.vstack([base, base[rng.integers(0, len(base), size=n - len(base))]])
+    return p[rng.permutation(n)], draw(st.integers(0, 2**32 - 1))
+
+
+def identical_pairs(p):
+    same = np.all(p[:, None, :] == p[None, :, :], axis=-1)
+    assert same.sum() > len(p)
+    return same
+
+
+def assert_plus_zero(values):
+    assert values.tobytes() == np.zeros_like(values).tobytes()  # +0.0, not -0.0 or rounding
+
+
+class TestIdenticalPointsAtZero:
+    @settings(max_examples=60, deadline=None)
+    @given(case=float_clouds_with_repeats(), n_plus=st.integers(0, 12))
+    def test_squared_distances(self, case, n_plus):
+        p, _ = case
+        same = identical_pairs(p)
+        assert_plus_zero(pairwise_sq(p)[same])
+        assert_plus_zero(_distances(p)[same])
+        assert_plus_zero(signed_sq_dissimilarity(p, min(n_plus, p.shape[1]))[same])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=float_clouds_with_repeats(min_dim=6), keep_prob=st.sampled_from([1.0, 0.95, 0.8]))
+    def test_missing(self, case, keep_prob):
+        p, seed = case
+        try:
+            d = perturb_missing(p, keep_prob, seed=seed)
+        except ValueError:  # a pair with no shared coordinate
+            assume(False)
+        assert_plus_zero(d[identical_pairs(p)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=float_clouds_with_repeats(), k_nn=st.integers(1, 5))
+    def test_knn(self, case, k_nn):
+        p, _ = case
+        assume(k_nn < len(p))
+        want = knn_geodesics(p, k_nn)
+        assume(not isinstance(want, list))  # connected
+        d = perturb_knn(p, k_nn)
+        assert_plus_zero(d[identical_pairs(p)])
+        # the Gram form's rounding, sqrt'ed, moves short edges by up to ~1e-8 of the spread
+        np.testing.assert_allclose(d, want, rtol=1e-9, atol=1e-7 * float(d.max()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=float_clouds_with_repeats())
+    def test_noise_is_the_noise_alone(self, case):
+        # the distance is +0.0, so the entry is the square of its pair's draw
+        p, seed = case
+        n = len(p)
+        noise = np.random.Generator(np.random.Philox(seed)).normal(0.0, 0.5, size=n * (n - 1) // 2)
+        d = perturb_noise(p, 0.5, seed=seed)
+        for i, j in zip(*np.nonzero(np.triu(identical_pairs(p), 1))):
+            at = i * (2 * n - i - 1) // 2 + j - i - 1  # row-major upper triangle
+            assert d[i, j] == d[j, i] == noise[at] * noise[at]

@@ -142,13 +142,14 @@ def drawn_triangle(n, sigma, dist, seed):
 @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK + 2, 300])
 def test_the_triangle_solve_is_the_mirrored_solve(n, dist):
     # the drawn triangle holds the mirrored sample's upper bits and nothing below
-    # them; solved as its transpose it gives eig_sym's eigenvalues bitwise
+    # them; solved as its transpose it gives eig_sym's eigenvalues bitwise.  The solve
+    # overwrites its buffer, so each solve gets a fresh copy of the drawn triangle
     m, full = drawn_triangle(n, 1.5, dist, 9), sample_wigner(n, 1.5, dist, seed=9)
     upper, lower = np.triu_indices(n), np.tril_indices(n, -1)
     assert m[upper].tobytes() == full[upper].tobytes()
     assert np.isnan(m[lower]).all()
     for vectors in (False, True):
-        got, want = _eig_lower(m.T, vectors), eig_sym(full, vectors)
+        got, want = _eig_lower(m.copy().T, vectors), eig_sym(full, vectors)
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         if vectors:
             assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
